@@ -254,14 +254,15 @@ def _axis(lo: float, hi: float, n: int, rng) -> np.ndarray:
     return np.linspace(lo + 0.05 * span, hi - 0.05 * span, n)
 
 
-def surface_grid(domain, n: int, rng) -> list[tuple[float, float]]:
+def surface_grid(domain, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The n*n grid points as two arrays ``us, vs``: uniform points in
+    u-major order, or uniform random draws."""
     (u0, u1), (v0, v1) = domain
     if rng is not None:
         us = rng.uniform(u0 + 0.05 * (u1 - u0), u1 - 0.05 * (u1 - u0), n * n)
         vs = rng.uniform(v0 + 0.05 * (v1 - v0), v1 - 0.05 * (v1 - v0), n * n)
-        return [(float(u), float(v)) for u, v in zip(us, vs)]
-    return [(float(u), float(v))
-            for u in _axis(u0, u1, n, None) for v in _axis(v0, v1, n, None)]
+        return us, vs
+    return np.repeat(_axis(u0, u1, n, None), n), np.tile(_axis(v0, v1, n, None), n)
 
 
 def curve_grid(s_range, n: int, rng) -> list[float]:
@@ -289,14 +290,21 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
 def _max_over(rows, cols, names) -> float:
+    """Worst residual over the named columns.  A NaN anywhere makes it NaN,
+    which fails the suite (Python's ``max`` could pass over it)."""
     idx = [cols.index(c) for c in names]
     vals = [row[i] for row in rows for i in idx if row[i] is not None]
-    return max(vals) if vals else 0.0
+    return float(np.max(vals)) if vals else 0.0
+
+
+def _table(*columns) -> list[list]:
+    """Report rows of Python floats from per-point arrays (or (n, k) blocks)."""
+    return np.column_stack(columns).tolist()
 
 
 def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> SuiteResult:
@@ -310,15 +318,16 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
             raise ScenarioError(f"suite 'forms' needs a patch, '{entry['surface']}' is a metric")
         cols = ["u", "v", "E", "F", "G", "W",
                 "r_uu_u", "r_uu_v", "r_uv_u", "r_uv_v", "r_vv_u", "r_vv_v", "r_lagrange"]
-        rows = []
-        for u, v in surface_grid(surf.domain, grids["surface"], rng):
-            m = geometry.first_fundamental(surf, u, v)
-            res = geometry.metric_derivative_identities(surf, u, v)
-            pj = surf.jets(u, v)
-            cr = np.cross(pj.pu, pj.pv)
-            disc = m.E * m.G - m.F * m.F
-            lagrange = abs(float(cr @ cr) - disc) / max(1.0, abs(disc))
-            rows.append([u, v, m.E, m.F, m.G, m.W, *res, lagrange])
+        us, vs = surface_grid(surf.domain, grids["surface"], rng)
+        m = geometry.first_fundamental(surf, us, vs)
+        pj = surf.jets(us, vs)
+        cr = np.cross(pj.pu, pj.pv, axis=0)
+        disc = m.E * m.G - m.F * m.F
+        lagrange = abs(geometry.dot(cr, cr) - disc) / np.maximum(1.0, abs(disc))
+        # the finite-difference oracle stays per point, independent of the grid path
+        fd = [geometry.metric_derivative_identities(surf, u, v)
+              for u, v in zip(us.tolist(), vs.tolist())]
+        rows = _table(us, vs, m.E, m.F, m.G, m.W, np.array(fd), lagrange)
         worst = _max_over(rows, cols, cols[6:])
 
     elif name == "frenet":
@@ -340,10 +349,11 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
     elif name == "christoffel-shift":
         pair = sc.pairs[entry["pair"]]
         cols = ["u", "v", "zeta", "r111", "r112", "r121", "r122", "r221", "r222"]
-        rows = []
-        for u, v in surface_grid(pair.source.domain, grids["surface"], rng):
-            zeta, _ = conformal.dilation_field(pair, u, v)
-            rows.append([u, v, zeta, *conformal.christoffel_shift_residual(pair, u, v)])
+        us, vs = surface_grid(pair.source.domain, grids["surface"], rng)
+        forms = pair.forms(us, vs)
+        zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
+        rows = _table(us, vs, zeta,
+                      *conformal.christoffel_shift_residual(pair, us, vs, forms=forms))
         worst = _max_over(rows, cols, cols[3:])
 
     elif name == "bracket-shift":
@@ -421,11 +431,10 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
     elif name == "pushforward":
         pair = sc.pairs[entry["pair"]]
         cols = ["u", "v", "zeta", "r_u", "r_v"]
-        rows = []
-        for u, v in surface_grid(pair.source.domain, grids["surface"], rng):
-            zeta, _ = conformal.dilation_field(pair, u, v)
-            ru, rv = conformal.pushforward_residual(pair, u, v)
-            rows.append([u, v, zeta, ru, rv])
+        us, vs = surface_grid(pair.source.domain, grids["surface"], rng)
+        forms = pair.forms(us, vs)
+        zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
+        rows = _table(us, vs, zeta, *conformal.pushforward_residual(pair, us, vs, forms=forms))
         worst = _max_over(rows, cols, ["r_u", "r_v"])
 
     else:  # pragma: no cover - guarded by validation

@@ -4,11 +4,15 @@ A :class:`ConformalPair` holds two surfaces (or bare metrics) over one
 shared parameter domain.  The dilation zeta is always estimated from the
 metric ratio; a declared dilation expression is cross-checked against the
 estimate and, when present, supplies exact derivatives.
+
+The dilation, the Christoffel shift and the pushforward take ``u, v`` as
+floats (one point) or as arrays (a grid of points, evaluated at once).  A
+caller that already holds ``pair.forms(u, v)`` passes it as ``forms`` so
+that the source and target forms are computed once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +27,11 @@ from .geometry import (
     SurfacePatch,
     beltrami_bracket,
     christoffel,
+    norm,
     second_fundamental,
     speed_from_form,
+    sqrt,
+    violation,
 )
 
 CONFORMALITY_TOL = 1e-8
@@ -53,6 +60,10 @@ class AmbientMapError(ConformalError):
 
 def _is_patch(member) -> bool:
     return isinstance(member, SurfacePatch)
+
+
+def _at_least_one(x):
+    return np.maximum(1.0, x) if isinstance(x, np.ndarray) else max(1.0, x)
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,7 @@ class ConformalPair:
     def embedded(self) -> bool:
         return _is_patch(self.source) and _is_patch(self.target)
 
-    def forms(self, u: float, v: float) -> tuple[FirstForm, FirstForm]:
+    def forms(self, u, v) -> tuple[FirstForm, FirstForm]:
         return self.source.first_form(u, v), self.target.first_form(u, v)
 
 
@@ -104,47 +115,56 @@ class ConformalPair:
 # Dilation
 
 
-def dilation_field(pair: ConformalPair, u: float, v: float,
-                   tol: float | None = None) -> tuple[float, tuple[float, float, float]]:
+def dilation_field(pair: ConformalPair, u, v, tol: float | None = None,
+                   forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
     """Estimate zeta = sqrt(E~/E) and the three conformality residuals
     |zeta^2 E - E~|, |zeta^2 F - F~|, |zeta^2 G - G~|, each normalized by
     max(1, |E~|).  Raises :class:`NonConformalError` past the tolerance.
     """
     tol = pair.conformality_tol if tol is None else tol
-    m, mt = pair.forms(u, v)
-    if m.E <= 1e-12:
-        raise NonConformalError(f"source E = {m.E} below regularity floor at ({u}, {v})")
-    z2 = mt.E / m.E
-    if z2 <= 0.0:
-        raise NonConformalError(f"metric ratio E~/E = {z2} not positive at ({u}, {v})")
-    zeta = math.sqrt(z2)
-    norm = max(1.0, abs(mt.E))
-    residuals = (
-        abs(z2 * m.E - mt.E) / norm,
-        abs(z2 * m.F - mt.F) / norm,
-        abs(z2 * m.G - mt.G) / norm,
-    )
-    if max(residuals) > tol:
+    m, mt = pair.forms(u, v) if forms is None else forms
+    bad = violation(m.E > 1e-12, u, v, m.E)
+    if bad is not None:
         raise NonConformalError(
-            f"pair is not conformal at ({u}, {v}): metric ratio residuals "
-            f"(E, F, G) = {residuals}", residuals)
+            f"source E = {bad[2]} below regularity floor at ({bad[0]}, {bad[1]})")
+    z2 = mt.E / m.E
+    bad = violation(z2 > 0.0, u, v, z2)
+    if bad is not None:
+        raise NonConformalError(
+            f"metric ratio E~/E = {bad[2]} not positive at ({bad[0]}, {bad[1]})")
+    zeta = sqrt(z2)
+    scale = _at_least_one(abs(mt.E))
+    residuals = (
+        abs(z2 * m.E - mt.E) / scale,
+        abs(z2 * m.F - mt.F) / scale,
+        abs(z2 * m.G - mt.G) / scale,
+    )
+    bad = violation((residuals[0] <= tol) & (residuals[1] <= tol) & (residuals[2] <= tol),
+                    u, v, *residuals)
+    if bad is not None:
+        raise NonConformalError(
+            f"pair is not conformal at ({bad[0]}, {bad[1]}): metric ratio residuals "
+            f"(E, F, G) = {bad[2:]}", bad[2:])
     if pair.dilation is not None:
         declared = evaluate(pair.dilation, u, v)
-        if abs(declared - zeta) > tol * max(1.0, abs(zeta)):
+        bad = violation(abs(declared - zeta) <= tol * _at_least_one(abs(zeta)),
+                        u, v, declared, zeta)
+        if bad is not None:
             raise NonConformalError(
-                f"declared dilation {declared} disagrees with estimate {zeta} at ({u}, {v})")
+                f"declared dilation {bad[2]} disagrees with estimate {bad[3]} "
+                f"at ({bad[0]}, {bad[1]})")
     return zeta, residuals
 
 
-def dilation_jet(pair: ConformalPair, u: float, v: float,
-                 tol: float | None = None) -> Jet2:
+def dilation_jet(pair: ConformalPair, u, v, tol: float | None = None,
+                 forms: tuple[FirstForm, FirstForm] | None = None) -> Jet2:
     """zeta with first partials.  A declared dilation (cross-checked against
     the metric-ratio estimate) supplies exact jets; otherwise the partials
     come from differentiating zeta^2 E = E~."""
-    zeta, _ = dilation_field(pair, u, v, tol)
+    m, mt = pair.forms(u, v) if forms is None else forms
+    zeta, _ = dilation_field(pair, u, v, tol, forms=(m, mt))
     if pair.dilation is not None:
         return eval_jet2(pair.dilation, u, v)
-    m, mt = pair.forms(u, v)
     zu = (mt.E_u - zeta * zeta * m.E_u) / (2.0 * zeta * m.E)
     zv = (mt.E_v - zeta * zeta * m.E_v) / (2.0 * zeta * m.E)
     return Jet2(zeta, du=zu, dv=zv)
@@ -172,8 +192,9 @@ def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ThetaSet:
     All vanish identically when zeta_u = zeta_v = 0 (isometry/homothety).
     """
     z, zu, zv = zeta_jet.value, zeta_jet.du, zeta_jet.dv
-    if not z > 0.0:
-        raise ValueError(f"dilation must be positive, got {z}")
+    bad = violation(z > 0.0, z)
+    if bad is not None:
+        raise ValueError(f"dilation must be positive, got {bad[0]}")
     d = z * m.W * m.W
     E, F, G = m.E, m.F, m.G
     return ThetaSet(
@@ -186,10 +207,11 @@ def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ThetaSet:
     )
 
 
-def christoffel_shift_residual(pair: ConformalPair, u: float, v: float) -> tuple[float, ...]:
+def christoffel_shift_residual(pair: ConformalPair, u, v,
+                               forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
     """|Gamma~^k_ij - Gamma^k_ij - theta^k_ij| for the six slots."""
-    zj = dilation_jet(pair, u, v)
-    m, mt = pair.forms(u, v)
+    m, mt = pair.forms(u, v) if forms is None else forms
+    zj = dilation_jet(pair, u, v, forms=(m, mt))
     g, gt = christoffel(m), christoffel(mt)
     th = theta_terms(m, zj)
     return tuple(
@@ -220,8 +242,8 @@ def beltrami_bracket_shift(pair: ConformalPair, c, s: float) -> BracketShift:
     """Convention-free core of the geodesic-curvature shift:
     B_tgt - B_src = Theta, with B the Beltrami bracket on each side."""
     cj = c.jets(s)
-    zj = dilation_jet(pair, cj.u, cj.v)
     m, mt = pair.forms(cj.u, cj.v)
+    zj = dilation_jet(pair, cj.u, cj.v, forms=(m, mt))
     speed = speed_from_form(m, cj.u1, cj.v1)
     if abs(speed - 1.0) > UNIT_SPEED_TOL:
         raise NotUnitSpeedError(speed, s)
@@ -299,9 +321,9 @@ class DeviationReport:
 def geodesic_deviation_report(pair: ConformalPair, c, s: float,
                               tol: float = 1e-8) -> DeviationReport:
     cj = c.jets(s)
-    zeta, conf = dilation_field(pair, cj.u, cj.v)
-    zj = dilation_jet(pair, cj.u, cj.v)
-    m, mt = pair.forms(cj.u, cj.v)
+    forms = m, mt = pair.forms(cj.u, cj.v)
+    zeta, conf = dilation_field(pair, cj.u, cj.v, forms=forms)
+    zj = dilation_jet(pair, cj.u, cj.v, forms=forms)
     speed = speed_from_form(m, cj.u1, cj.v1)
     if abs(speed - 1.0) > UNIT_SPEED_TOL:
         raise NotUnitSpeedError(speed, s)
@@ -320,7 +342,7 @@ def geodesic_deviation_report(pair: ConformalPair, c, s: float,
     passing = tuple(k for k in PAIRINGS if residuals[k] < tol)
     return DeviationReport(
         s=s, zeta=zeta, zeta_u=zj.du, zeta_v=zj.dv, conformality=conf,
-        christoffel_shift=christoffel_shift_residual(pair, cj.u, cj.v),
+        christoffel_shift=christoffel_shift_residual(pair, cj.u, cj.v, forms=forms),
         h=h, f=f, g1=g1, g2=g2,
         kappa_g_src=kg_src, kappa_g_tgt=kg_tgt,
         i20_residuals=residuals, passing=passing, tolerance=tol,
@@ -351,15 +373,17 @@ def image_geodesic_curvature(pair: ConformalPair, c, s: float) -> float:
 
 
 def ambient_jacobian(map3: tuple[Expr, Expr, Expr], p) -> np.ndarray:
-    """3x3 Jacobian of an ambient map at p, by forward-mode jets."""
+    """3x3 Jacobian of an ambient map at the point p, by forward-mode jets;
+    (3, 3, n) at the points of a (3, n) array p."""
     rows = []
     for comp in map3:
-        g = eval_grad3(comp, float(p[0]), float(p[1]), float(p[2]))
+        g = eval_grad3(comp, p[0], p[1], p[2])
         rows.append([g.gx, g.gy, g.gz])
     return np.array(rows)
 
 
-def pushforward_residual(pair: ConformalPair, u: float, v: float) -> tuple[float, float]:
+def pushforward_residual(pair: ConformalPair, u, v,
+                         forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
     """|Psi~_u - zeta (J* Psi_u)| and |Psi~_v - zeta (J* Psi_v)|.
 
     For an ambient-conformal map the Jacobian factors as zeta times a
@@ -369,10 +393,12 @@ def pushforward_residual(pair: ConformalPair, u: float, v: float) -> tuple[float
     """
     if pair.ambient_map is None:
         raise AmbientMapError("pair has no ambient map")
-    zeta, _ = dilation_field(pair, u, v)
+    zeta, _ = dilation_field(pair, u, v, forms=forms)
     pj = pair.source.jets(u, v)
     pjt = pair.target.jets(u, v)
     jac_star = ambient_jacobian(pair.ambient_map, pj.p) / zeta
-    r_u = float(np.linalg.norm(pjt.pu - zeta * (jac_star @ pj.pu)))
-    r_v = float(np.linalg.norm(pjt.pv - zeta * (jac_star @ pj.pv)))
-    return r_u, r_v
+
+    def push(x):
+        return np.einsum("ij...,j...->i...", jac_star, x)
+
+    return norm(pjt.pu - zeta * push(pj.pu)), norm(pjt.pv - zeta * push(pj.pv))

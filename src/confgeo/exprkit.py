@@ -5,6 +5,12 @@ variables, the unary functions sin/cos/tan/exp/log/sqrt/sinh/cosh/tanh,
 unary minus, and the binary operators + - * / ^ (exponent restricted to
 constant sub-expressions).  Trees are immutable after parse and evaluation
 is pure, so expressions can be shared freely across threads.
+
+``eval_jet2``, ``eval_grad3`` and ``evaluate`` take floats (one point) or
+float64 arrays (a grid of points, evaluated in one tree walk, as in vector
+forward mode).  One jet arithmetic serves both: constant subtrees stay
+floats and broadcast, and only the elementary functions and the domain
+checks pick ``math`` or ``numpy`` by the type of their argument.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -32,12 +40,15 @@ class ExprNameError(ExprError):
 
 class EvalDomainError(ExprError):
     """Raised when evaluation leaves the domain of some node (log of a
-    non-positive value, division by zero, sqrt of a negative, ...)."""
+    non-positive value, division by zero, sqrt of a negative, overflow, ...).
+    ``point`` holds the variable values where it happened, when known."""
 
-    def __init__(self, reason: str, node_text: str):
-        super().__init__(f"{reason} in sub-expression '{node_text}'")
+    def __init__(self, reason: str, node_text: str, point: tuple | None = None):
+        where = "" if point is None else f" at ({', '.join(map(repr, point))})"
+        super().__init__(f"{reason} in sub-expression '{node_text}'{where}")
         self.reason = reason
         self.node_text = node_text
+        self.point = point
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +325,31 @@ class _JetDomain(Exception):
     """Internal: domain violation inside a jet operation (no node context)."""
 
 
-def _powf(base: float, expo: float) -> float:
+def _xp(x):
+    # The module that computes elementary functions of x: math for a float,
+    # numpy for an array of grid values.
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _any(flags) -> bool:
+    # True if a check flags the point (a bool) or any grid point (an array).
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
+
+
+def _powf(base, expo: float):
     # base**expo with Taylor-friendly conventions: 0^0 == 1.
     if expo == 0.0:
         return 1.0
-    if base == 0.0:
-        if expo < 0.0:
-            raise _JetDomain("zero base raised to a negative power")
-        return 0.0
-    if base < 0.0 and expo != round(expo):
+    if expo < 0.0 and _any(base == 0.0):
+        raise _JetDomain("zero base raised to a negative power")
+    if expo != round(expo) and _any(base < 0.0):
         raise _JetDomain("negative base raised to a non-integer power")
-    return base ** expo
+    if isinstance(base, np.ndarray):
+        return np.power(base, expo)
+    return 0.0 if base == 0.0 else base ** expo
 
 
-def _pow_coeffs(v: float, p: float) -> tuple[float, float, float, float]:
+def _pow_coeffs(v, p: float) -> tuple:
     # Derivative coefficients of x^p at v, orders 0..3; a zero prefactor
     # short-circuits so 0^negative is never formed for integer p.
     out = []
@@ -338,53 +360,57 @@ def _pow_coeffs(v: float, p: float) -> tuple[float, float, float, float]:
     return out[0], out[1], out[2], out[3]
 
 
-def _fn_coeffs(name: str, v: float) -> tuple[float, float, float, float]:
+def _fn_coeffs(name: str, v) -> tuple:
     # (f, f', f'', f''') of the named unary function at v.
+    xp = _xp(v)
     if name == "sin":
-        s, c = math.sin(v), math.cos(v)
+        s, c = xp.sin(v), xp.cos(v)
         return s, c, -s, -c
     if name == "cos":
-        s, c = math.sin(v), math.cos(v)
+        s, c = xp.sin(v), xp.cos(v)
         return c, -s, -c, s
     if name == "tan":
-        t = math.tan(v)
+        t = xp.tan(v)
         d = 1.0 + t * t
         return t, d, 2.0 * t * d, (2.0 + 6.0 * t * t) * d
     if name == "exp":
-        ev = math.exp(v)
+        ev = xp.exp(v)
         return ev, ev, ev, ev
     if name == "log":
-        if v <= 0.0:
+        if _any(v <= 0.0):
             raise _JetDomain("log of a non-positive value")
-        return math.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)
+        return xp.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)
     if name == "sqrt":
-        if v <= 0.0:
+        if _any(v <= 0.0):
             raise _JetDomain("sqrt of a non-positive value")
-        r = math.sqrt(v)
+        r = xp.sqrt(v)
         return r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)
     if name == "sinh":
-        return math.sinh(v), math.cosh(v), math.sinh(v), math.cosh(v)
+        return xp.sinh(v), xp.cosh(v), xp.sinh(v), xp.cosh(v)
     if name == "cosh":
-        return math.cosh(v), math.sinh(v), math.cosh(v), math.sinh(v)
+        return xp.cosh(v), xp.sinh(v), xp.cosh(v), xp.sinh(v)
     if name == "tanh":
-        t = math.tanh(v)
-        d = 1.0 - t * t
+        t = xp.tanh(v)
+        # sech^2 from exp(-2|v|): 1 - t*t cancels to nothing as |t| -> 1
+        ev = xp.exp(-2.0 * abs(v))
+        d = 4.0 * ev / ((1.0 + ev) * (1.0 + ev))
         return t, d, -2.0 * t * d, (6.0 * t * t - 2.0) * d
     raise ValueError(f"no such function '{name}'")
 
 
 class Jet2:
-    """Value and exact partial derivatives to order 2 in two variables."""
+    """Value and exact partial derivatives to order 2 in two variables;
+    each field is a float (one point) or an array (a grid of points)."""
 
     __slots__ = ("value", "du", "dv", "duu", "duv", "dvv")
 
     def __init__(self, value, du=0.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0):
-        self.value = float(value)
-        self.du = float(du)
-        self.dv = float(dv)
-        self.duu = float(duu)
-        self.duv = float(duv)
-        self.dvv = float(dvv)
+        self.value = value
+        self.du = du
+        self.dv = dv
+        self.duu = duu
+        self.duv = duv
+        self.dvv = dvv
 
     def __repr__(self):
         return (f"Jet2({self.value!r}, du={self.du!r}, dv={self.dv!r}, "
@@ -412,7 +438,7 @@ class Jet2:
         )
 
     def __truediv__(self, o):
-        if o.value == 0.0:
+        if _any(o.value == 0.0):
             raise _JetDomain("division by zero")
         q = self.value / o.value
         qu = (self.du - q * o.du) / o.value
@@ -498,15 +524,16 @@ class Jet3:
 
 
 class Grad3:
-    """Value and first partials in three variables (ambient-map Jacobians)."""
+    """Value and first partials in three variables (ambient-map Jacobians);
+    each field is a float (one point) or an array (a grid of points)."""
 
     __slots__ = ("value", "gx", "gy", "gz")
 
     def __init__(self, value, gx=0.0, gy=0.0, gz=0.0):
-        self.value = float(value)
-        self.gx = float(gx)
-        self.gy = float(gy)
-        self.gz = float(gz)
+        self.value = value
+        self.gx = gx
+        self.gy = gy
+        self.gz = gz
 
     def __add__(self, o):
         return Grad3(self.value + o.value, self.gx + o.gx, self.gy + o.gy, self.gz + o.gz)
@@ -526,7 +553,7 @@ class Grad3:
         )
 
     def __truediv__(self, o):
-        if o.value == 0.0:
+        if _any(o.value == 0.0):
             raise _JetDomain("division by zero")
         q = self.value / o.value
         return Grad3(
@@ -551,16 +578,27 @@ class Grad3:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _float_unary(op: str, v: float, node: Node) -> float:
+# What an elementary operation can raise: a domain check, an overflow (from
+# math, or from numpy under the errstate of ``_evaluate``), a division by a value
+# that underflowed to zero, or math's domain error on an infinite argument.
+_OP_ERRORS = (_JetDomain, ArithmeticError, ValueError)
+
+
+def _domain_error(err: Exception, node: Node) -> EvalDomainError:
+    reason = "overflow" if isinstance(err, OverflowError) else str(err)
+    return EvalDomainError(reason, to_text(node))
+
+
+def _float_unary(op: str, v, node: Node):
     try:
         if op == "neg":
             return -v
         return _fn_coeffs(op, v)[0]
-    except _JetDomain as err:
-        raise EvalDomainError(str(err), to_text(node)) from None
+    except _OP_ERRORS as err:
+        raise _domain_error(err, node) from None
 
 
-def _float_binary(op: str, a: float, b: float, node: Node) -> float:
+def _float_binary(op: str, a, b, node: Node):
     try:
         if op == "+":
             return a + b
@@ -569,12 +607,12 @@ def _float_binary(op: str, a: float, b: float, node: Node) -> float:
         if op == "*":
             return a * b
         if op == "/":
-            if b == 0.0:
+            if _any(b == 0.0):
                 raise _JetDomain("division by zero")
             return a / b
         return _powf(a, b)
-    except _JetDomain as err:
-        raise EvalDomainError(str(err), to_text(node)) from None
+    except _OP_ERRORS as err:
+        raise _domain_error(err, node) from None
 
 
 def _eval_const(node: Node) -> float:
@@ -607,23 +645,85 @@ def _eval_jet(node: Node, env: dict, const):
         if node.op == "*":
             return left * right
         return left / right
-    except _JetDomain as err:
-        raise EvalDomainError(str(err), to_text(node)) from None
+    except _OP_ERRORS as err:
+        raise _domain_error(err, node) from None
 
 
-def eval_jet2(e: Expr, u: float, v: float) -> Jet2:
-    """Evaluate a two-variable expression with exact partials to order 2.
+_JETS = (Jet2, Grad3)
+
+
+def _eval_float(node: Node, env: dict):
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Unary):
+        return _float_unary(node.op, _eval_float(node.arg, env), node)
+    return _float_binary(node.op, _eval_float(node.left, env),
+                         _eval_float(node.right, env), node)
+
+
+def _fields(out) -> list:
+    return [getattr(out, name) for name in out.__slots__] if isinstance(out, _JETS) else [out]
+
+
+def _evaluate(values, walk):
+    """``walk(values)`` at one point (floats) or over a grid (arrays).
+
+    On a grid the walk runs once with float64 arrays broadcast to one
+    shape.  numpy overflow, invalid and divide-by-zero results raise there,
+    so they name their node instead of passing inf or NaN on, and constant
+    fields of the result are filled out to full arrays.  Either way an
+    :class:`EvalDomainError` names the (first) point where evaluation fails.
+    """
+    if not any(isinstance(x, np.ndarray) for x in values):
+        point = [float(x) for x in values]
+        try:
+            return walk(point)
+        except EvalDomainError as err:
+            raise EvalDomainError(err.reason, err.node_text, tuple(point)) from None
+    grid = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in values))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = walk(grid)
+    except EvalDomainError as err:
+        raise _locate(err, grid, walk) from None
+    shape = grid[0].shape
+    if not isinstance(out, _JETS):
+        return out if np.shape(out) == shape else np.full(shape, out)
+    for name in out.__slots__:
+        x = getattr(out, name)
+        if np.shape(x) != shape:
+            setattr(out, name, np.full(shape, x))
+    return out
+
+
+def _locate(err: EvalDomainError, grid: list, walk) -> EvalDomainError:
+    """The error of a failed grid evaluation, at the first grid point where
+    evaluating point by point fails: the error raised there, or ``err`` at
+    the first point whose result is not finite."""
+    for point in zip(*(a.ravel().tolist() for a in grid)):
+        try:
+            out = walk(list(point))
+        except EvalDomainError as at_point:
+            return EvalDomainError(at_point.reason, at_point.node_text, point)
+        if not all(math.isfinite(x) for x in _fields(out)):
+            return EvalDomainError(err.reason, err.node_text, point)
+    return err
+
+
+def eval_jet2(e: Expr, u, v) -> Jet2:
+    """Evaluate a two-variable expression with exact partials to order 2,
+    at one point (floats) or over a grid (arrays).
 
     The first declared variable is seeded as the 'u' direction and the
     second as 'v'; no truncation error beyond floating point.
     """
     if len(e.variables) != 2:
         raise ExprError(f"eval_jet2 needs a two-variable expression, got {e.variables}")
-    env = {
-        e.variables[0]: Jet2(u, du=1.0),
-        e.variables[1]: Jet2(v, dv=1.0),
-    }
-    return _eval_jet(e.root, env, Jet2)
+    n0, n1 = e.variables
+    return _evaluate((u, v), lambda p: _eval_jet(
+        e.root, {n0: Jet2(p[0], du=1.0), n1: Jet2(p[1], dv=1.0)}, Jet2))
 
 
 def eval_jet3(e: Expr, s: float) -> Jet3:
@@ -634,28 +734,20 @@ def eval_jet3(e: Expr, s: float) -> Jet3:
     return _eval_jet(e.root, env, Jet3)
 
 
-def eval_grad3(e: Expr, x: float, y: float, z: float) -> Grad3:
-    """Evaluate a three-variable expression with exact first partials."""
+def eval_grad3(e: Expr, x, y, z) -> Grad3:
+    """Evaluate a three-variable expression with exact first partials, at
+    one point (floats) or over a grid (arrays)."""
     if len(e.variables) != 3:
         raise ExprError(f"eval_grad3 needs a three-variable expression, got {e.variables}")
     n0, n1, n2 = e.variables
-    env = {n0: Grad3(x, gx=1.0), n1: Grad3(y, gy=1.0), n2: Grad3(z, gz=1.0)}
-    return _eval_jet(e.root, env, Grad3)
+    return _evaluate((x, y, z), lambda p: _eval_jet(
+        e.root, {n0: Grad3(p[0], gx=1.0), n1: Grad3(p[1], gy=1.0), n2: Grad3(p[2], gz=1.0)},
+        Grad3))
 
 
-def evaluate(e: Expr, *values: float) -> float:
-    """Plain float evaluation, binding declared variables positionally."""
+def evaluate(e: Expr, *values):
+    """Plain evaluation, binding declared variables positionally, at one
+    point (floats) or over a grid (arrays)."""
     if len(values) != len(e.variables):
         raise ExprError(f"expected {len(e.variables)} values for {e.variables}")
-
-    def rec(node: Node) -> float:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            return env[node.name]
-        if isinstance(node, Unary):
-            return _float_unary(node.op, rec(node.arg), node)
-        return _float_binary(node.op, rec(node.left), rec(node.right), node)
-
-    env = dict(zip(e.variables, (float(x) for x in values)))
-    return rec(e.root)
+    return _evaluate(values, lambda p: _eval_float(e.root, dict(zip(e.variables, p))))

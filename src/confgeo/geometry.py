@@ -8,6 +8,11 @@ one shared code path for both.
 Orientation convention: the unit surface normal is ``Psi_u x Psi_v / W``
 everywhere; every signed quantity (second-form coefficients, normal
 curvature) inherits it.
+
+Patch jets, the first fundamental form and the Christoffel symbols take
+``u, v`` as floats (one point) or as arrays (a grid of points, evaluated
+at once).  On a grid, vectors are ``(3, n)`` arrays and every check that
+fails names the first offending grid point.
 """
 
 from __future__ import annotations
@@ -50,11 +55,42 @@ class TorsionUnavailableError(GeometryError):
     """Table-backed curves expose jets to order 2 only; torsion needs order 3."""
 
 
-def _in_box(domain: Box, u: float, v: float) -> bool:
+def violation(ok, *values) -> tuple[float, ...] | None:
+    """None when the check ``ok`` holds (at the point, or at every grid
+    point); otherwise ``values`` as Python floats at the first point where
+    it fails, for the error message."""
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return None
+        i = int(np.argmin(ok))
+        return tuple(float(x[i]) if np.ndim(x) else float(x) for x in values)
+    return None if ok else tuple(float(x) for x in values)
+
+
+def _require_in_box(domain: Box, u, v) -> None:
     (u0, u1), (v0, v1) = domain
     eu = 1e-9 * max(1.0, abs(u0), abs(u1))
     ev = 1e-9 * max(1.0, abs(v0), abs(v1))
-    return (u0 - eu) <= u <= (u1 + eu) and (v0 - ev) <= v <= (v1 + ev)
+    inside = (u0 - eu <= u) & (u <= u1 + eu) & (v0 - ev <= v) & (v <= v1 + ev)
+    bad = violation(inside, u, v)
+    if bad is not None:
+        raise GeometryError(f"point ({bad[0]}, {bad[1]}) outside domain box {domain}")
+
+
+def sqrt(x):
+    """Square root of a float, or of each value of a grid array."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def dot(a: np.ndarray, b: np.ndarray):
+    """Dot product over axis 0: a float for 3-vectors, an array for (3, n)
+    stacks of them."""
+    return float(a @ b) if a.ndim == 1 else (a * b).sum(axis=0)
+
+
+def norm(a: np.ndarray):
+    """Euclidean length over axis 0, as :func:`dot`."""
+    return sqrt(dot(a, a))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +99,8 @@ def _in_box(domain: Box, u: float, v: float) -> bool:
 
 @dataclass
 class PatchJets:
-    """Position and partial derivatives of an embedded patch at one point."""
+    """Position and partial derivatives of an embedded patch: 3-vectors at
+    one point, (3, n) arrays over a grid."""
 
     p: np.ndarray
     pu: np.ndarray
@@ -82,12 +119,8 @@ class SurfacePatch:
     z: Expr
     domain: Box
 
-    def contains(self, u: float, v: float) -> bool:
-        return _in_box(self.domain, u, v)
-
-    def jets(self, u: float, v: float) -> PatchJets:
-        if not self.contains(u, v):
-            raise GeometryError(f"point ({u}, {v}) outside domain box {self.domain}")
+    def jets(self, u, v) -> PatchJets:
+        _require_in_box(self.domain, u, v)
         js = [eval_jet2(c, u, v) for c in (self.x, self.y, self.z)]
         pick = lambda attr: np.array([getattr(j, attr) for j in js])
         return PatchJets(pick("value"), pick("du"), pick("dv"),
@@ -109,21 +142,19 @@ class AbstractMetric:
     G: Expr
     domain: Box
 
-    def contains(self, u: float, v: float) -> bool:
-        return _in_box(self.domain, u, v)
-
-    def first_form(self, u: float, v: float) -> "FirstForm":
-        if not self.contains(u, v):
-            raise GeometryError(f"point ({u}, {v}) outside domain box {self.domain}")
+    def first_form(self, u, v) -> "FirstForm":
+        _require_in_box(self.domain, u, v)
         je = eval_jet2(self.E, u, v)
         jf = eval_jet2(self.F, u, v)
         jg = eval_jet2(self.G, u, v)
-        if je.value <= 0.0 or jg.value <= 0.0:
-            raise RegularityError(f"metric needs E > 0 and G > 0 at ({u}, {v})")
+        bad = violation((je.value > 0.0) & (jg.value > 0.0), u, v)
+        if bad is not None:
+            raise RegularityError(f"metric needs E > 0 and G > 0 at ({bad[0]}, {bad[1]})")
         disc = je.value * jg.value - jf.value * jf.value
-        if disc <= METRIC_FLOOR:
-            raise RegularityError(f"EG - F^2 = {disc} below floor at ({u}, {v})")
-        return FirstForm(je.value, jf.value, jg.value, math.sqrt(disc),
+        bad = violation(disc > METRIC_FLOOR, u, v, disc)
+        if bad is not None:
+            raise RegularityError(f"EG - F^2 = {bad[2]} below floor at ({bad[0]}, {bad[1]})")
+        return FirstForm(je.value, jf.value, jg.value, sqrt(disc),
                          je.du, je.dv, jf.du, jf.dv, jg.du, jg.dv)
 
 
@@ -133,7 +164,8 @@ class AbstractMetric:
 
 @dataclass(frozen=True)
 class FirstForm:
-    """E, F, G with their first partials and W = sqrt(EG - F^2)."""
+    """E, F, G with their first partials and W = sqrt(EG - F^2); floats at
+    one point, arrays over a grid."""
 
     E: float
     F: float
@@ -217,23 +249,24 @@ class FrameData:
 # Operations
 
 
-def first_fundamental(p: SurfacePatch, u: float, v: float) -> FirstForm:
+def first_fundamental(p: SurfacePatch, u, v) -> FirstForm:
     """First-form coefficients and their first partials from patch jets."""
     pj = p.jets(u, v)
-    E = float(pj.pu @ pj.pu)
-    F = float(pj.pu @ pj.pv)
-    G = float(pj.pv @ pj.pv)
+    E = dot(pj.pu, pj.pu)
+    F = dot(pj.pu, pj.pv)
+    G = dot(pj.pv, pj.pv)
     disc = E * G - F * F
-    if disc <= REGULARITY_FLOOR ** 2:
-        raise RegularityError(f"degenerate patch at ({u}, {v}): EG - F^2 = {disc}")
+    bad = violation(disc > REGULARITY_FLOOR ** 2, u, v, disc)
+    if bad is not None:
+        raise RegularityError(f"degenerate patch at ({bad[0]}, {bad[1]}): EG - F^2 = {bad[2]}")
     return FirstForm(
-        E, F, G, math.sqrt(disc),
-        E_u=float(2.0 * (pj.puu @ pj.pu)),
-        E_v=float(2.0 * (pj.puv @ pj.pu)),
-        F_u=float(pj.puu @ pj.pv + pj.pu @ pj.puv),
-        F_v=float(pj.puv @ pj.pv + pj.pu @ pj.pvv),
-        G_u=float(2.0 * (pj.puv @ pj.pv)),
-        G_v=float(2.0 * (pj.pvv @ pj.pv)),
+        E, F, G, sqrt(disc),
+        E_u=2.0 * dot(pj.puu, pj.pu),
+        E_v=2.0 * dot(pj.puv, pj.pu),
+        F_u=dot(pj.puu, pj.pv) + dot(pj.pu, pj.puv),
+        F_v=dot(pj.puv, pj.pv) + dot(pj.pu, pj.pvv),
+        G_u=2.0 * dot(pj.puv, pj.pv),
+        G_v=2.0 * dot(pj.pvv, pj.pv),
     )
 
 
@@ -256,7 +289,7 @@ def christoffel(m: FirstForm) -> ChristoffelSet:
     whose conformal shift is exactly the theta terms of the conformal
     module (see tests on metrics with F != 0).
     """
-    if m.W <= 0.0:
+    if violation(m.W > 0.0) is not None:
         raise RegularityError("Christoffel symbols need W > 0")
     d = 2.0 * m.W * m.W
     return ChristoffelSet(
@@ -374,13 +407,6 @@ def geodesic_curvature(source, c, s: float, weight: str) -> float:
     return bracket * (m.W if weight == "W1" else m.W * m.W)
 
 
-def _fd1(fn, u: float, v: float, which: int, h: float = 1e-5) -> float:
-    # Central first difference of a scalar function of (u, v).
-    if which == 0:
-        return (fn(u + h, v) - fn(u - h, v)) / (2.0 * h)
-    return (fn(u, v + h) - fn(u, v - h)) / (2.0 * h)
-
-
 def metric_derivative_identities(p: SurfacePatch, u: float, v: float) -> tuple[float, ...]:
     """Residuals of the six dot-product/metric-derivative identities.
 
@@ -394,22 +420,14 @@ def metric_derivative_identities(p: SurfacePatch, u: float, v: float) -> tuple[f
     """
     pj = p.jets(u, v)
 
-    def coeff(name):
-        def fn(uu, vv):
-            q = p.jets(uu, vv)
-            if name == "E":
-                return float(q.pu @ q.pu)
-            if name == "F":
-                return float(q.pu @ q.pv)
-            return float(q.pv @ q.pv)
-        return fn
+    def metric(uu, vv):
+        q = p.jets(uu, vv)
+        return np.array([q.pu @ q.pu, q.pu @ q.pv, q.pv @ q.pv])
 
-    E_u = _fd1(coeff("E"), u, v, 0)
-    E_v = _fd1(coeff("E"), u, v, 1)
-    F_u = _fd1(coeff("F"), u, v, 0)
-    F_v = _fd1(coeff("F"), u, v, 1)
-    G_u = _fd1(coeff("G"), u, v, 0)
-    G_v = _fd1(coeff("G"), u, v, 1)
+    # central differences, one patch evaluation per shifted point
+    h = 1e-5
+    E_u, F_u, G_u = ((metric(u + h, v) - metric(u - h, v)) / (2.0 * h)).tolist()
+    E_v, F_v, G_v = ((metric(u, v + h) - metric(u, v - h)) / (2.0 * h)).tolist()
 
     return (
         abs(float(pj.puu @ pj.pu) - E_u / 2.0),

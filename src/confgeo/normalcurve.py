@@ -178,7 +178,8 @@ def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float) -> dic
     kappa = frenet(src, c, s, with_torsion=False).kappa
     if kappa <= CURVATURE_FLOOR:
         raise VanishingCurvatureError(f"kappa = {kappa} at s={s}")
-    zj = dilation_jet(pair, cj.u, cj.v)
+    m, mt = src.first_form(cj.u, cj.v), tgt.first_form(cj.u, cj.v)
+    zj = dilation_jet(pair, cj.u, cj.v, forms=(m, mt))
     return {
         "cj": cj,
         "kappa": kappa,
@@ -188,8 +189,8 @@ def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float) -> dic
         "eta": evaluate(eta, s),
         "beta": synth_position(src, c, nu, eta, s, kappa=kappa),
         "beta_t": synth_position(tgt, c, nu, eta, s, kappa=kappa),
-        "m": src.first_form(cj.u, cj.v),
-        "mt": tgt.first_form(cj.u, cj.v),
+        "m": m,
+        "mt": mt,
         "sf": second_fundamental(src, cj.u, cj.v),
         "sft": second_fundamental(tgt, cj.u, cj.v),
     }
