@@ -7,17 +7,29 @@ is what makes them usable as an anti-drift check on the jets.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exprkit import Expr, eval_jet3, evaluate
-from .geometry import CurveJets, SurfacePatch, TorsionUnavailableError
+from .geometry import (CurveJets, SurfacePatch, TorsionUnavailableError, speed_from_form,
+                       sqrt, violation)
 
 QUAD_TOL = 1e-10
 ZERO_SPEED_FLOOR = 1e-12
 REPARAM_TOL = 1e-6
+NEWTON_STEPS = 40
+REFINE_ROUNDS = 10
+
+
+# The 6-point Gauss-Legendre rule on [-1, 1], as leggauss(6) of
+# numpy.polynomial.legendre gives it.  It measures the length from a knot to
+# t within one knot panel.  Written out: importing numpy.polynomial, or any
+# first LAPACK call that would compute it, adds about 1 MB to every run.
+GAUSS_X = np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                    0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
+GAUSS_W = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                    0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
 
 
 class CalculusError(Exception):
@@ -108,46 +120,39 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
 # Arc-length reparameterization
 
 
-def _monotone_tangents(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # Harmonic-mean tangents: monotone Hermite cubic for same-sign secants.
-    d = np.diff(ys) / np.diff(xs)
-    m = np.empty_like(ys)
-    m[0], m[-1] = d[0], d[-1]
-    for i in range(1, len(ys) - 1):
-        if d[i - 1] * d[i] <= 0.0:
-            m[i] = 0.0
-        else:
-            m[i] = 2.0 * d[i - 1] * d[i] / (d[i - 1] + d[i])
-    return m
-
-
-def _hermite(x, x0, x1, y0, y1, m0, m1):
-    h = x1 - x0
-    t = (x - x0) / h
-    t2, t3 = t * t, t * t * t
-    return (y0 * (2 * t3 - 3 * t2 + 1) + h * m0 * (t3 - 2 * t2 + t)
-            + y1 * (-2 * t3 + 3 * t2) + h * m1 * (t3 - t2))
-
-
-def _curve_speed(patch: SurfacePatch, u_raw: Expr, v_raw: Expr, t: float) -> float:
+def _curve_speed(patch: SurfacePatch, u_raw: Expr, v_raw: Expr, t):
     ju, jv = eval_jet3(u_raw, t), eval_jet3(v_raw, t)
-    m = patch.first_form(ju.value, jv.value)
-    q = m.E * ju.d1 ** 2 + 2.0 * m.F * ju.d1 * jv.d1 + m.G * jv.d1 ** 2
-    w = math.sqrt(q) if q > 0.0 else 0.0
-    if w < ZERO_SPEED_FLOOR:
-        raise ZeroSpeedError(f"zero-speed point at t={t}")
+    w = speed_from_form(patch.first_form(ju.value, jv.value), ju.d1, jv.d1)
+    bad = violation(w >= ZERO_SPEED_FLOOR, t)
+    if bad is not None:
+        raise ZeroSpeedError(f"zero-speed point at t={bad[0]}")
     return w
+
+
+def _gauss_lengths(patch: SurfacePatch, u_raw: Expr, v_raw: Expr,
+                   a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths of the t-intervals [a, b] by the Gauss-Legendre rule, and the
+    speed at each b, from one array speed call."""
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * GAUSS_X
+    speed = _curve_speed(patch, u_raw, v_raw, np.concatenate([nodes.ravel(), b]))
+    n = b.size
+    return half * (speed[:-n].reshape(n, -1) * GAUSS_W).sum(axis=1), speed[-n:]
 
 
 @dataclass(eq=False)
 class UnitSpeedCurve:
     """Arc-length reparameterization of a raw-parameter curve on a patch.
 
-    Carries the (s_i, u_i, v_i) sample table; jets are produced on demand
-    by Newton-inverting the cumulative length (monotone-cubic seed) and
-    pushing exact raw-curve jets through the inverse chain rule, so the
-    unit-speed invariant holds to quadrature accuracy, well inside the
-    1e-6 reparameterization tolerance.  Order-3 jets are unavailable.
+    Carries the (s_i, t_i, u_i, v_i) knot table.  Jets are produced on
+    demand: Newton solves cumulative-length(t) = s from the linear seed in
+    the knot panel, taking the length from the knot s_i to t by the
+    fixed-order Gauss-Legendre rule that built the table, and exact
+    raw-curve jets are pushed through the inverse chain rule.  The
+    unit-speed invariant therefore holds to quadrature accuracy, well
+    inside the 1e-6 reparameterization tolerance.  ``s`` is a float (one
+    point) or an array (an s-grid, all points solved at once).  Order-3
+    jets are unavailable.
     """
 
     patch: SurfacePatch
@@ -160,61 +165,55 @@ class UnitSpeedCurve:
     t_samples: np.ndarray
     u_samples: np.ndarray
     v_samples: np.ndarray
-    interpolation: str = "monotone-cubic"
-    _tangents: np.ndarray = field(init=False, repr=False)
 
     supports_order3 = False
 
-    def __post_init__(self):
-        self._tangents = _monotone_tangents(self.s_samples, self.t_samples)
-
-    # -- speed machinery -----------------------------------------------------
-
-    def _raw_jets(self, t: float):
-        return eval_jet3(self.u_raw, t), eval_jet3(self.v_raw, t)
-
-    def _speed(self, t: float) -> float:
-        return _curve_speed(self.patch, self.u_raw, self.v_raw, t)
-
-    def _seed(self, s: float) -> float:
-        i = int(np.searchsorted(self.s_samples, s, side="right")) - 1
-        i = min(max(i, 0), len(self.s_samples) - 2)
-        return float(_hermite(s, self.s_samples[i], self.s_samples[i + 1],
-                              self.t_samples[i], self.t_samples[i + 1],
-                              self._tangents[i], self._tangents[i + 1]))
-
-    def invert(self, s: float) -> float:
-        """Solve cumulative-length(t) = s by Newton from the cubic seed."""
-        if not (-1e-9 <= s <= self.length * (1.0 + 1e-9) + 1e-9):
-            raise CalculusError(f"s={s} outside [0, {self.length}]")
-        i = int(np.searchsorted(self.s_samples, s, side="right")) - 1
-        i = min(max(i, 0), len(self.s_samples) - 2)
-        t_knot, s_knot = float(self.t_samples[i]), float(self.s_samples[i])
-        t = min(max(self._seed(s), self.t0), self.t1)
-        for _ in range(40):
-            g = s_knot + adaptive_simpson(self._speed, t_knot, t) - s
-            if abs(g) <= 1e-13 * max(1.0, self.length):
+    def invert(self, s):
+        """Solve cumulative-length(t) = s by Newton, on all points at once."""
+        ss = np.atleast_1d(np.asarray(s, dtype=np.float64))
+        inside = (-1e-9 <= ss) & (ss <= self.length * (1.0 + 1e-9) + 1e-9)
+        bad = violation(inside, ss)
+        if bad is not None:
+            raise CalculusError(f"s={bad[0]} outside [0, {self.length}]")
+        ss = np.clip(ss, 0.0, self.length)
+        i = np.clip(np.searchsorted(self.s_samples, ss, side="right") - 1,
+                    0, len(self.s_samples) - 2)
+        s_knot, t_knot = self.s_samples[i], self.t_samples[i]
+        slope = (self.t_samples[i + 1] - t_knot) / (self.s_samples[i + 1] - s_knot)
+        t = np.clip(t_knot + (ss - s_knot) * slope, self.t0, self.t1)
+        tol = 1e-13 * max(1.0, self.length)
+        todo = np.arange(ss.size)  # points not yet converged
+        for step in range(NEWTON_STEPS + 1):
+            length, speed = _gauss_lengths(self.patch, self.u_raw, self.v_raw,
+                                           t_knot[todo], t[todo])
+            g = s_knot[todo] + length - ss[todo]
+            keep = np.abs(g) > tol
+            if not keep.any():
                 break
-            t -= g / self._speed(t)
-            t = min(max(t, self.t0), self.t1)
-        return t
+            if step == NEWTON_STEPS:
+                raise CalculusError(
+                    f"arc-length inverse did not converge at s={float(ss[todo[keep][0]])} "
+                    f"after {NEWTON_STEPS} Newton steps")
+            todo = todo[keep]
+            t[todo] = np.clip(t[todo] - g[keep] / speed[keep], self.t0, self.t1)
+        return t if np.ndim(s) else float(t[0])
 
     # -- curve protocol --------------------------------------------------------
 
-    def point(self, s: float) -> tuple[float, float]:
+    def point(self, s):
         t = self.invert(s)
         return evaluate(self.u_raw, t), evaluate(self.v_raw, t)
 
-    def jets(self, s: float, order: int = 2) -> CurveJets:
+    def jets(self, s, order: int = 2) -> CurveJets:
         if order >= 3:
             raise TorsionUnavailableError(
                 "reparameterized curves expose jets to order 2 only")
         t = self.invert(s)
-        ju, jv = self._raw_jets(t)
+        ju, jv = eval_jet3(self.u_raw, t), eval_jet3(self.v_raw, t)
         m = self.patch.first_form(ju.value, jv.value)
         u1, v1, u2, v2 = ju.d1, jv.d1, ju.d2, jv.d2
         q = m.E * u1 * u1 + 2.0 * m.F * u1 * v1 + m.G * v1 * v1
-        w = math.sqrt(q)
+        w = sqrt(q)
         dq = ((m.E_u * u1 + m.E_v * v1) * u1 * u1 + 2.0 * m.E * u1 * u2
               + 2.0 * (m.F_u * u1 + m.F_v * v1) * u1 * v1 + 2.0 * m.F * (u2 * v1 + u1 * v2)
               + (m.G_u * u1 + m.G_v * v1) * v1 * v1 + 2.0 * m.G * v1 * v2)
@@ -233,8 +232,11 @@ def reparameterize_arclength(patch: SurfacePatch, curve: tuple[Expr, Expr],
                              t0: float, t1: float, n: int) -> UnitSpeedCurve:
     """Reparameterize a raw-parameter curve (u(t), v(t)) by arc length.
 
-    Cumulative length by adaptive Simpson quadrature of |dbeta/dt|
-    (absolute tolerance 1e-10 per panel) over ``n`` uniform t-panels.
+    Cumulative length of |dbeta/dt| over ``n`` uniform t-panels, by the
+    fixed-order rule of the inverse, so that the table and the inverse
+    agree at every knot.  Adaptive Simpson quadrature (absolute tolerance
+    1e-10 per panel) checks each panel; one where the two differ by more
+    than that tolerance is split in two, until none does.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
@@ -246,12 +248,20 @@ def reparameterize_arclength(patch: SurfacePatch, curve: tuple[Expr, Expr],
         return _curve_speed(patch, u_raw, v_raw, t)
 
     t_samples = np.linspace(t0, t1, n + 1)
-    increments = [adaptive_simpson(speed, float(a), float(b))
-                  for a, b in zip(t_samples[:-1], t_samples[1:])]
+    for _ in range(REFINE_ROUNDS):
+        a, b = t_samples[:-1], t_samples[1:]
+        increments = _gauss_lengths(patch, u_raw, v_raw, a, b)[0]
+        simpson = [adaptive_simpson(speed, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        missed = np.abs(increments - simpson) > QUAD_TOL
+        if not missed.any():
+            break
+        t_samples = np.sort(np.concatenate([t_samples, 0.5 * (a + b)[missed]]))
+    else:
+        at = float(a[np.argmax(missed)])
+        raise CalculusError(f"arc length unresolved near t={at} after {REFINE_ROUNDS} "
+                            f"panel splits (is the speed nearly zero there?)")
     s_samples = np.concatenate([[0.0], np.cumsum(increments)])
     if np.any(np.diff(s_samples) <= 0.0):
         raise NonMonotoneLengthError("cumulative arc length is not strictly increasing")
-    u_samples = np.array([evaluate(u_raw, float(t)) for t in t_samples])
-    v_samples = np.array([evaluate(v_raw, float(t)) for t in t_samples])
-    return UnitSpeedCurve(patch, u_raw, v_raw, t0, t1, float(s_samples[-1]),
-                          s_samples, t_samples, u_samples, v_samples)
+    return UnitSpeedCurve(patch, u_raw, v_raw, t0, t1, float(s_samples[-1]), s_samples,
+                          t_samples, evaluate(u_raw, t_samples), evaluate(v_raw, t_samples))

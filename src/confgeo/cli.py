@@ -265,9 +265,10 @@ def surface_grid(domain, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(_axis(u0, u1, n, None), n), np.tile(_axis(v0, v1, n, None), n)
 
 
-def curve_grid(s_range, n: int, rng) -> list[float]:
+def curve_grid(s_range, n: int, rng) -> np.ndarray:
+    """The n points of an s-grid: uniform, or sorted uniform random draws."""
     lo, hi = s_range
-    return [float(s) for s in _axis(lo, hi, n, rng)]
+    return _axis(lo, hi, n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +304,10 @@ def _max_over(rows, cols, names) -> float:
 
 
 def _table(*columns) -> list[list]:
-    """Report rows of Python floats from per-point arrays (or (n, k) blocks)."""
-    return np.column_stack(columns).tolist()
+    """Report rows of Python floats from per-point arrays (or (n, k) blocks).
+    A None column, or None in an object array, is an undefined cell."""
+    n = len(columns[0])
+    return np.column_stack([np.full(n, None) if c is None else c for c in columns]).tolist()
 
 
 def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> SuiteResult:
@@ -333,17 +336,20 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
     elif name == "frenet":
         surf, curve = sc.surfaces[entry["surface"]], sc.curves[entry["curve"]]
         cols = ["s", "kappa", "tau", "r_unit", "r_tn", "r_tb", "r_nb", "r_btxn"]
-        rows = []
-        for s in curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng):
-            fr = geometry.frenet(surf, curve, s)
-            r_unit = abs(float(np.linalg.norm(fr.t)) - 1.0)
-            if fr.n is None:
-                rows.append([s, fr.kappa, None, r_unit, None, None, None, None])
-                continue
-            rows.append([s, fr.kappa, fr.tau, r_unit,
-                         abs(float(fr.t @ fr.n)), abs(float(fr.t @ fr.b)),
-                         abs(float(fr.n @ fr.b)),
-                         float(np.linalg.norm(fr.b - np.cross(fr.t, fr.n)))])
+        ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
+        fr = geometry.frenet(surf, curve, ss)
+        # n, b and tau are NaN where kappa <= floor: those cells are undefined
+        undefined = fr.kappa <= geometry.CURVATURE_FLOOR
+
+        def where_defined(x):
+            return np.where(undefined, None, x)
+
+        rows = _table(ss, fr.kappa, None if fr.tau is None else where_defined(fr.tau),
+                      abs(geometry.norm(fr.t) - 1.0),
+                      *(where_defined(x) for x in (
+                          abs(geometry.dot(fr.t, fr.n)), abs(geometry.dot(fr.t, fr.b)),
+                          abs(geometry.dot(fr.n, fr.b)),
+                          geometry.norm(fr.b - geometry.cross(fr.t, fr.n)))))
         worst = _max_over(rows, cols, cols[3:])
 
     elif name == "christoffel-shift":
@@ -359,33 +365,24 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
     elif name == "bracket-shift":
         pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
         cols = ["s", "b_src", "b_tgt", "theta_bracket", "residual"]
-        rows = []
-        for s in curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng):
-            bs = conformal.beltrami_bracket_shift(pair, curve, s)
-            rows.append([s, bs.b_src, bs.b_tgt, bs.theta_bracket, bs.residual])
+        ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
+        bs = conformal.beltrami_bracket_shift(pair, curve, ss)
+        rows = _table(ss, bs.b_src, bs.b_tgt, bs.theta_bracket, bs.residual)
         worst = _max_over(rows, cols, ["residual"])
 
     elif name == "geodesic-deviation":
         pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
         cols = ["s", "zeta", "f", "h", "kg_src_W1", "kg_src_W2", "kg_tgt_W1", "kg_tgt_W2",
                 "r_W1_W1", "r_W1_W2", "r_W2_W1", "r_W2_W2", "oracle_kg"]
-        grid = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
-        reports, oracles = [], []
-        for s in grid:
-            rep = conformal.geodesic_deviation_report(pair, curve, s, tol=tol)
-            oracle = (conformal.image_geodesic_curvature(pair, curve, s)
-                      if pair.embedded else None)
-            reports.append(rep)
-            oracles.append(oracle)
-        pinned = _pin_pairing(reports, oracles)
-        rows = []
-        for rep, oracle in zip(reports, oracles):
-            rows.append([rep.s, rep.zeta, rep.f, rep.h,
-                         rep.kappa_g_src["W1"], rep.kappa_g_src["W2"],
-                         rep.kappa_g_tgt["W1"], rep.kappa_g_tgt["W2"],
-                         rep.i20_residuals["W1/W1"], rep.i20_residuals["W1/W2"],
-                         rep.i20_residuals["W2/W1"], rep.i20_residuals["W2/W2"],
-                         oracle])
+        ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
+        rep = conformal.geodesic_deviation_report(pair, curve, ss, tol=tol)
+        oracle = (conformal.image_geodesic_curvature(pair, curve, ss)
+                  if pair.embedded else None)
+        rows = _table(ss, rep.zeta, rep.f, rep.h,
+                      rep.kappa_g_src["W1"], rep.kappa_g_src["W2"],
+                      rep.kappa_g_tgt["W1"], rep.kappa_g_tgt["W2"],
+                      *(rep.i20_residuals[k] for k in conformal.PAIRINGS), oracle)
+        pinned = _pin_pairing(rep, oracle)
         params["pinned_pairing"] = pinned
         key = "r_" + pinned.replace("/", "_")
         worst = _max_over(rows, cols, [key])
@@ -394,23 +391,19 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
         pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
         nu, eta = sc.profiles[entry["profile"]]
         cols = ["s", "zeta", "h", "lhs", "r_as_printed", "r_zeta4_on_h", "r_best"]
-        rows = []
-        for s in curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng):
-            rep = normalcurve.theorem3_report(pair, curve, nu, eta, s)
-            best = min(rep["as_printed"], rep["zeta4_on_h"])
-            rows.append([s, rep["zeta"], rep["h"], rep["lhs"],
-                         rep["as_printed"], rep["zeta4_on_h"], best])
+        ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
+        rep = normalcurve.theorem3_report(pair, curve, nu, eta, ss)
+        rows = _table(ss, rep["zeta"], rep["h"], rep["lhs"], rep["as_printed"],
+                      rep["zeta4_on_h"], np.minimum(rep["as_printed"], rep["zeta4_on_h"]))
         worst = _max_over(rows, cols, ["r_best"])
 
     elif name == "tangential":
         pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
         nu, eta = sc.profiles[entry["profile"]]
         cols = ["s", "zeta", "g1", "g2", "r_u", "r_v", "r_T"]
-        rows = []
-        for s in curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng):
-            rep = normalcurve.tangential_report(pair, curve, nu, eta, s)
-            rows.append([s, rep["zeta"], rep["g1"], rep["g2"],
-                         rep["r_u"], rep["r_v"], rep["r_T"]])
+        ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
+        rep = normalcurve.tangential_report(pair, curve, nu, eta, ss)
+        rows = _table(ss, *(rep[k] for k in ("zeta", "g1", "g2", "r_u", "r_v", "r_T")))
         worst = _max_over(rows, cols, ["r_u", "r_v", "r_T"])
 
     elif name == "classify":
@@ -443,20 +436,20 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
     return SuiteResult(name, params, tol, cols, rows, worst, pass_=worst < tol)
 
 
-def _pin_pairing(reports, oracles) -> str:
-    """Pick the weight pairing the direct image-curvature oracle supports:
-    target weight by closeness to the oracle, source weight by smallest
-    residual (first key wins ties)."""
-    if any(o is not None for o in oracles):
-        dist = {w: sum(abs(rep.kappa_g_tgt[w] - o) for rep, o in zip(reports, oracles)
-                       if o is not None)
-                for w in conformal.WEIGHTS}
-        wt = min(conformal.WEIGHTS, key=lambda w: (dist[w], w))
-        ws = min(conformal.WEIGHTS,
-                 key=lambda w: (max(rep.i20_residuals[f"{wt}/{w}"] for rep in reports), w))
-        return f"{wt}/{ws}"
-    return min(conformal.PAIRINGS,
-               key=lambda k: (max(rep.i20_residuals[k] for rep in reports), k))
+def _pin_pairing(rep: conformal.DeviationReport, oracle) -> str:
+    """Pick the weight pairing the direct image-curvature oracle (None for
+    bare metrics) supports over the grid report ``rep``: target weight by
+    closeness to the oracle, source weight by smallest residual (first key
+    wins ties)."""
+    def worst(pairing):
+        return (float(np.max(rep.i20_residuals[pairing])), pairing)
+
+    if oracle is None:
+        return min(conformal.PAIRINGS, key=worst)
+    # summed point by point, in grid order
+    dist = {w: sum(abs(rep.kappa_g_tgt[w] - oracle).tolist()) for w in conformal.WEIGHTS}
+    wt = min(conformal.WEIGHTS, key=lambda w: (dist[w], w))
+    return min((f"{wt}/{ws}" for ws in conformal.WEIGHTS), key=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ metric ratio; a declared dilation expression is cross-checked against the
 estimate and, when present, supplies exact derivatives.
 
 The dilation, the Christoffel shift and the pushforward take ``u, v`` as
-floats (one point) or as arrays (a grid of points, evaluated at once).  A
-caller that already holds ``pair.forms(u, v)`` passes it as ``forms`` so
-that the source and target forms are computed once.
+floats (one point) or as arrays (a grid of points, evaluated at once), and
+the curve residuals take ``s`` the same way.  A caller that already holds
+``pair.forms(u, v)`` passes it as ``forms`` so that the source and target
+forms are computed once.
 """
 
 from __future__ import annotations
@@ -19,15 +20,18 @@ import numpy as np
 
 from .exprkit import Expr, Jet2, eval_grad3, eval_jet2, evaluate
 from .geometry import (
-    UNIT_SPEED_TOL,
     AbstractMetric,
+    ChristoffelSet,
     CurveJets,
     FirstForm,
-    NotUnitSpeedError,
     SurfacePatch,
     beltrami_bracket,
+    beta_jets,
     christoffel,
+    cross,
+    dot,
     norm,
+    require_unit_speed,
     second_fundamental,
     speed_from_form,
     sqrt,
@@ -157,12 +161,14 @@ def dilation_field(pair: ConformalPair, u, v, tol: float | None = None,
 
 
 def dilation_jet(pair: ConformalPair, u, v, tol: float | None = None,
-                 forms: tuple[FirstForm, FirstForm] | None = None) -> Jet2:
+                 forms: tuple[FirstForm, FirstForm] | None = None, zeta=None) -> Jet2:
     """zeta with first partials.  A declared dilation (cross-checked against
     the metric-ratio estimate) supplies exact jets; otherwise the partials
-    come from differentiating zeta^2 E = E~."""
+    come from differentiating zeta^2 E = E~.  A caller that has run
+    :func:`dilation_field` already passes its estimate as ``zeta``."""
     m, mt = pair.forms(u, v) if forms is None else forms
-    zeta, _ = dilation_field(pair, u, v, tol, forms=(m, mt))
+    if zeta is None:
+        zeta, _ = dilation_field(pair, u, v, tol, forms=(m, mt))
     if pair.dilation is not None:
         return eval_jet2(pair.dilation, u, v)
     zu = (mt.E_u - zeta * zeta * m.E_u) / (2.0 * zeta * m.E)
@@ -207,20 +213,22 @@ def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ThetaSet:
     )
 
 
-def christoffel_shift_residual(pair: ConformalPair, u, v,
-                               forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
-    """|Gamma~^k_ij - Gamma^k_ij - theta^k_ij| for the six slots."""
-    m, mt = pair.forms(u, v) if forms is None else forms
-    zj = dilation_jet(pair, u, v, forms=(m, mt))
-    g, gt = christoffel(m), christoffel(mt)
-    th = theta_terms(m, zj)
+def _shift_residuals(g: ChristoffelSet, gt: ChristoffelSet, th: ThetaSet) -> tuple:
     return tuple(
         abs(getattr(gt, slot) - getattr(g, slot) - getattr(th, "t" + slot[1:]))
         for slot in ("g111", "g112", "g121", "g122", "g221", "g222")
     )
 
 
-def theta_bracket(th: ThetaSet, cj: CurveJets) -> float:
+def christoffel_shift_residual(pair: ConformalPair, u, v,
+                               forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
+    """|Gamma~^k_ij - Gamma^k_ij - theta^k_ij| for the six slots."""
+    m, mt = pair.forms(u, v) if forms is None else forms
+    zj = dilation_jet(pair, u, v, forms=(m, mt))
+    return _shift_residuals(christoffel(m), christoffel(mt), theta_terms(m, zj))
+
+
+def theta_bracket(th: ThetaSet, cj: CurveJets):
     """Theta analogue of the Beltrami bracket (no u'v'' - u''v' term: it
     cancels in the target-minus-source difference)."""
     u1, v1 = cj.u1, cj.v1
@@ -238,15 +246,13 @@ class BracketShift:
     residual: float
 
 
-def beltrami_bracket_shift(pair: ConformalPair, c, s: float) -> BracketShift:
+def beltrami_bracket_shift(pair: ConformalPair, c, s) -> BracketShift:
     """Convention-free core of the geodesic-curvature shift:
     B_tgt - B_src = Theta, with B the Beltrami bracket on each side."""
     cj = c.jets(s)
     m, mt = pair.forms(cj.u, cj.v)
     zj = dilation_jet(pair, cj.u, cj.v, forms=(m, mt))
-    speed = speed_from_form(m, cj.u1, cj.v1)
-    if abs(speed - 1.0) > UNIT_SPEED_TOL:
-        raise NotUnitSpeedError(speed, s)
+    require_unit_speed(speed_from_form(m, cj.u1, cj.v1), s)
     b_src = beltrami_bracket(christoffel(m), cj)
     b_tgt = beltrami_bracket(christoffel(mt), cj)
     th = theta_bracket(theta_terms(m, zj), cj)
@@ -257,7 +263,7 @@ def beltrami_bracket_shift(pair: ConformalPair, c, s: float) -> BracketShift:
 # Named deviation scalars
 
 
-def h_function(m: FirstForm, th: ThetaSet, cj: CurveJets) -> float:
+def h_function(m: FirstForm, th: ThetaSet, cj: CurveJets):
     """h bracket of the normal-component deviation, times W^2."""
     u1, v1 = cj.u1, cj.v1
     bracket = (u1 ** 3 * th.t112
@@ -269,13 +275,13 @@ def h_function(m: FirstForm, th: ThetaSet, cj: CurveJets) -> float:
     return bracket * m.W * m.W
 
 
-def f_function(m: FirstForm, th: ThetaSet, cj: CurveJets) -> float:
+def f_function(m: FirstForm, th: ThetaSet, cj: CurveJets):
     """f = (theta Beltrami bracket) * W^2, the geodesic-curvature deviation."""
     return theta_bracket(th, cj) * m.W * m.W
 
 
 def g_functions(m: FirstForm, zeta_jet: Jet2, cj: CurveJets,
-                nu_over_kappa: float) -> tuple[float, float]:
+                nu_over_kappa) -> tuple:
     """Tangential deviation scalars g1, g2."""
     z, zu, zv = zeta_jet.value, zeta_jet.du, zeta_jet.dv
     u1, v1 = cj.u1, cj.v1
@@ -294,11 +300,13 @@ def g_functions(m: FirstForm, zeta_jet: Jet2, cj: CurveJets,
 
 @dataclass(frozen=True)
 class DeviationReport:
-    """Per-point record of the geodesic-curvature deviation identity.
+    """Record of the geodesic-curvature deviation identity at one s or over
+    an s-grid (each number is then an array).
 
     ``i20_residuals`` holds |kg~(i) - zeta^2 kg(j) - f| keyed by
     "<target weight>/<source weight>"; ``passing`` lists the pairings below
-    tolerance.  g1/g2 are reported with unit nu/kappa prefactor.
+    tolerance at every point.  g1/g2 are reported with unit nu/kappa
+    prefactor.
     """
 
     s: float
@@ -318,18 +326,17 @@ class DeviationReport:
     tolerance: float
 
 
-def geodesic_deviation_report(pair: ConformalPair, c, s: float,
+def geodesic_deviation_report(pair: ConformalPair, c, s,
                               tol: float = 1e-8) -> DeviationReport:
     cj = c.jets(s)
     forms = m, mt = pair.forms(cj.u, cj.v)
     zeta, conf = dilation_field(pair, cj.u, cj.v, forms=forms)
-    zj = dilation_jet(pair, cj.u, cj.v, forms=forms)
-    speed = speed_from_form(m, cj.u1, cj.v1)
-    if abs(speed - 1.0) > UNIT_SPEED_TOL:
-        raise NotUnitSpeedError(speed, s)
+    zj = dilation_jet(pair, cj.u, cj.v, forms=forms, zeta=zeta)
+    require_unit_speed(speed_from_form(m, cj.u1, cj.v1), s)
     th = theta_terms(m, zj)
-    b_src = beltrami_bracket(christoffel(m), cj)
-    b_tgt = beltrami_bracket(christoffel(mt), cj)
+    g, gt = christoffel(m), christoffel(mt)
+    b_src = beltrami_bracket(g, cj)
+    b_tgt = beltrami_bracket(gt, cj)
     f = f_function(m, th, cj)
     h = h_function(m, th, cj)
     g1, g2 = g_functions(m, zj, cj, nu_over_kappa=1.0)
@@ -339,17 +346,17 @@ def geodesic_deviation_report(pair: ConformalPair, c, s: float,
         f"{wt}/{ws}": abs(kg_tgt[wt] - zeta * zeta * kg_src[ws] - f)
         for wt in WEIGHTS for ws in WEIGHTS
     }
-    passing = tuple(k for k in PAIRINGS if residuals[k] < tol)
+    passing = tuple(k for k in PAIRINGS if np.all(residuals[k] < tol))
     return DeviationReport(
         s=s, zeta=zeta, zeta_u=zj.du, zeta_v=zj.dv, conformality=conf,
-        christoffel_shift=christoffel_shift_residual(pair, cj.u, cj.v, forms=forms),
+        christoffel_shift=_shift_residuals(g, gt, th),
         h=h, f=f, g1=g1, g2=g2,
         kappa_g_src=kg_src, kappa_g_tgt=kg_tgt,
         i20_residuals=residuals, passing=passing, tolerance=tol,
     )
 
 
-def image_geodesic_curvature(pair: ConformalPair, c, s: float) -> float:
+def image_geodesic_curvature(pair: ConformalPair, c, s):
     """Brute-force geodesic curvature of the image curve on the target.
 
     Uses the general-speed formula beta''.(N x beta')/|beta'|^3 with jets of
@@ -359,13 +366,9 @@ def image_geodesic_curvature(pair: ConformalPair, c, s: float) -> float:
     if not _is_patch(pair.target):
         raise EmbeddingRequiredError("direct image curvature needs an embedded target")
     cj = c.jets(s)
-    pj = pair.target.jets(cj.u, cj.v)
-    beta1 = pj.pu * cj.u1 + pj.pv * cj.v1
-    beta2 = (pj.pu * cj.u2 + pj.pv * cj.v2
-             + pj.puu * cj.u1 ** 2 + 2.0 * pj.puv * cj.u1 * cj.v1 + pj.pvv * cj.v1 ** 2)
-    n_vec = second_fundamental(pair.target, cj.u, cj.v).n_vec
-    speed = float(np.linalg.norm(beta1))
-    return float(beta2 @ np.cross(n_vec, beta1)) / speed ** 3
+    pj, beta1, beta2 = beta_jets(pair.target, cj)
+    n_vec = second_fundamental(pair.target, cj.u, cj.v, pj=pj).n_vec
+    return dot(beta2, cross(n_vec, beta1)) / norm(beta1) ** 3
 
 
 # ---------------------------------------------------------------------------

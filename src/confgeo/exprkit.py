@@ -6,11 +6,12 @@ unary minus, and the binary operators + - * / ^ (exponent restricted to
 constant sub-expressions).  Trees are immutable after parse and evaluation
 is pure, so expressions can be shared freely across threads.
 
-``eval_jet2``, ``eval_grad3`` and ``evaluate`` take floats (one point) or
-float64 arrays (a grid of points, evaluated in one tree walk, as in vector
-forward mode).  One jet arithmetic serves both: constant subtrees stay
-floats and broadcast, and only the elementary functions and the domain
-checks pick ``math`` or ``numpy`` by the type of their argument.
+``eval_jet2``, ``eval_jet3``, ``eval_grad3`` and ``evaluate`` take floats
+(one point) or float64 arrays (a grid of points, evaluated in one tree
+walk, as in vector forward mode).  One jet arithmetic serves both:
+constant subtrees stay floats and broadcast, and only the elementary
+functions and the domain checks pick ``math`` or ``numpy`` by the type of
+their argument.
 """
 
 from __future__ import annotations
@@ -349,15 +350,21 @@ def _powf(base, expo: float):
     return 0.0 if base == 0.0 else base ** expo
 
 
-def _pow_coeffs(v, p: float) -> tuple:
-    # Derivative coefficients of x^p at v, orders 0..3; a zero prefactor
-    # short-circuits so 0^negative is never formed for integer p.
+def _pow_coeffs(v, p: float, order: int) -> list:
+    # Derivative coefficients of x^p at v, orders 0..order; a zero prefactor
+    # short-circuits so 0^negative is never formed for integer p.  Past
+    # order 0 a zero base is the derivative's fault, not the user's power.
     out = []
     coef = 1.0
-    for k in range(4):
-        out.append(0.0 if coef == 0.0 else coef * _powf(v, p - k))
+    for k in range(order + 1):
+        if coef == 0.0:
+            out.append(0.0)
+        elif k and p - k < 0.0 and _any(v == 0.0):
+            raise _JetDomain(f"derivative of order {k} is infinite at a zero base")
+        else:
+            out.append(coef * _powf(v, p - k))
         coef *= p - k
-    return out[0], out[1], out[2], out[3]
+    return out
 
 
 def _fn_coeffs(name: str, v) -> tuple:
@@ -459,8 +466,7 @@ class Jet2:
         )
 
     def pow_const(self, p: float):
-        c0, c1, c2, _ = _pow_coeffs(self.value, p)
-        return self._chain(c0, c1, c2)
+        return self._chain(*_pow_coeffs(self.value, p, 2))
 
     def apply(self, name: str):
         c0, c1, c2, _ = _fn_coeffs(name, self.value)
@@ -468,15 +474,16 @@ class Jet2:
 
 
 class Jet3:
-    """Value and exact derivatives to order 3 in one variable."""
+    """Value and exact derivatives to order 3 in one variable; each field is
+    a float (one point) or an array (a grid of points)."""
 
     __slots__ = ("value", "d1", "d2", "d3")
 
     def __init__(self, value, d1=0.0, d2=0.0, d3=0.0):
-        self.value = float(value)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
-        self.d3 = float(d3)
+        self.value = value
+        self.d1 = d1
+        self.d2 = d2
+        self.d3 = d3
 
     def __repr__(self):
         return f"Jet3({self.value!r}, d1={self.d1!r}, d2={self.d2!r}, d3={self.d3!r})"
@@ -499,7 +506,7 @@ class Jet3:
         )
 
     def __truediv__(self, o):
-        if o.value == 0.0:
+        if _any(o.value == 0.0):
             raise _JetDomain("division by zero")
         q = self.value / o.value
         q1 = (self.d1 - q * o.d1) / o.value
@@ -517,7 +524,7 @@ class Jet3:
         )
 
     def pow_const(self, p: float):
-        return self._chain(*_pow_coeffs(self.value, p))
+        return self._chain(*_pow_coeffs(self.value, p, 3))
 
     def apply(self, name: str):
         return self._chain(*_fn_coeffs(name, self.value))
@@ -567,8 +574,7 @@ class Grad3:
         return Grad3(c0, c1 * self.gx, c1 * self.gy, c1 * self.gz)
 
     def pow_const(self, p: float):
-        c0, c1, _, _ = _pow_coeffs(self.value, p)
-        return self._chain(c0, c1)
+        return self._chain(*_pow_coeffs(self.value, p, 1))
 
     def apply(self, name: str):
         c0, c1, _, _ = _fn_coeffs(name, self.value)
@@ -649,7 +655,7 @@ def _eval_jet(node: Node, env: dict, const):
         raise _domain_error(err, node) from None
 
 
-_JETS = (Jet2, Grad3)
+_JETS = (Jet2, Jet3, Grad3)
 
 
 def _eval_float(node: Node, env: dict):
@@ -726,12 +732,13 @@ def eval_jet2(e: Expr, u, v) -> Jet2:
         e.root, {n0: Jet2(p[0], du=1.0), n1: Jet2(p[1], dv=1.0)}, Jet2))
 
 
-def eval_jet3(e: Expr, s: float) -> Jet3:
-    """Evaluate a one-variable expression with exact derivatives to order 3."""
+def eval_jet3(e: Expr, s) -> Jet3:
+    """Evaluate a one-variable expression with exact derivatives to order 3,
+    at one point (a float) or over a grid (an array)."""
     if len(e.variables) != 1:
         raise ExprError(f"eval_jet3 needs a one-variable expression, got {e.variables}")
-    env = {e.variables[0]: Jet3(s, d1=1.0)}
-    return _eval_jet(e.root, env, Jet3)
+    name = e.variables[0]
+    return _evaluate((s,), lambda p: _eval_jet(e.root, {name: Jet3(p[0], d1=1.0)}, Jet3))
 
 
 def eval_grad3(e: Expr, x, y, z) -> Grad3:

@@ -9,10 +9,11 @@ Orientation convention: the unit surface normal is ``Psi_u x Psi_v / W``
 everywhere; every signed quantity (second-form coefficients, normal
 curvature) inherits it.
 
-Patch jets, the first fundamental form and the Christoffel symbols take
+Patch jets, the fundamental forms and the Christoffel symbols take
 ``u, v`` as floats (one point) or as arrays (a grid of points, evaluated
-at once).  On a grid, vectors are ``(3, n)`` arrays and every check that
-fails names the first offending grid point.
+at once); curve jets and Frenet data take ``s`` the same way.  On a grid,
+vectors are ``(3, n)`` arrays and every check that fails names the first
+offending grid point.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ def violation(ok, *values) -> tuple[float, ...] | None:
     return None if ok else tuple(float(x) for x in values)
 
 
+def require_unit_speed(speed, s) -> None:
+    """Raise :class:`NotUnitSpeedError` at the first ``s`` where |beta'| is
+    not 1 within :data:`UNIT_SPEED_TOL`."""
+    bad = violation(abs(speed - 1.0) <= UNIT_SPEED_TOL, speed, s)
+    if bad is not None:
+        raise NotUnitSpeedError(*bad)
+
+
 def _require_in_box(domain: Box, u, v) -> None:
     (u0, u1), (v0, v1) = domain
     eu = 1e-9 * max(1.0, abs(u0), abs(u1))
@@ -82,10 +91,18 @@ def sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over axis 0, as :func:`dot`."""
+    return np.cross(a, b, axis=0)
+
+
 def dot(a: np.ndarray, b: np.ndarray):
     """Dot product over axis 0: a float for 3-vectors, an array for (3, n)
-    stacks of them."""
-    return float(a @ b) if a.ndim == 1 else (a * b).sum(axis=0)
+    stacks of them.  Both add the products in the same order, so a point
+    of a grid gets the bits it gets alone."""
+    p = a * b
+    d = p[0] + p[1] + p[2]
+    return float(d) if a.ndim == 1 else d
 
 
 def norm(a: np.ndarray):
@@ -147,10 +164,13 @@ class AbstractMetric:
         je = eval_jet2(self.E, u, v)
         jf = eval_jet2(self.F, u, v)
         jg = eval_jet2(self.G, u, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = je.value * jg.value - jf.value * jf.value
+        _require_finite_form(u, v, disc, *(getattr(j, d) for j in (je, jf, jg)
+                                           for d in ("value", "du", "dv")))
         bad = violation((je.value > 0.0) & (jg.value > 0.0), u, v)
         if bad is not None:
             raise RegularityError(f"metric needs E > 0 and G > 0 at ({bad[0]}, {bad[1]})")
-        disc = je.value * jg.value - jf.value * jf.value
         bad = violation(disc > METRIC_FLOOR, u, v, disc)
         if bad is not None:
             raise RegularityError(f"EG - F^2 = {bad[2]} below floor at ({bad[0]}, {bad[1]})")
@@ -203,7 +223,8 @@ class ChristoffelSet:
 
 @dataclass(frozen=True)
 class CurveJets:
-    """Parameter values and s-derivatives of a surface curve at one s."""
+    """Parameter values and s-derivatives of a surface curve: floats at one
+    s, arrays over an s-grid."""
 
     u: float
     v: float
@@ -224,7 +245,7 @@ class ParamCurve:
 
     supports_order3 = True
 
-    def jets(self, s: float, order: int = 2) -> CurveJets:
+    def jets(self, s, order: int = 2) -> CurveJets:
         ju = eval_jet3(self.u, s)
         jv = eval_jet3(self.v, s)
         if order >= 3:
@@ -234,8 +255,9 @@ class ParamCurve:
 
 @dataclass(frozen=True)
 class FrameData:
-    """Frenet data; n, b, tau are None when undefined (kappa ~ 0, or a
-    table-backed curve that cannot supply order-3 jets)."""
+    """Frenet data; n, b, tau are None when undefined at the point (kappa ~
+    0) and NaN at such points of a grid; tau is None when not computed (a
+    table-backed curve cannot supply order-3 jets)."""
 
     beta: np.ndarray
     t: np.ndarray
@@ -249,37 +271,50 @@ class FrameData:
 # Operations
 
 
-def first_fundamental(p: SurfacePatch, u, v) -> FirstForm:
-    """First-form coefficients and their first partials from patch jets."""
-    pj = p.jets(u, v)
-    E = dot(pj.pu, pj.pu)
-    F = dot(pj.pu, pj.pv)
-    G = dot(pj.pv, pj.pv)
-    disc = E * G - F * F
+def _require_finite_form(u, v, *values) -> None:
+    # values: floats at one point, or grid arrays of one shape
+    bad = violation(np.isfinite(values).all(axis=0), u, v)
+    if bad is not None:
+        raise GeometryError(f"first fundamental form is not finite at ({bad[0]}, {bad[1]})")
+
+
+def first_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> FirstForm:
+    """First-form coefficients and their first partials from patch jets
+    (``pj``, when the caller already holds them at ``u, v``)."""
+    pj = p.jets(u, v) if pj is None else pj
+    # products of large finite jets may overflow: checked below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = dot(pj.pu, pj.pu)
+        F = dot(pj.pu, pj.pv)
+        G = dot(pj.pv, pj.pv)
+        disc = E * G - F * F
+        partials = dict(
+            E_u=2.0 * dot(pj.puu, pj.pu),
+            E_v=2.0 * dot(pj.puv, pj.pu),
+            F_u=dot(pj.puu, pj.pv) + dot(pj.pu, pj.puv),
+            F_v=dot(pj.puv, pj.pv) + dot(pj.pu, pj.pvv),
+            G_u=2.0 * dot(pj.puv, pj.pv),
+            G_v=2.0 * dot(pj.pvv, pj.pv),
+        )
+    _require_finite_form(u, v, E, F, G, disc, *partials.values())
     bad = violation(disc > REGULARITY_FLOOR ** 2, u, v, disc)
     if bad is not None:
         raise RegularityError(f"degenerate patch at ({bad[0]}, {bad[1]}): EG - F^2 = {bad[2]}")
-    return FirstForm(
-        E, F, G, sqrt(disc),
-        E_u=2.0 * dot(pj.puu, pj.pu),
-        E_v=2.0 * dot(pj.puv, pj.pu),
-        F_u=dot(pj.puu, pj.pv) + dot(pj.pu, pj.puv),
-        F_v=dot(pj.puv, pj.pv) + dot(pj.pu, pj.pvv),
-        G_u=2.0 * dot(pj.puv, pj.pv),
-        G_v=2.0 * dot(pj.pvv, pj.pv),
-    )
+    return FirstForm(E, F, G, sqrt(disc), **partials)
 
 
-def second_fundamental(p: SurfacePatch, u: float, v: float) -> SecondForm:
-    """L, M, N and the unit normal, oriented along Psi_u x Psi_v."""
-    pj = p.jets(u, v)
-    cross = np.cross(pj.pu, pj.pv)
-    w = float(np.linalg.norm(cross))
-    if w <= REGULARITY_FLOOR:
-        raise RegularityError(f"degenerate patch at ({u}, {v}): |Psi_u x Psi_v| = {w}")
-    n_vec = cross / w
-    return SecondForm(float(pj.puu @ n_vec), float(pj.puv @ n_vec),
-                      float(pj.pvv @ n_vec), n_vec)
+def second_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> SecondForm:
+    """L, M, N and the unit normal, oriented along Psi_u x Psi_v (``pj`` as
+    in :func:`first_fundamental`)."""
+    pj = p.jets(u, v) if pj is None else pj
+    normal = cross(pj.pu, pj.pv)
+    w = norm(normal)
+    bad = violation(w > REGULARITY_FLOOR, u, v, w)
+    if bad is not None:
+        raise RegularityError(
+            f"degenerate patch at ({bad[0]}, {bad[1]}): |Psi_u x Psi_v| = {bad[2]}")
+    n_vec = normal / w
+    return SecondForm(dot(pj.puu, n_vec), dot(pj.puv, n_vec), dot(pj.pvv, n_vec), n_vec)
 
 
 def christoffel(m: FirstForm) -> ChristoffelSet:
@@ -302,7 +337,7 @@ def christoffel(m: FirstForm) -> ChristoffelSet:
     )
 
 
-def beltrami_bracket(g: ChristoffelSet, cj: CurveJets) -> float:
+def beltrami_bracket(g: ChristoffelSet, cj: CurveJets):
     """The Beltrami bracket B: Christoffel cubic terms plus u'v'' - u''v'.
 
     Geodesic curvature of a unit-speed curve is B*W; the bracket itself is
@@ -318,28 +353,26 @@ def beltrami_bracket(g: ChristoffelSet, cj: CurveJets) -> float:
     )
 
 
-def normal_curvature_form(sf: SecondForm, u1: float, v1: float) -> float:
+def normal_curvature_form(sf: SecondForm, u1, v1):
     """kappa_n = u'^2 L + 2 u'v' M + v'^2 N."""
     return u1 * u1 * sf.L + 2.0 * u1 * v1 * sf.M + v1 * v1 * sf.N
 
 
-def speed_from_form(m: FirstForm, u1: float, v1: float) -> float:
+def speed_from_form(m: FirstForm, u1, v1):
+    """|beta'| from the first form; 0 where the quadratic form is not positive."""
     q = m.E * u1 * u1 + 2.0 * m.F * u1 * v1 + m.G * v1 * v1
+    if isinstance(q, np.ndarray):
+        return np.sqrt(np.maximum(q, 0.0))
     return math.sqrt(q) if q > 0.0 else 0.0
 
 
-def _beta_jets(p: SurfacePatch, cj: CurveJets) -> tuple[PatchJets, np.ndarray, np.ndarray]:
+def beta_jets(p: SurfacePatch, cj: CurveJets) -> tuple[PatchJets, np.ndarray, np.ndarray]:
+    """Patch jets along the curve and the curve's beta', beta'' in E^3."""
     pj = p.jets(cj.u, cj.v)
     beta1 = pj.pu * cj.u1 + pj.pv * cj.v1
     beta2 = (pj.pu * cj.u2 + pj.pv * cj.v2
              + pj.puu * cj.u1 ** 2 + 2.0 * pj.puv * cj.u1 * cj.v1 + pj.pvv * cj.v1 ** 2)
     return pj, beta1, beta2
-
-
-def _require_unit_speed(beta1: np.ndarray, s: float) -> None:
-    speed = float(np.linalg.norm(beta1))
-    if abs(speed - 1.0) > UNIT_SPEED_TOL:
-        raise NotUnitSpeedError(speed, s)
 
 
 @lru_cache(maxsize=128)
@@ -348,7 +381,7 @@ def _composed_components(p: SurfacePatch, c: ParamCurve) -> tuple[Expr, Expr, Ex
     return (substitute(p.x, mapping), substitute(p.y, mapping), substitute(p.z, mapping))
 
 
-def frenet(p: SurfacePatch, c, s: float, with_torsion: bool | None = None) -> FrameData:
+def frenet(p: SurfacePatch, c, s, with_torsion: bool | None = None) -> FrameData:
     """Frenet data of a unit-speed curve on a patch.
 
     ``with_torsion=None`` computes tau when the curve supplies order-3 jets
@@ -356,14 +389,19 @@ def frenet(p: SurfacePatch, c, s: float, with_torsion: bool | None = None) -> Fr
     :class:`TorsionUnavailableError` for table-backed curves).
     """
     cj = c.jets(s)
-    pj, beta1, beta2 = _beta_jets(p, cj)
-    _require_unit_speed(beta1, s)
-    kappa = float(np.linalg.norm(beta2))
-    if kappa <= CURVATURE_FLOOR:
+    pj, beta1, beta2 = beta_jets(p, cj)
+    require_unit_speed(norm(beta1), s)
+    kappa = norm(beta2)
+    if isinstance(kappa, np.ndarray):
+        # NaN propagates through n, b and tau at the points where they are undefined
+        k = np.where(kappa <= CURVATURE_FLOOR, np.nan, kappa)
+    elif kappa <= CURVATURE_FLOOR:
         return FrameData(pj.p, beta1, kappa, None, None, None)
+    else:
+        k = kappa
 
-    n = beta2 / kappa
-    b = np.cross(beta1, n)
+    n = beta2 / k
+    b = cross(beta1, n)
 
     if with_torsion is None:
         with_torsion = getattr(c, "supports_order3", False)
@@ -372,23 +410,21 @@ def frenet(p: SurfacePatch, c, s: float, with_torsion: bool | None = None) -> Fr
         if not getattr(c, "supports_order3", False):
             raise TorsionUnavailableError(
                 "torsion needs order-3 jets; table-backed curves stop at order 2")
-        comps = _composed_components(p, c)
-        j3 = [eval_jet3(comp, s) for comp in comps]
-        beta3 = np.array([j.d3 for j in j3])
-        tau = float(np.cross(beta1, beta2) @ beta3) / (kappa * kappa)
+        beta3 = np.array([eval_jet3(comp, s).d3 for comp in _composed_components(p, c)])
+        tau = dot(cross(beta1, beta2), beta3) / (k * k)
     return FrameData(pj.p, beta1, kappa, n, b, tau)
 
 
-def normal_curvature(p: SurfacePatch, c, s: float) -> float:
+def normal_curvature(p: SurfacePatch, c, s):
     """Signed normal curvature of a unit-speed curve (se1 closed form)."""
     cj = c.jets(s)
-    _, beta1, _ = _beta_jets(p, cj)
-    _require_unit_speed(beta1, s)
-    sf = second_fundamental(p, cj.u, cj.v)
+    pj, beta1, _ = beta_jets(p, cj)
+    require_unit_speed(norm(beta1), s)
+    sf = second_fundamental(p, cj.u, cj.v, pj=pj)
     return normal_curvature_form(sf, cj.u1, cj.v1)
 
 
-def geodesic_curvature(source, c, s: float, weight: str) -> float:
+def geodesic_curvature(source, c, s, weight: str):
     """Geodesic curvature via the Beltrami formula, B * W or B * W^2.
 
     Both weight conventions are in circulation, so ``weight`` is mandatory
@@ -400,9 +436,7 @@ def geodesic_curvature(source, c, s: float, weight: str) -> float:
         raise ValueError(f"weight must be 'W1' or 'W2', got {weight!r}")
     cj = c.jets(s)
     m = source.first_form(cj.u, cj.v)
-    speed = speed_from_form(m, cj.u1, cj.v1)
-    if abs(speed - 1.0) > UNIT_SPEED_TOL:
-        raise NotUnitSpeedError(speed, s)
+    require_unit_speed(speed_from_form(m, cj.u1, cj.v1), s)
     bracket = beltrami_bracket(christoffel(m), cj)
     return bracket * (m.W if weight == "W1" else m.W * m.W)
 

@@ -24,13 +24,22 @@ from .conformal import (
 from .exprkit import Expr, evaluate
 from .geometry import (
     CURVATURE_FLOOR,
+    CurveJets,
+    PatchJets,
     SurfacePatch,
     VanishingCurvatureError,
     beltrami_bracket,
+    beta_jets,
     christoffel,
+    cross,
+    dot,
+    first_fundamental,
     frenet,
+    norm,
     normal_curvature_form,
+    require_unit_speed,
     second_fundamental,
+    violation,
 )
 
 CLASSIFY_TOL = 1e-8
@@ -68,33 +77,38 @@ class CurveClass:
     component_maxima: dict[str, float]
 
 
-def frame_decompose(p: SurfacePatch, c, s: float) -> FrameDecomposition:
-    """Dot the position vector into the Frenet frame at s."""
+def _require_curved(kappa, s) -> None:
+    bad = violation(kappa > CURVATURE_FLOOR, kappa, s)
+    if bad is not None:
+        raise VanishingCurvatureError(f"kappa = {bad[0]} at s={bad[1]}: Frenet frame undefined")
+
+
+def frame_decompose(p: SurfacePatch, c, s) -> FrameDecomposition:
+    """Dot the position vector into the Frenet frame at s (a float or an
+    s-grid array)."""
     fr = frenet(p, c, s, with_torsion=False)
-    if fr.n is None:
-        raise VanishingCurvatureError(
-            f"kappa = {fr.kappa} at s={s}: Frenet frame undefined")
+    _require_curved(fr.kappa, s)
     beta = fr.beta
-    c_t = float(beta @ fr.t)
-    c_n = float(beta @ fr.n)
-    c_b = float(beta @ fr.b)
-    return FrameDecomposition(c_t, c_n, c_b, nu=c_n, eta=c_b)
+    c_n, c_b = dot(beta, fr.n), dot(beta, fr.b)
+    return FrameDecomposition(dot(beta, fr.t), c_n, c_b, nu=c_n, eta=c_b)
 
 
 def classify_curve(p: SurfacePatch, c, s_grid, tol: float = CLASSIFY_TOL) -> CurveClass:
-    """Classify by which frame component of the position vanishes on the grid."""
+    """Classify by which frame component of the position vanishes on the grid.
+
+    The grid is evaluated at once.  Where the frame is undefined the verdict
+    is "undefined", with the component maxima over the points before it.
+    """
     grid = tuple(float(s) for s in s_grid)
     if not grid:
         raise ValueError("classification grid must be nonempty")
-    maxima = {"c_t": 0.0, "c_n": 0.0, "c_b": 0.0}
-    for s in grid:
-        try:
-            d = frame_decompose(p, c, s)
-        except VanishingCurvatureError:
-            return CurveClass("undefined", float("nan"), grid, (), maxima)
-        maxima["c_t"] = max(maxima["c_t"], abs(d.c_t))
-        maxima["c_n"] = max(maxima["c_n"], abs(d.c_n))
-        maxima["c_b"] = max(maxima["c_b"], abs(d.c_b))
+    fr = frenet(p, c, np.array(grid), with_torsion=False)
+    defined = fr.kappa > CURVATURE_FLOOR
+    k = len(grid) if defined.all() else int(np.argmin(defined))
+    maxima = {name: float(np.max(np.abs(dot(fr.beta, axis)[:k]), initial=0.0))
+              for name, axis in (("c_t", fr.t), ("c_n", fr.n), ("c_b", fr.b))}
+    if k < len(grid):
+        return CurveClass("undefined", float("nan"), grid, (), maxima)
     satisfied = tuple(name for name in ("normal", "osculating", "rectifying")
                       if maxima[CLASS_COMPONENT[name]] < tol)
     if satisfied:
@@ -108,8 +122,22 @@ def classify_curve(p: SurfacePatch, c, s_grid, tol: float = CLASSIFY_TOL) -> Cur
 # Position synthesis and the within-surface identity
 
 
-def synth_position(p: SurfacePatch, c, nu: Expr, eta: Expr, s: float,
-                   kappa: float | None = None) -> np.ndarray:
+def _synth(pj: PatchJets, cj: CurveJets, nval, eval_, kappa) -> np.ndarray:
+    u1, v1, u2, v2 = cj.u1, cj.v1, cj.u2, cj.v2
+    bracket_n = (pj.pu * u2 + pj.pv * v2
+                 + pj.puu * u1 * u1 + 2.0 * pj.puv * u1 * v1 + pj.pvv * v1 * v1)
+    bracket_b = ((u1 * v2 - u2 * v1) * cross(pj.pu, pj.pv)
+                 + u1 ** 3 * cross(pj.pu, pj.puu)
+                 + 2.0 * u1 * u1 * v1 * cross(pj.pu, pj.puv)
+                 + u1 * v1 * v1 * cross(pj.pu, pj.pvv)
+                 + u1 * u1 * v1 * cross(pj.pv, pj.puu)
+                 + 2.0 * u1 * v1 * v1 * cross(pj.pv, pj.puv)
+                 + v1 ** 3 * cross(pj.pv, pj.pvv))
+    return (nval / kappa) * bracket_n + (eval_ / kappa) * bracket_b
+
+
+def synth_position(p: SurfacePatch, c, nu: Expr, eta: Expr, s,
+                   kappa=None) -> np.ndarray:
     """Position vector built from patch jets: (nu/kappa) times the
     kappa*n expansion plus (eta/kappa) times the kappa*b expansion.
 
@@ -120,26 +148,11 @@ def synth_position(p: SurfacePatch, c, nu: Expr, eta: Expr, s: float,
     cj = c.jets(s)
     if kappa is None:
         kappa = frenet(p, c, s, with_torsion=False).kappa
-    if kappa <= CURVATURE_FLOOR:
-        raise VanishingCurvatureError(f"kappa = {kappa} at s={s}")
-    pj = p.jets(cj.u, cj.v)
-    u1, v1, u2, v2 = cj.u1, cj.v1, cj.u2, cj.v2
-    nval = evaluate(nu, s)
-    eval_ = evaluate(eta, s)
-    bracket_n = (pj.pu * u2 + pj.pv * v2
-                 + pj.puu * u1 * u1 + 2.0 * pj.puv * u1 * v1 + pj.pvv * v1 * v1)
-    bracket_b = ((u1 * v2 - u2 * v1) * np.cross(pj.pu, pj.pv)
-                 + u1 ** 3 * np.cross(pj.pu, pj.puu)
-                 + 2.0 * u1 * u1 * v1 * np.cross(pj.pu, pj.puv)
-                 + u1 * v1 * v1 * np.cross(pj.pu, pj.pvv)
-                 + u1 * u1 * v1 * np.cross(pj.pv, pj.puu)
-                 + 2.0 * u1 * v1 * v1 * np.cross(pj.pv, pj.puv)
-                 + v1 ** 3 * np.cross(pj.pv, pj.pvv))
-    return (nval / kappa) * bracket_n + (eval_ / kappa) * bracket_b
+    _require_curved(kappa, s)
+    return _synth(p.jets(cj.u, cj.v), cj, evaluate(nu, s), evaluate(eta, s), kappa)
 
 
-def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr,
-                                       s: float) -> float:
+def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr, s):
     """|beta.N - closed form| for the surface-normal component of a
     synthetic normal-curve position.
 
@@ -149,8 +162,7 @@ def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr,
     """
     cj = c.jets(s)
     kappa = frenet(p, c, s, with_torsion=False).kappa
-    if kappa <= CURVATURE_FLOOR:
-        raise VanishingCurvatureError(f"kappa = {kappa} at s={s}")
+    _require_curved(kappa, s)
     beta = synth_position(p, c, nu, eta, s, kappa=kappa)
     sf = second_fundamental(p, cj.u, cj.v)
     m = p.first_form(cj.u, cj.v)
@@ -158,7 +170,7 @@ def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr,
     bracket = beltrami_bracket(christoffel(m), cj)
     nval, eval_ = evaluate(nu, s), evaluate(eta, s)
     closed = (nval / kappa) * kn + (eval_ / kappa) * m.W * bracket
-    return abs(float(beta @ sf.n_vec) - closed)
+    return abs(dot(beta, sf.n_vec) - closed)
 
 
 # ---------------------------------------------------------------------------
@@ -172,31 +184,39 @@ def _require_embedded(pair: ConformalPair) -> tuple[SurfacePatch, SurfacePatch]:
     return pair.source, pair.target
 
 
-def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float) -> dict:
+def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
+    """Everything the deviation reports read at s, from one evaluation of
+    the curve and of each patch."""
     src, tgt = _require_embedded(pair)
     cj = c.jets(s)
-    kappa = frenet(src, c, s, with_torsion=False).kappa
-    if kappa <= CURVATURE_FLOOR:
-        raise VanishingCurvatureError(f"kappa = {kappa} at s={s}")
-    m, mt = src.first_form(cj.u, cj.v), tgt.first_form(cj.u, cj.v)
+    pj, beta1, beta2 = beta_jets(src, cj)
+    require_unit_speed(norm(beta1), s)
+    kappa = norm(beta2)
+    _require_curved(kappa, s)
+    pjt = tgt.jets(cj.u, cj.v)
+    m = first_fundamental(src, cj.u, cj.v, pj=pj)
+    mt = first_fundamental(tgt, cj.u, cj.v, pj=pjt)
     zj = dilation_jet(pair, cj.u, cj.v, forms=(m, mt))
+    nval, eval_ = evaluate(nu, s), evaluate(eta, s)
     return {
         "cj": cj,
         "kappa": kappa,
         "zeta": zj.value,
         "zeta_jet": zj,
-        "nu": evaluate(nu, s),
-        "eta": evaluate(eta, s),
-        "beta": synth_position(src, c, nu, eta, s, kappa=kappa),
-        "beta_t": synth_position(tgt, c, nu, eta, s, kappa=kappa),
+        "nu": nval,
+        "eta": eval_,
+        "pj": pj,
+        "pjt": pjt,
+        "beta": _synth(pj, cj, nval, eval_, kappa),
+        "beta_t": _synth(pjt, cj, nval, eval_, kappa),
         "m": m,
         "mt": mt,
-        "sf": second_fundamental(src, cj.u, cj.v),
-        "sft": second_fundamental(tgt, cj.u, cj.v),
+        "sf": second_fundamental(src, cj.u, cj.v, pj=pj),
+        "sft": second_fundamental(tgt, cj.u, cj.v, pj=pjt),
     }
 
 
-def theorem3_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float) -> dict:
+def theorem3_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     """Normal-component deviation beta~.N~ - zeta^4 beta.N versus
     (nu/kappa)(kn~ - zeta^4 kn) + (eta/kappa) h, with h taken verbatim
     (``as_printed``) and with an extra zeta^4 on h (``zeta4_on_h``)."""
@@ -206,7 +226,7 @@ def theorem3_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float) -> di
     knt = normal_curvature_form(st["sft"], cj.u1, cj.v1)
     th = theta_terms(st["m"], st["zeta_jet"])
     h = h_function(st["m"], th, cj)
-    lhs = float(st["beta_t"] @ st["sft"].n_vec) - z ** 4 * float(st["beta"] @ st["sf"].n_vec)
+    lhs = dot(st["beta_t"], st["sft"].n_vec) - z ** 4 * dot(st["beta"], st["sf"].n_vec)
     nu_term = (st["nu"] / kappa) * (knt - z ** 4 * kn)
     eta_over_kappa = st["eta"] / kappa
     return {
@@ -221,15 +241,15 @@ def theorem3_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float) -> di
     }
 
 
-def theorem3_residual(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float,
+def theorem3_residual(pair: ConformalPair, c, nu: Expr, eta: Expr, s,
                       correction: str = "as_printed") -> float:
     if correction not in ("as_printed", "zeta4_on_h"):
         raise ValueError(f"correction must be 'as_printed' or 'zeta4_on_h', got {correction!r}")
     return theorem3_report(pair, c, nu, eta, s)[correction]
 
 
-def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float,
-                      a: float | None = None, b: float | None = None) -> dict:
+def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s,
+                      a=None, b=None) -> dict:
     """Tangential deviation residuals against the exact identities.
 
     The normal-curvature difference enters as W~ kn~ - zeta^2 W kn (the
@@ -244,21 +264,19 @@ def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float,
         a = cj.u1
     if b is None:
         b = cj.v1
-    src, tgt = pair.source, pair.target
-    pj = src.jets(cj.u, cj.v)
-    pjt = tgt.jets(cj.u, cj.v)
+    pj, pjt = st["pj"], st["pjt"]
     kn = normal_curvature_form(st["sf"], cj.u1, cj.v1)
     knt = normal_curvature_form(st["sft"], cj.u1, cj.v1)
     g1, g2 = g_functions(m, st["zeta_jet"], cj, nu_over_kappa=st["nu"] / kappa)
     delta = mt.W * knt - z * z * m.W * kn
     eta_over_kappa = st["eta"] / kappa
 
-    lhs_u = float(st["beta_t"] @ pjt.pu) - z * z * float(st["beta"] @ pj.pu)
-    lhs_v = float(st["beta_t"] @ pjt.pv) - z * z * float(st["beta"] @ pj.pv)
+    lhs_u = dot(st["beta_t"], pjt.pu) - z * z * dot(st["beta"], pj.pu)
+    lhs_v = dot(st["beta_t"], pjt.pv) - z * z * dot(st["beta"], pj.pv)
     rhs_u = g1 + eta_over_kappa * cj.v1 * delta
     rhs_v = g2 - eta_over_kappa * cj.u1 * delta
-    lhs_T = (float(st["beta_t"] @ (a * pjt.pu + b * pjt.pv))
-             - z * z * float(st["beta"] @ (a * pj.pu + b * pj.pv)))
+    lhs_T = (dot(st["beta_t"], a * pjt.pu + b * pjt.pv)
+             - z * z * dot(st["beta"], a * pj.pu + b * pj.pv))
     rhs_T = a * g1 + b * g2 + eta_over_kappa * delta * (a * cj.v1 - b * cj.u1)
     return {
         "s": s,
@@ -276,8 +294,7 @@ def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float,
     }
 
 
-def tangential_residual(pair: ConformalPair, c, nu: Expr, eta: Expr, s: float,
-                        a: float | None = None, b: float | None = None,
-                        ) -> tuple[float, float, float]:
+def tangential_residual(pair: ConformalPair, c, nu: Expr, eta: Expr, s,
+                        a=None, b=None) -> tuple:
     rep = tangential_report(pair, c, nu, eta, s, a, b)
     return rep["r_u"], rep["r_v"], rep["r_T"]

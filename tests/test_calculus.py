@@ -1,18 +1,25 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from confgeo import cli
 from confgeo.calculus import (
+    CalculusError,
     NonMonotoneLengthError,
     ZeroSpeedError,
+    _curve_speed,
+    GAUSS_W,
+    GAUSS_X,
     adaptive_simpson,
     fd_partial,
     reparameterize_arclength,
 )
 from confgeo.exprkit import EvalDomainError, eval_jet2, parse_scalar_field
 from confgeo.geometry import TorsionUnavailableError
-from conftest import catenoid, e1, plane
+from conftest import catenoid, e1, plane, stereographic_target
 
 UV = ("u", "v")
 
@@ -84,6 +91,12 @@ def test_fd_agrees_with_jets_on_smooth_expressions():
 # -- quadrature ---------------------------------------------------------------
 
 
+def test_gauss_rule_is_numpys():
+    x, w = np.polynomial.legendre.leggauss(len(GAUSS_X))
+    assert GAUSS_X.tolist() == x.tolist()
+    assert GAUSS_W.tolist() == w.tolist()
+
+
 def test_adaptive_simpson_known_integrals():
     assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
     assert adaptive_simpson(lambda t: t * t, 0.0, 3.0) == pytest.approx(9.0, abs=1e-12)
@@ -127,6 +140,48 @@ def test_reparam_unit_speed_invariant_on_patch():
         m = cat.first_form(cj.u, cj.v)
         speed2 = m.E * cj.u1 ** 2 + 2 * m.F * cj.u1 * cj.v1 + m.G * cj.v1 ** 2
         assert abs(math.sqrt(speed2) - 1.0) < 1e-6
+
+
+def test_reparam_grid_inverse_equals_point_inverse():
+    c = reparameterize_arclength(catenoid(), (_t("t"), _t("0.2+0.3*t")), 0.2, 1.0, 24)
+    ss = np.linspace(0.0, c.length, 41)
+    ts = c.invert(ss)
+    assert ts.tolist() == [c.invert(s) for s in ss.tolist()]
+    grid, point = c.jets(ss), c.jets(float(ss[7]))
+    for name in ("u", "v", "u1", "v1", "u2", "v2"):
+        assert getattr(grid, name)[7] == getattr(point, name)
+
+
+def test_reparam_invert_reports_non_convergence():
+    # a table that claims twice the true length pins Newton at t1 near its end
+    c = reparameterize_arclength(plane(), (_t("t"), _t("0")), 0.0, 1.0, 16)
+    inflated = dataclasses.replace(c, length=2.0 * c.length, s_samples=2.0 * c.s_samples)
+    # from the knot at s = 0.5, t = 0.25 the length grows at speed 1
+    assert inflated.invert(0.6) == pytest.approx(0.35, abs=1e-12)
+    for s in (1.95, np.array([0.6, 1.95, 1.97])):
+        with pytest.raises(CalculusError, match=r"did not converge at s=1\.95 ") as err:
+            inflated.invert(s)
+        assert isinstance(err.value, cli.MATH_ERRORS)  # exit 3
+
+
+def test_reparam_refines_panels_the_inverse_rule_misses():
+    # a fast-turning curve: 16 uniform panels are too coarse for the
+    # fixed-order rule of the inverse, so some are split
+    target = stereographic_target()
+    raw = (_t("0.9*cos(3*t)"), _t("0.9*sin(5*t)"))
+    c = reparameterize_arclength(target, raw, 0.0, 1.0, 16)
+    assert len(c.s_samples) > 17
+    ss = np.array([0.3, 0.5, 0.8]) * c.length
+    speed = functools.partial(_curve_speed, target, *raw)
+    reached = [adaptive_simpson(speed, 0.0, t) for t in c.invert(ss).tolist()]
+    assert np.max(np.abs(np.array(reached) - ss)) < 1e-9
+
+
+def test_reparam_near_cusp_is_a_calculus_error():
+    # u' and v' both vanish at t = pi/2, between two knots
+    raw = (_t("0.9*cos(2*t)"), _t("0.9*sin(3*t)"))
+    with pytest.raises(CalculusError, match=r"unresolved near t=1\.57"):
+        reparameterize_arclength(stereographic_target(), raw, 1.0, 2.0, 16)
 
 
 def test_reparam_sample_table_shape():

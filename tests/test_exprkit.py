@@ -128,6 +128,20 @@ def test_domain_errors_name_the_node():
         evaluate(parse_scalar_field("u^-1", UV), 0.0, 0.0)
 
 
+def test_fractional_power_at_zero_names_the_derivative():
+    e = parse_scalar_field("u^0.5", UV)
+    assert evaluate(e, 0.0, 1.0) == 0.0
+    with pytest.raises(EvalDomainError) as err:
+        eval_jet2(e, 0.0, 1.0)
+    assert str(err.value) == ("derivative of order 1 is infinite at a zero base "
+                              "in sub-expression '(u^0.5)' at (0.0, 1.0)")
+    # a jet needs only its own orders: u^2.5 has two derivatives at zero, not three
+    j = eval_jet2(parse_scalar_field("u^2.5", UV), 0.0, 1.0)
+    assert (j.value, j.du, j.duu) == (0.0, 0.0, 0.0)
+    with pytest.raises(EvalDomainError, match="derivative of order 3"):
+        eval_jet3(parse_scalar_field("s^2.5", S), 0.0)
+
+
 def test_jet_chain_rule_on_composite():
     # d/du sin(u^2) = 2u cos(u^2); second: 2cos(u^2) - 4u^2 sin(u^2)
     j = eval_jet2(parse_scalar_field("sin(u^2)", UV), 0.7, 0.0)

@@ -12,6 +12,7 @@ values are compared normwise over each jet, relative to its largest field.
 import copy
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +20,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confgeo import cli, conformal, geometry
-from confgeo.exprkit import EvalDomainError, eval_grad3, eval_jet2, parse_scalar_field
+from confgeo import calculus, cli, conformal, geometry, normalcurve
+from confgeo.exprkit import (
+    EvalDomainError,
+    eval_grad3,
+    eval_jet2,
+    eval_jet3,
+    parse_scalar_field,
+)
 from conftest import (
     STEREO_BOX,
     catenoid,
     catenoid_helicoid_pair,
+    diag_line,
+    e1,
     e2,
+    equator_curve,
     flat_exp_pair,
     inversion_sphere_pair,
+    latitude_curve,
+    line_curve,
+    offset_circle_curve,
     plane,
     sheared_stereographic_pair,
+    sphere,
+    sphere_homothety_pair,
     stereographic_pair,
     stereographic_target,
 )
@@ -108,6 +123,13 @@ def test_eval_grad3_grid_matches_points(text, seed):
                                [rng.uniform(-2, 2, 8) for _ in range(3)])
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=_exprs(["s"], 3), seed=st.integers(0, 2**32 - 1))
+def test_eval_jet3_grid_matches_points(text, seed):
+    rng = np.random.default_rng(seed)
+    _check_grid_matches_points(eval_jet3, text, ("s",), [rng.uniform(-2, 2, 8)])
+
+
 def test_constant_expression_fills_the_grid():
     j = eval_jet2(e2("2*3"), np.zeros(4), np.ones(4))
     for f in _fields(j):
@@ -127,6 +149,36 @@ def test_overflow_maps_to_domain_error_on_both_paths():
     with pytest.raises(EvalDomainError) as grid:
         eval_jet2(e, np.array([0.1, 30.0, 25.0]), np.array([0.1, 30.0, 25.0]))
     assert str(grid.value) == str(scalar.value)
+
+
+def test_overflowing_first_form_is_a_math_error_on_both_paths():
+    # exp(700) is finite, but E = 1 + exp(2u) is not
+    hot = geometry.SurfacePatch(e2("u"), e2("v"), e2("exp(u)"), ((300.0, 709.0), (0.0, 1.0)))
+    hot_metric = geometry.AbstractMetric(e2("exp(u)"), e2("0"), e2("exp(u)"), hot.domain)
+    us, vs = np.array([300.0, 700.0, 705.0]), np.array([0.5, 0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for surface in (hot, hot_metric):
+            for u, v in ((700.0, 0.5), (us, vs)):
+                with pytest.raises(geometry.GeometryError,
+                                   match=r"form is not finite at \(700\.0, 0\.5\)"):
+                    surface.first_form(u, v)
+
+
+def test_cli_overflowing_first_form_exits_with_math_error(tmp_path, capsys):
+    doc = copy.deepcopy(BASE_SCENARIO)
+    doc["surfaces"] = [{"name": "hot", "kind": "patch", "x": "u", "y": "v",
+                        "z": "exp(u)", "domain": [[690, 709], [0, 1]]}]
+    doc["suites"] = [{"suite": "forms", "surface": "hot"}]
+    doc["pairs"], doc["curves"], doc["profiles"] = [], [], []
+    path = write_scenario(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    u0, v0 = (float(a[0]) for a in cli.surface_grid(((690.0, 709.0), (0.0, 1.0)), 4, None))
+    assert f"first fundamental form is not finite at ({u0!r}, {v0!r})" in err
+    assert "Traceback" not in err
 
 
 def test_grid_domain_error_names_first_failing_point():
@@ -247,6 +299,190 @@ def test_suite_matches_per_point_functions(suite, key, name, make, row_at, first
             assert abs(got - want) <= bound, (res.columns[j], got, want)
     worst = max(x for row in expected for x in row[first_residual:])
     assert res.pass_ == (worst < res.tolerance)
+    assert res.max_residual == pytest.approx(worst, abs=AGREE)
+
+
+CURVE_GRIDS = {"surface": 4, "curve": 16, "mode": "random"}
+
+
+def _cat_waist():
+    raw = (parse_scalar_field("t", ("t",)), parse_scalar_field("0.6", ("t",)))
+    return calculus.reparameterize_arclength(catenoid(), raw, 0.12, 1.15, 24)
+
+
+def _curve_pool():
+    """Members, curves with their s-ranges and profiles of the demo's curve suites."""
+    waist = _cat_waist()
+    curves = {
+        "latitude": (latitude_curve(), (0.1, 4.0)),
+        "diag_line": (diag_line(), (-0.8, 0.8)),
+        "unit_circle": (geometry.ParamCurve(e1("cos(s)"), e1("sin(s)")), (0.1, 6.1)),
+        "equator": (equator_curve(), (0.1, 6.1)),
+        "line": (line_curve(), (-1.0, 1.0)),
+        "offset_circle": (offset_circle_curve(), (0.0, 6.2)),
+        "cat_waist": (waist, (0.0, waist.length)),
+    }
+    members = {
+        "sphere": sphere(), "catenoid": catenoid(), "plane": plane(),
+        "lifted_plane": plane(z="1"),
+        "stereo": stereographic_pair(), "spheres": sphere_homothety_pair(),
+        "cat_hel": catenoid_helicoid_pair(), "flat_exp": flat_exp_pair(),
+    }
+    profiles = {"nu_only": (e1("1+0.5*s"), e1("0")), "eta_only": (e1("0"), e1("1-0.25*s")),
+                "generic": (e1("1+0.5*s"), e1("0.5*s^2-0.25"))}
+    return members, curves, profiles
+
+
+def _frenet_rows(surf, curve, ss, tol):
+    rows = []
+    for s in ss:
+        fr = geometry.frenet(surf, curve, s)
+        r_unit = abs(float(np.linalg.norm(fr.t)) - 1.0)
+        if fr.n is None:
+            rows.append([s, fr.kappa, None, r_unit, None, None, None, None])
+            continue
+        rows.append([s, fr.kappa, fr.tau, r_unit,
+                     abs(float(fr.t @ fr.n)), abs(float(fr.t @ fr.b)), abs(float(fr.n @ fr.b)),
+                     float(np.linalg.norm(fr.b - np.cross(fr.t, fr.n)))])
+    return rows, {}
+
+
+def _bracket_rows(pair, curve, ss, tol):
+    rows = []
+    for s in ss:
+        bs = conformal.beltrami_bracket_shift(pair, curve, s)
+        rows.append([s, bs.b_src, bs.b_tgt, bs.theta_bracket, bs.residual])
+    return rows, {}
+
+
+def _deviation_rows(pair, curve, ss, tol):
+    reps = [conformal.geodesic_deviation_report(pair, curve, s, tol=tol) for s in ss]
+    oracles = [conformal.image_geodesic_curvature(pair, curve, s) if pair.embedded else None
+               for s in ss]
+    # the weight pairing, pinned point by point
+    worst = {k: max(r.i20_residuals[k] for r in reps) for k in conformal.PAIRINGS}
+    if pair.embedded:
+        dist = {w: sum(abs(r.kappa_g_tgt[w] - o) for r, o in zip(reps, oracles))
+                for w in conformal.WEIGHTS}
+        wt = min(conformal.WEIGHTS, key=lambda w: (dist[w], w))
+        pinned = min((f"{wt}/{ws}" for ws in conformal.WEIGHTS), key=lambda k: (worst[k], k))
+    else:
+        pinned = min(conformal.PAIRINGS, key=lambda k: (worst[k], k))
+    rows = [[s, r.zeta, r.f, r.h, r.kappa_g_src["W1"], r.kappa_g_src["W2"],
+             r.kappa_g_tgt["W1"], r.kappa_g_tgt["W2"],
+             *(r.i20_residuals[k] for k in conformal.PAIRINGS), o]
+            for s, r, o in zip(ss, reps, oracles)]
+    return rows, {"pinned_pairing": pinned}
+
+
+def _theorem3_rows(pair, curve, ss, tol, nu, eta):
+    rows = []
+    for s in ss:
+        r = normalcurve.theorem3_report(pair, curve, nu, eta, s)
+        rows.append([s, r["zeta"], r["h"], r["lhs"], r["as_printed"], r["zeta4_on_h"],
+                     min(r["as_printed"], r["zeta4_on_h"])])
+    return rows, {}
+
+
+def _tangential_rows(pair, curve, ss, tol, nu, eta):
+    rows = []
+    for s in ss:
+        r = normalcurve.tangential_report(pair, curve, nu, eta, s)
+        rows.append([s, r["zeta"], r["g1"], r["g2"], r["r_u"], r["r_v"], r["r_T"]])
+    return rows, {}
+
+
+def _classify_rows(surf, curve, ss, tol):
+    maxima = {"c_t": 0.0, "c_n": 0.0, "c_b": 0.0}
+    for s in ss:
+        try:
+            d = normalcurve.frame_decompose(surf, curve, s)
+        except geometry.VanishingCurvatureError:
+            return [["undefined", "", maxima["c_t"], maxima["c_n"], maxima["c_b"],
+                     math.nan]], {}
+        for name in maxima:
+            maxima[name] = max(maxima[name], abs(getattr(d, name)))
+    satisfied = [name for name in ("normal", "osculating", "rectifying")
+                 if maxima[normalcurve.CLASS_COMPONENT[name]] < tol]
+    verdict = satisfied[0] if satisfied else "generic"
+    offending = (maxima[normalcurve.CLASS_COMPONENT[verdict]] if satisfied
+                 else min(maxima.values()))
+    return [[verdict, "+".join(satisfied), maxima["c_t"], maxima["c_n"], maxima["c_b"],
+             offending]], {}
+
+
+# suite, member key and name, curve, profile, per-point rows, residual columns
+CURVE_CASES = [
+    ("frenet", "surface", "sphere", "latitude", None, _frenet_rows, (3, 8)),
+    ("frenet", "surface", "catenoid", "cat_waist", None, _frenet_rows, (3, 8)),
+    ("frenet", "surface", "plane", "line", None, _frenet_rows, (3, 8)),
+    ("bracket-shift", "pair", "stereo", "diag_line", None, _bracket_rows, (4, 5)),
+    ("bracket-shift", "pair", "spheres", "latitude", None, _bracket_rows, (4, 5)),
+    ("bracket-shift", "pair", "flat_exp", "diag_line", None, _bracket_rows, (4, 5)),
+    ("geodesic-deviation", "pair", "stereo", "diag_line", None, _deviation_rows, None),
+    ("geodesic-deviation", "pair", "flat_exp", "diag_line", None, _deviation_rows, None),
+    ("theorem3", "pair", "spheres", "latitude", "nu_only", _theorem3_rows, (6, 7)),
+    ("theorem3", "pair", "cat_hel", "cat_waist", "generic", _theorem3_rows, (6, 7)),
+    ("tangential", "pair", "stereo", "unit_circle", "generic", _tangential_rows, (4, 7)),
+    ("tangential", "pair", "spheres", "latitude", "eta_only", _tangential_rows, (4, 7)),
+    ("classify", "surface", "sphere", "equator", None, _classify_rows, None),
+    ("classify", "surface", "plane", "line", None, _classify_rows, None),
+    ("classify", "surface", "lifted_plane", "offset_circle", None, _classify_rows, None),
+]
+
+
+def _cell_agrees(got, want) -> bool:
+    if isinstance(want, str) or want is None:
+        return got == want
+    if math.isnan(want):
+        return math.isnan(got)
+    return abs(got - want) <= AGREE * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("suite, key, name, curve_name, profile, rows_at, residuals",
+                         CURVE_CASES, ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in CURVE_CASES])
+@pytest.mark.parametrize("tol", [None, 1e-30])
+def test_curve_suite_matches_per_point_functions(suite, key, name, curve_name, profile,
+                                                 rows_at, residuals, tol):
+    members, curves, profiles = _curve_pool()
+    curve, s_range = curves[curve_name]
+    entry = {"suite": suite, key: name, "curve": curve_name}
+    extra = ()
+    if profile is not None:
+        entry["profile"] = profile
+        extra = profiles[profile]
+    sc = cli.Scenario(path=Path("grid.json"), digest="", surfaces=members, pairs=members,
+                      curves={curve_name: curve}, curve_ranges={curve_name: s_range},
+                      profiles=profiles)
+    tolerances = dict(cli.DEFAULT_TOLERANCES)
+    if tol is not None:
+        tolerances[suite] = tol
+    res = cli.run_suite(sc, entry, CURVE_GRIDS, tolerances, np.random.default_rng(5))
+
+    n = max(CURVE_GRIDS["curve"], 64) if suite == "classify" else CURVE_GRIDS["curve"]
+    ss = cli.curve_grid(s_range, n, np.random.default_rng(5)).tolist()
+    want_rows, want_params = rows_at(members[name], curve, ss, tolerances[suite], *extra)
+    assert len(res.rows) == len(want_rows)
+    for got_row, want_row in zip(res.rows, want_rows):
+        for j, (got, want) in enumerate(zip(got_row, want_row)):
+            assert _cell_agrees(got, want), (res.columns[j], got, want)
+    for k, v in want_params.items():
+        assert res.params[k] == v
+
+    tol = res.tolerance
+    if suite == "classify":
+        verdict = want_rows[0][0]
+        assert res.pass_ == (verdict == "normal" if name == "sphere" else verdict != "undefined")
+        return
+    if suite == "geodesic-deviation":
+        j = res.columns.index("r_" + want_params["pinned_pairing"].replace("/", "_"))
+        worst = max(row[j] for row in want_rows)
+    elif suite == "theorem3":
+        worst = max(row[6] for row in want_rows)
+    else:
+        lo, hi = residuals
+        worst = max((x for row in want_rows for x in row[lo:hi] if x is not None), default=0.0)
+    assert res.pass_ == (worst < tol)
     assert res.max_residual == pytest.approx(worst, abs=AGREE)
 
 
