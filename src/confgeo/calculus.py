@@ -200,10 +200,6 @@ class UnitSpeedCurve:
 
     # -- curve protocol --------------------------------------------------------
 
-    def point(self, s):
-        t = self.invert(s)
-        return evaluate(self.u_raw, t), evaluate(self.v_raw, t)
-
     def jets(self, s, order: int = 2) -> CurveJets:
         if order >= 3:
             raise TorsionUnavailableError(

@@ -322,15 +322,15 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
         cols = ["u", "v", "E", "F", "G", "W",
                 "r_uu_u", "r_uu_v", "r_uv_u", "r_uv_v", "r_vv_u", "r_vv_v", "r_lagrange"]
         us, vs = surface_grid(surf.domain, grids["surface"], rng)
-        m = geometry.first_fundamental(surf, us, vs)
+        # one patch-jet evaluation at the grid feeds the forms, the Lagrange
+        # column and the oracle's left sides; the oracle adds four shifted ones
         pj = surf.jets(us, vs)
-        cr = np.cross(pj.pu, pj.pv, axis=0)
+        m = geometry.first_fundamental(surf, us, vs, pj=pj)
+        cr = geometry.cross(pj.pu, pj.pv)
         disc = m.E * m.G - m.F * m.F
         lagrange = abs(geometry.dot(cr, cr) - disc) / np.maximum(1.0, abs(disc))
-        # the finite-difference oracle stays per point, independent of the grid path
-        fd = [geometry.metric_derivative_identities(surf, u, v)
-              for u, v in zip(us.tolist(), vs.tolist())]
-        rows = _table(us, vs, m.E, m.F, m.G, m.W, np.array(fd), lagrange)
+        fd = geometry.metric_derivative_identities(surf, us, vs, pj=pj)
+        rows = _table(us, vs, m.E, m.F, m.G, m.W, fd, lagrange)
         worst = _max_over(rows, cols, cols[6:])
 
     elif name == "frenet":

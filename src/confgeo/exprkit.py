@@ -17,6 +17,7 @@ their argument.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -588,6 +589,16 @@ class Grad3:
 # math, or from numpy under the errstate of ``_evaluate``), a division by a value
 # that underflowed to zero, or math's domain error on an infinite argument.
 _OP_ERRORS = (_JetDomain, ArithmeticError, ValueError)
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _require_finite(out):
+    # Python float arithmetic overflows to inf without raising, where numpy
+    # raises under the errstate of ``_evaluate``.  A float value means float
+    # fields (one point, or a constant subtree of a grid): those are checked.
+    if type(getattr(out, "value", out)) is float and not all(map(math.isfinite, _fields(out))):
+        raise _JetDomain("overflow")
+    return out
 
 
 def _domain_error(err: Exception, node: Node) -> EvalDomainError:
@@ -606,17 +617,9 @@ def _float_unary(op: str, v, node: Node):
 
 def _float_binary(op: str, a, b, node: Node):
     try:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if _any(b == 0.0):
-                raise _JetDomain("division by zero")
-            return a / b
-        return _powf(a, b)
+        if op == "/" and _any(b == 0.0):
+            raise _JetDomain("division by zero")
+        return _require_finite(_powf(a, b) if op == "^" else _ARITHMETIC[op](a, b))
     except _OP_ERRORS as err:
         raise _domain_error(err, node) from None
 
@@ -639,18 +642,11 @@ def _eval_jet(node: Node, env: dict, const):
     try:
         if isinstance(node, Unary):
             a = _eval_jet(node.arg, env, const)
-            return -a if node.op == "neg" else a.apply(node.op)
+            return -a if node.op == "neg" else _require_finite(a.apply(node.op))
         left = _eval_jet(node.left, env, const)
         if node.op == "^":
-            return left.pow_const(_eval_const(node.right))
-        right = _eval_jet(node.right, env, const)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
+            return _require_finite(left.pow_const(_eval_const(node.right)))
+        return _require_finite(_ARITHMETIC[node.op](left, _eval_jet(node.right, env, const)))
     except _OP_ERRORS as err:
         raise _domain_error(err, node) from None
 
@@ -669,8 +665,11 @@ def _eval_float(node: Node, env: dict):
                          _eval_float(node.right, env), node)
 
 
-def _fields(out) -> list:
-    return [getattr(out, name) for name in out.__slots__] if isinstance(out, _JETS) else [out]
+_FIELDS = {cls: operator.attrgetter(*cls.__slots__) for cls in _JETS}
+
+
+def _fields(out) -> tuple:
+    return _FIELDS[type(out)](out) if type(out) in _FIELDS else (out,)
 
 
 def _evaluate(values, walk):

@@ -166,8 +166,8 @@ class AbstractMetric:
         jg = eval_jet2(self.G, u, v)
         with np.errstate(over="ignore", invalid="ignore"):
             disc = je.value * jg.value - jf.value * jf.value
-        _require_finite_form(u, v, disc, *(getattr(j, d) for j in (je, jf, jg)
-                                           for d in ("value", "du", "dv")))
+        _require_finite("first fundamental form", u, v, disc,
+                        *(getattr(j, d) for j in (je, jf, jg) for d in ("value", "du", "dv")))
         bad = violation((je.value > 0.0) & (jg.value > 0.0), u, v)
         if bad is not None:
             raise RegularityError(f"metric needs E > 0 and G > 0 at ({bad[0]}, {bad[1]})")
@@ -271,11 +271,11 @@ class FrameData:
 # Operations
 
 
-def _require_finite_form(u, v, *values) -> None:
+def _require_finite(what: str, u, v, *values) -> None:
     # values: floats at one point, or grid arrays of one shape
     bad = violation(np.isfinite(values).all(axis=0), u, v)
     if bad is not None:
-        raise GeometryError(f"first fundamental form is not finite at ({bad[0]}, {bad[1]})")
+        raise GeometryError(f"{what} is not finite at ({bad[0]}, {bad[1]})")
 
 
 def first_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> FirstForm:
@@ -296,7 +296,7 @@ def first_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> Fir
             G_u=2.0 * dot(pj.puv, pj.pv),
             G_v=2.0 * dot(pj.pvv, pj.pv),
         )
-    _require_finite_form(u, v, E, F, G, disc, *partials.values())
+    _require_finite("first fundamental form", u, v, E, F, G, disc, *partials.values())
     bad = violation(disc > REGULARITY_FLOOR ** 2, u, v, disc)
     if bad is not None:
         raise RegularityError(f"degenerate patch at ({bad[0]}, {bad[1]}): EG - F^2 = {bad[2]}")
@@ -441,33 +441,36 @@ def geodesic_curvature(source, c, s, weight: str):
     return bracket * (m.W if weight == "W1" else m.W * m.W)
 
 
-def metric_derivative_identities(p: SurfacePatch, u: float, v: float) -> tuple[float, ...]:
-    """Residuals of the six dot-product/metric-derivative identities.
+def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets | None = None):
+    """Residuals of the six dot-product/metric-derivative identities: a
+    6-tuple of floats at one point, an (n, 6) array over a grid.
 
-    Left sides are second-order patch jets dotted into first-order ones;
-    right sides rebuild the same quantities from finite differences of the
-    metric coefficients, so the two routes are independent:
+    Left sides are second-order patch jets (``pj`` as in
+    :func:`first_fundamental`) dotted into first-order ones; right sides
+    rebuild the same quantities from central differences of E, F, G, which
+    read only first-order jets at the four shifted grids, so the two routes
+    are independent:
 
         Psi_uu.Psi_u = E_u/2        Psi_uu.Psi_v = F_u - E_v/2
         Psi_uv.Psi_u = E_v/2        Psi_uv.Psi_v = G_u/2
         Psi_vv.Psi_u = F_v - G_u/2  Psi_vv.Psi_v = G_v/2
+
+    A point is evaluated as a grid of one, so it gets the bits it gets in a
+    grid (the 1/2h stencil would blow numpy's and the C library's ulp
+    differences in elementary functions up to about 1e-11).
     """
-    pj = p.jets(u, v)
-
-    def metric(uu, vv):
-        q = p.jets(uu, vv)
-        return np.array([q.pu @ q.pu, q.pu @ q.pv, q.pv @ q.pv])
-
-    # central differences, one patch evaluation per shifted point
+    point = np.ndim(u) == 0
+    u, v = (np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (u, v))
+    pj = p.jets(u, v) if pj is None else pj
     h = 1e-5
-    E_u, F_u, G_u = ((metric(u + h, v) - metric(u - h, v)) / (2.0 * h)).tolist()
-    E_v, F_v, G_v = ((metric(u, v + h) - metric(u, v - h)) / (2.0 * h)).tolist()
-
-    return (
-        abs(float(pj.puu @ pj.pu) - E_u / 2.0),
-        abs(float(pj.puu @ pj.pv) - (F_u - E_v / 2.0)),
-        abs(float(pj.puv @ pj.pu) - E_v / 2.0),
-        abs(float(pj.puv @ pj.pv) - G_u / 2.0),
-        abs(float(pj.pvv @ pj.pu) - (F_v - G_u / 2.0)),
-        abs(float(pj.pvv @ pj.pv) - G_v / 2.0),
-    )
+    shifted = [p.jets(uu, vv) for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h))]
+    # products of large finite jets may overflow: checked below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.array([[dot(q.pu, q.pu), dot(q.pu, q.pv), dot(q.pv, q.pv)] for q in shifted])
+        E_u, F_u, G_u = (m[0] - m[1]) / (2.0 * h)
+        E_v, F_v, G_v = (m[2] - m[3]) / (2.0 * h)
+        lhs = [dot(a, b) for a in (pj.puu, pj.puv, pj.pvv) for b in (pj.pu, pj.pv)]
+        rhs = [E_u / 2.0, F_u - E_v / 2.0, E_v / 2.0, G_u / 2.0, F_v - G_u / 2.0, G_v / 2.0]
+        res = abs(np.column_stack(lhs) - np.column_stack(rhs))
+    _require_finite("metric-derivative residual", u, v, *res.T)
+    return tuple(res[0].tolist()) if point else res

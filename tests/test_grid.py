@@ -26,7 +26,9 @@ from confgeo.exprkit import (
     eval_grad3,
     eval_jet2,
     eval_jet3,
+    evaluate,
     parse_scalar_field,
+    to_text,
 )
 from conftest import (
     STEREO_BOX,
@@ -35,8 +37,10 @@ from conftest import (
     diag_line,
     e1,
     e2,
+    e3,
     equator_curve,
     flat_exp_pair,
+    helicoid,
     inversion_sphere_pair,
     latitude_curve,
     line_curve,
@@ -181,6 +185,40 @@ def test_cli_overflowing_first_form_exits_with_math_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("evaluate_at, text, names, point", [
+    (evaluate, "exp(300*u)*exp(300*u)", ("u", "v"), (1.2, 1.0)),
+    (eval_jet2, "exp(300*u)*exp(300*u)", ("u", "v"), (1.2, 1.0)),
+    (eval_jet3, "exp(300*s)*exp(300*s)", ("s",), (1.2,)),
+    (eval_grad3, "exp(300*x)*exp(300*y)", ("x", "y", "z"), (1.2, 1.2, 0.0)),
+], ids=["evaluate", "eval_jet2", "eval_jet3", "eval_grad3"])
+def test_float_path_overflow_names_node_and_point_as_a_grid_does(evaluate_at, text, names,
+                                                                   point):
+    # Python's float * overflows to inf without raising; numpy raises
+    e = parse_scalar_field(text, names)
+    with pytest.raises(EvalDomainError) as scalar:
+        evaluate_at(e, *point)
+    with pytest.raises(EvalDomainError) as grid:
+        evaluate_at(e, *(np.array([x]) for x in point))
+    # the product overflows, not its factors
+    assert scalar.value.node_text == grid.value.node_text == to_text(e)
+    assert scalar.value.point == grid.value.point == point
+    assert str(scalar.value) == str(grid.value)
+
+
+def test_overflowing_constant_subtree_is_a_domain_error():
+    for at in ((0.5, 0.5), (np.array([0.5, 0.6]), np.array([0.5, 0.5]))):
+        with pytest.raises(EvalDomainError, match=r"overflow in sub-expression '\(1e\+300"):
+            eval_jet2(e2("1e300*1e300*u"), *at)
+    with pytest.raises(EvalDomainError, match="overflow"):
+        evaluate(e3("1e300*1e300*x"), 0.5, 0.5, 0.5)
+
+
+def test_infinite_declared_dilation_is_refused():
+    box = ((1.0, 2.0), (0.0, 1.0))
+    with pytest.raises(EvalDomainError, match=r"overflow .* at \(1\.25, 0\.25\)"):
+        conformal.ConformalPair(plane(box), plane(box), dilation=e2("exp(300*u)*exp(300*u)"))
+
+
 def test_grid_domain_error_names_first_failing_point():
     e = e2("log(u)")
     with pytest.raises(EvalDomainError, match=r"log\(u\)' at \(-1\.0, 0\.5\)"):
@@ -300,6 +338,79 @@ def test_suite_matches_per_point_functions(suite, key, name, make, row_at, first
     worst = max(x for row in expected for x in row[first_residual:])
     assert res.pass_ == (worst < res.tolerance)
     assert res.max_residual == pytest.approx(worst, abs=AGREE)
+
+
+ORACLE_SURFACES = {"plane": plane, "sphere": sphere, "catenoid": catenoid,
+                   "stereo_sphere": stereographic_target, "helicoid": helicoid}
+
+
+@pytest.mark.parametrize("make", ORACLE_SURFACES.values(), ids=ORACLE_SURFACES.keys())
+def test_metric_derivative_identities_grid_is_points_bit_for_bit(make):
+    surf = make()
+    us, vs = cli.surface_grid(surf.domain, 12, np.random.default_rng(7))
+    grid = geometry.metric_derivative_identities(surf, us, vs)
+    assert grid.shape == (144, 6)
+    for row, u, v in zip(grid.tolist(), us.tolist(), vs.tolist()):
+        point = geometry.metric_derivative_identities(surf, u, v)
+        assert all(type(x) is float for x in point)
+        assert list(point) == row
+
+
+def test_metric_derivative_identities_right_sides_ignore_the_jets_passed_in():
+    surf = catenoid()
+    us, vs = cli.surface_grid(surf.domain, 12, np.random.default_rng(7))
+    pj = surf.jets(us, vs)
+    planted = copy.copy(pj)
+    planted.puu = pj.puu + 1e-6 * np.array([1.0, 0.0, 0.0])[:, None]
+    clean = geometry.metric_derivative_identities(surf, us, vs, pj=pj)
+    moved = geometry.metric_derivative_identities(surf, us, vs, pj=planted)
+    # only the two left sides that read Psi_uu move, each by about 1e-6 Psi_u.e1
+    # (Psi_v.e1): the difference quotients did not see the planted error
+    for col, partner in ((0, pj.pu[0]), (1, pj.pv[0])):
+        shift = 1e-6 * abs(partner)
+        assert np.all(np.abs(moved[:, col] - shift) <= clean[:, col] + 1e-12)
+    assert np.all(1e-6 * abs(pj.pu[0]) > 2.0 * clean[:, 0] + 1e-12)
+    assert np.array_equal(moved[:, 2:], clean[:, 2:])
+
+
+# E = 1 + exp(u)/4 overflows between U_HOT and U_HOT + h, the oracle's step:
+# the center is finite, the stencil point (u + h, v) is not
+U_HOT = 711.169002
+
+
+def _hot_patch(domain=((0.0, 712.0), (0.0, 1.0))):
+    return geometry.SurfacePatch(e2("u"), e2("v"), e2("exp(u/2)"), domain)
+
+
+def test_overflow_at_a_shifted_stencil_point_names_the_point():
+    hot = _hot_patch()
+    us, vs = np.array([1.0, U_HOT, U_HOT]), np.array([0.5, 0.5, 0.6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = geometry.first_fundamental(hot, us, vs)
+        assert np.all(np.isfinite(m.E))
+        for u, v in ((U_HOT, 0.5), (us, vs)):
+            with pytest.raises(geometry.GeometryError,
+                               match=rf"residual is not finite at \({U_HOT}, 0\.5\)"):
+                geometry.metric_derivative_identities(hot, u, v)
+
+
+def test_cli_forms_overflow_at_a_shifted_stencil_point_exits_with_math_error(tmp_path, capsys):
+    doc = copy.deepcopy(BASE_SCENARIO)
+    # one grid point, 5 % into the box: u = U_HOT
+    doc["surfaces"] = [{"name": "hot", "kind": "patch", "x": "u", "y": "v", "z": "exp(u/2)",
+                        "domain": [[U_HOT - 0.05, U_HOT + 0.95], [0, 1]]}]
+    doc["suites"] = [{"suite": "forms", "surface": "hot"}]
+    doc["pairs"], doc["curves"], doc["profiles"] = [], [], []
+    doc["grids"] = {"surface": 1}
+    path = write_scenario(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert "math error in suite 'forms' (surface='hot')" in err
+    assert "metric-derivative residual is not finite at (711.16900" in err
+    assert "Traceback" not in err
 
 
 CURVE_GRIDS = {"surface": 4, "curve": 16, "mode": "random"}
