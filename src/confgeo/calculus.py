@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprkit import Expr, eval_jet3, evaluate
-from .geometry import (CurveJets, SurfacePatch, TorsionUnavailableError, speed_from_form,
-                       sqrt, violation)
+from .geometry import CurveJets, SurfacePatch, speed_from_form, sqrt, violation
 
 QUAD_TOL = 1e-10
 ZERO_SPEED_FLOOR = 1e-12
@@ -144,15 +143,15 @@ def _gauss_lengths(patch: SurfacePatch, u_raw: Expr, v_raw: Expr,
 class UnitSpeedCurve:
     """Arc-length reparameterization of a raw-parameter curve on a patch.
 
-    Carries the (s_i, t_i, u_i, v_i) knot table.  Jets are produced on
-    demand: Newton solves cumulative-length(t) = s from the linear seed in
-    the knot panel, taking the length from the knot s_i to t by the
+    Carries the (s_i, t_i) knot table.  Jets are produced on demand:
+    Newton solves cumulative-length(t) = s from the linear seed in the knot
+    panel, taking the length from the knot s_i to t by the
     fixed-order Gauss-Legendre rule that built the table, and exact
     raw-curve jets are pushed through the inverse chain rule.  The
     unit-speed invariant therefore holds to quadrature accuracy, well
     inside the 1e-6 reparameterization tolerance.  ``s`` is a float (one
-    point) or an array (an s-grid, all points solved at once).  Order-3
-    jets are unavailable.
+    point) or an array (an s-grid, all points solved at once).  Jets stop
+    at order 2, so :func:`geometry.frenet` gives no torsion here.
     """
 
     patch: SurfacePatch
@@ -163,10 +162,6 @@ class UnitSpeedCurve:
     length: float
     s_samples: np.ndarray
     t_samples: np.ndarray
-    u_samples: np.ndarray
-    v_samples: np.ndarray
-
-    supports_order3 = False
 
     def invert(self, s):
         """Solve cumulative-length(t) = s by Newton, on all points at once."""
@@ -200,10 +195,7 @@ class UnitSpeedCurve:
 
     # -- curve protocol --------------------------------------------------------
 
-    def jets(self, s, order: int = 2) -> CurveJets:
-        if order >= 3:
-            raise TorsionUnavailableError(
-                "reparameterized curves expose jets to order 2 only")
+    def jets(self, s) -> CurveJets:
         t = self.invert(s)
         ju, jv = eval_jet3(self.u_raw, t), eval_jet3(self.v_raw, t)
         m = self.patch.first_form(ju.value, jv.value)
@@ -260,4 +252,4 @@ def reparameterize_arclength(patch: SurfacePatch, curve: tuple[Expr, Expr],
     if np.any(np.diff(s_samples) <= 0.0):
         raise NonMonotoneLengthError("cumulative arc length is not strictly increasing")
     return UnitSpeedCurve(patch, u_raw, v_raw, t0, t1, float(s_samples[-1]), s_samples,
-                          t_samples, evaluate(u_raw, t_samples), evaluate(v_raw, t_samples))
+                          t_samples)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -71,9 +72,35 @@ class Scenario:
 
 
 def _need(entry: dict, key: str, where: str):
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{where}: expected an object, got {entry!r}")
     if key not in entry:
         raise ScenarioError(f"{where}: missing key '{key}'")
     return entry[key]
+
+
+def _name(entry: dict, key: str, where: str) -> str:
+    name = _need(entry, key, where)
+    if not isinstance(name, str):
+        raise ScenarioError(f"{where}.{key}: expected a name string, got {name!r}")
+    return name
+
+
+def _finite(raw, where: str) -> float:
+    """A JSON number that is finite, as a float."""
+    try:
+        if not isinstance(raw, bool) and math.isfinite(raw):
+            return float(raw)
+    except (TypeError, OverflowError):
+        pass
+    raise ScenarioError(f"{where}: expected a finite number, got {raw!r}")
+
+
+def _range(entry: dict, key: str, where: str) -> tuple[float, float]:
+    raw = _need(entry, key, where)
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise ScenarioError(f"{where}.{key}: expected [lo, hi], got {raw!r}")
+    return _finite(raw[0], f"{where}.{key}[0]"), _finite(raw[1], f"{where}.{key}[1]")
 
 
 def _parse_field(text, variables, where: str):
@@ -88,9 +115,10 @@ def _parse_field(text, variables, where: str):
 def _box(raw, where: str):
     try:
         (u0, u1), (v0, v1) = raw
-        box = ((float(u0), float(u1)), (float(v0), float(v1)))
     except (TypeError, ValueError):
         raise ScenarioError(f"{where}: domain must be [[u0,u1],[v0,v1]]") from None
+    box = tuple((_finite(lo, f"{where}.domain"), _finite(hi, f"{where}.domain"))
+                for lo, hi in ((u0, u1), (v0, v1)))
     if not (box[0][0] < box[0][1] and box[1][0] < box[1][1]):
         raise ScenarioError(f"{where}: degenerate domain box {box}")
     return box
@@ -111,7 +139,7 @@ def load_scenario(path: Path) -> Scenario:
     sc = Scenario(path=path, digest=hashlib.sha256(raw_bytes).hexdigest())
 
     def fresh_name(entry: dict, where: str, pool: dict) -> str:
-        name = _need(entry, "name", where)
+        name = _name(entry, "name", where)
         if name in pool:
             raise ScenarioError(f"{where}.name: duplicate name '{name}'")
         return name
@@ -136,13 +164,13 @@ def load_scenario(path: Path) -> Scenario:
         where = f"curves[{i}]"
         name = fresh_name(entry, where, sc.curves)
         if entry.get("reparameterize", False):
-            sname = _need(entry, "surface", where)
+            sname = _name(entry, "surface", where)
             if sname not in sc.surfaces:
                 raise ScenarioError(f"{where}.surface: unknown surface '{sname}'")
             patch = sc.surfaces[sname]
             if not isinstance(patch, geometry.SurfacePatch):
                 raise ScenarioError(f"{where}.surface: reparameterization needs a patch")
-            t0, t1 = (float(x) for x in _need(entry, "t_range", where))
+            t0, t1 = _range(entry, "t_range", where)
             u_raw = _parse_field(_need(entry, "u", where), ("t",), f"{where}.u")
             v_raw = _parse_field(_need(entry, "v", where), ("t",), f"{where}.v")
             try:
@@ -155,15 +183,14 @@ def load_scenario(path: Path) -> Scenario:
         else:
             u = _parse_field(_need(entry, "u", where), ("s",), f"{where}.u")
             v = _parse_field(_need(entry, "v", where), ("s",), f"{where}.v")
-            s0, s1 = (float(x) for x in _need(entry, "s_range", where))
             sc.curves[name] = geometry.ParamCurve(u, v)
-            sc.curve_ranges[name] = (s0, s1)
+            sc.curve_ranges[name] = _range(entry, "s_range", where)
 
     sc.tolerances = dict(DEFAULT_TOLERANCES)
     for key, val in doc.get("tolerances", {}).items():
         if key not in SUITE_NAMES and key != "conformality":
             raise ScenarioError(f"tolerances.{key}: unknown suite name")
-        val = float(val)
+        val = _finite(val, f"tolerances.{key}")
         if val <= 0.0:
             raise ScenarioError(f"tolerances.{key}: tolerance must be positive, got {val}")
         sc.tolerances[key] = val
@@ -173,7 +200,7 @@ def load_scenario(path: Path) -> Scenario:
         name = fresh_name(entry, where, sc.pairs)
         members = []
         for key in ("source", "target"):
-            sname = _need(entry, key, where)
+            sname = _name(entry, key, where)
             if sname not in sc.surfaces:
                 raise ScenarioError(f"{where}.{key}: unknown surface '{sname}'")
             members.append(sc.surfaces[sname])
@@ -212,7 +239,7 @@ def load_scenario(path: Path) -> Scenario:
             raise ScenarioError(f"{where}.suite: unknown suite '{sname}'")
         for key, pool in (("surface", sc.surfaces), ("curve", sc.curves),
                           ("pair", sc.pairs), ("profile", sc.profiles)):
-            if key in entry and entry[key] not in pool:
+            if key in entry and _name(entry, key, where) not in pool:
                 raise ScenarioError(f"{where}.{key}: unknown {key} '{entry[key]}'")
         needs = _SUITE_NEEDS[sname]
         for key in needs:
@@ -224,6 +251,8 @@ def load_scenario(path: Path) -> Scenario:
     for key, val in doc.get("grids", {}).items():
         if key not in sc.grids:
             raise ScenarioError(f"grids.{key}: unknown grid key")
+        if key != "mode" and not (type(val) is int and val >= 1):
+            raise ScenarioError(f"grids.{key}: expected a positive integer, got {val!r}")
         sc.grids[key] = val
     if sc.grids["mode"] not in ("uniform", "random"):
         raise ScenarioError(f"grids.mode: expected 'uniform' or 'random', got '{sc.grids['mode']}'")
@@ -571,8 +600,8 @@ def main(argv: list[str] | None = None) -> int:
         sc = load_scenario(Path(args.scenario))
         if args.grid is not None and args.grid < 1:
             raise ScenarioError("--grid must be a positive integer")
-        if args.tol is not None and args.tol <= 0.0:
-            raise ScenarioError("--tol must be positive")
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise ScenarioError("--tol must be a finite positive number")
         return run_scenario(sc, Path(args.out), args.format, args.suite,
                             args.grid, args.tol, args.seed)
     except ScenarioError as err:

@@ -21,7 +21,6 @@ import numpy as np
 from .exprkit import Expr, Jet2, eval_grad3, eval_jet2, evaluate
 from .geometry import (
     AbstractMetric,
-    ChristoffelSet,
     CurveJets,
     FirstForm,
     SurfacePatch,
@@ -66,6 +65,10 @@ def _is_patch(member) -> bool:
     return isinstance(member, SurfacePatch)
 
 
+def _position(patch: SurfacePatch, u, v) -> np.ndarray:
+    return np.array([evaluate(c, u, v) for c in (patch.x, patch.y, patch.z)])
+
+
 def _at_least_one(x):
     return np.maximum(1.0, x) if isinstance(x, np.ndarray) else max(1.0, x)
 
@@ -86,26 +89,26 @@ class ConformalPair:
             raise ValueError(
                 f"pair members must share a domain box: "
                 f"{self.source.domain} != {self.target.domain}")
-        for u, v in self._sample_grid():
-            if self.dilation is not None:
-                z = evaluate(self.dilation, u, v)
-                if not z > 0.0:
-                    raise ValueError(f"declared dilation must be positive, got {z} at ({u}, {v})")
-            if self.ambient_map is not None:
-                if not (_is_patch(self.source) and _is_patch(self.target)):
-                    raise AmbientMapError("ambient map requires embedded patches on both sides")
-                p = self.source.point(u, v)
-                image = np.array([evaluate(c, *p) for c in self.ambient_map])
-                gap = float(np.linalg.norm(image - self.target.point(u, v)))
-                if gap > 1e-9:
-                    raise AmbientMapError(
-                        f"ambient map disagrees with target by {gap} at ({u}, {v})")
-
-    def _sample_grid(self, n: int = 3):
+        # the 3x3 interior sample points, in u-major order
         (u0, u1), (v0, v1) = self.source.domain
-        us = [u0 + (u1 - u0) * (i + 1) / (n + 1) for i in range(n)]
-        vs = [v0 + (v1 - v0) * (j + 1) / (n + 1) for j in range(n)]
-        return [(u, v) for u in us for v in vs]
+        k = np.arange(1, 4)
+        us, vs = np.repeat(u0 + (u1 - u0) * k / 4, 3), np.tile(v0 + (v1 - v0) * k / 4, 3)
+        if self.dilation is not None:
+            z = evaluate(self.dilation, us, vs)
+            bad = violation(z > 0.0, z, us, vs)
+            if bad is not None:
+                raise ValueError(f"declared dilation must be positive, got {bad[0]} "
+                                 f"at ({bad[1]}, {bad[2]})")
+        if self.ambient_map is not None:
+            if not self.embedded:
+                raise AmbientMapError("ambient map requires embedded patches on both sides")
+            p = _position(self.source, us, vs)
+            image = np.array([evaluate(c, *p) for c in self.ambient_map])
+            gap = norm(image - _position(self.target, us, vs))
+            bad = violation(gap <= 1e-9, gap, us, vs)
+            if bad is not None:
+                raise AmbientMapError(
+                    f"ambient map disagrees with target by {bad[0]} at ({bad[1]}, {bad[2]})")
 
     @property
     def embedded(self) -> bool:
@@ -119,13 +122,14 @@ class ConformalPair:
 # Dilation
 
 
-def dilation_field(pair: ConformalPair, u, v, tol: float | None = None,
+def dilation_field(pair: ConformalPair, u, v,
                    forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
     """Estimate zeta = sqrt(E~/E) and the three conformality residuals
     |zeta^2 E - E~|, |zeta^2 F - F~|, |zeta^2 G - G~|, each normalized by
-    max(1, |E~|).  Raises :class:`NonConformalError` past the tolerance.
+    max(1, |E~|).  Raises :class:`NonConformalError` past the pair's
+    ``conformality_tol``.
     """
-    tol = pair.conformality_tol if tol is None else tol
+    tol = pair.conformality_tol
     m, mt = pair.forms(u, v) if forms is None else forms
     bad = violation(m.E > 1e-12, u, v, m.E)
     if bad is not None:
@@ -160,7 +164,7 @@ def dilation_field(pair: ConformalPair, u, v, tol: float | None = None,
     return zeta, residuals
 
 
-def dilation_jet(pair: ConformalPair, u, v, tol: float | None = None,
+def dilation_jet(pair: ConformalPair, u, v,
                  forms: tuple[FirstForm, FirstForm] | None = None, zeta=None) -> Jet2:
     """zeta with first partials.  A declared dilation (cross-checked against
     the metric-ratio estimate) supplies exact jets; otherwise the partials
@@ -168,7 +172,7 @@ def dilation_jet(pair: ConformalPair, u, v, tol: float | None = None,
     :func:`dilation_field` already passes its estimate as ``zeta``."""
     m, mt = pair.forms(u, v) if forms is None else forms
     if zeta is None:
-        zeta, _ = dilation_field(pair, u, v, tol, forms=(m, mt))
+        zeta, _ = dilation_field(pair, u, v, forms=(m, mt))
     if pair.dilation is not None:
         return eval_jet2(pair.dilation, u, v)
     zu = (mt.E_u - zeta * zeta * m.E_u) / (2.0 * zeta * m.E)
@@ -213,19 +217,16 @@ def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ThetaSet:
     )
 
 
-def _shift_residuals(g: ChristoffelSet, gt: ChristoffelSet, th: ThetaSet) -> tuple:
-    return tuple(
-        abs(getattr(gt, slot) - getattr(g, slot) - getattr(th, "t" + slot[1:]))
-        for slot in ("g111", "g112", "g121", "g122", "g221", "g222")
-    )
-
-
 def christoffel_shift_residual(pair: ConformalPair, u, v,
                                forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
     """|Gamma~^k_ij - Gamma^k_ij - theta^k_ij| for the six slots."""
     m, mt = pair.forms(u, v) if forms is None else forms
     zj = dilation_jet(pair, u, v, forms=(m, mt))
-    return _shift_residuals(christoffel(m), christoffel(mt), theta_terms(m, zj))
+    g, gt, th = christoffel(m), christoffel(mt), theta_terms(m, zj)
+    return tuple(
+        abs(getattr(gt, slot) - getattr(g, slot) - getattr(th, "t" + slot[1:]))
+        for slot in ("g111", "g112", "g121", "g122", "g221", "g222")
+    )
 
 
 def theta_bracket(th: ThetaSet, cj: CurveJets):
@@ -305,41 +306,30 @@ class DeviationReport:
 
     ``i20_residuals`` holds |kg~(i) - zeta^2 kg(j) - f| keyed by
     "<target weight>/<source weight>"; ``passing`` lists the pairings below
-    tolerance at every point.  g1/g2 are reported with unit nu/kappa
-    prefactor.
+    tolerance at every point.
     """
 
-    s: float
     zeta: float
-    zeta_u: float
-    zeta_v: float
-    conformality: tuple[float, float, float]
-    christoffel_shift: tuple[float, ...]
     h: float
     f: float
-    g1: float
-    g2: float
     kappa_g_src: dict[str, float]
     kappa_g_tgt: dict[str, float]
     i20_residuals: dict[str, float]
     passing: tuple[str, ...]
-    tolerance: float
 
 
 def geodesic_deviation_report(pair: ConformalPair, c, s,
                               tol: float = 1e-8) -> DeviationReport:
     cj = c.jets(s)
     forms = m, mt = pair.forms(cj.u, cj.v)
-    zeta, conf = dilation_field(pair, cj.u, cj.v, forms=forms)
+    zeta, _ = dilation_field(pair, cj.u, cj.v, forms=forms)
     zj = dilation_jet(pair, cj.u, cj.v, forms=forms, zeta=zeta)
     require_unit_speed(speed_from_form(m, cj.u1, cj.v1), s)
     th = theta_terms(m, zj)
-    g, gt = christoffel(m), christoffel(mt)
-    b_src = beltrami_bracket(g, cj)
-    b_tgt = beltrami_bracket(gt, cj)
+    b_src = beltrami_bracket(christoffel(m), cj)
+    b_tgt = beltrami_bracket(christoffel(mt), cj)
     f = f_function(m, th, cj)
     h = h_function(m, th, cj)
-    g1, g2 = g_functions(m, zj, cj, nu_over_kappa=1.0)
     kg_src = {"W1": b_src * m.W, "W2": b_src * m.W * m.W}
     kg_tgt = {"W1": b_tgt * mt.W, "W2": b_tgt * mt.W * mt.W}
     residuals = {
@@ -347,13 +337,8 @@ def geodesic_deviation_report(pair: ConformalPair, c, s,
         for wt in WEIGHTS for ws in WEIGHTS
     }
     passing = tuple(k for k in PAIRINGS if np.all(residuals[k] < tol))
-    return DeviationReport(
-        s=s, zeta=zeta, zeta_u=zj.du, zeta_v=zj.dv, conformality=conf,
-        christoffel_shift=_shift_residuals(g, gt, th),
-        h=h, f=f, g1=g1, g2=g2,
-        kappa_g_src=kg_src, kappa_g_tgt=kg_tgt,
-        i20_residuals=residuals, passing=passing, tolerance=tol,
-    )
+    return DeviationReport(zeta=zeta, h=h, f=f, kappa_g_src=kg_src, kappa_g_tgt=kg_tgt,
+                           i20_residuals=residuals, passing=passing)
 
 
 def image_geodesic_curvature(pair: ConformalPair, c, s):

@@ -300,26 +300,6 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     return Expr(rec(e.root), tuple(new_vars))
 
 
-def constant_fold(e: Expr) -> Expr:
-    """Collapse constant subtrees, using the same float operations as
-    evaluation so folded and unfolded trees evaluate bit-for-bit equal."""
-
-    def rec(node: Node) -> Node:
-        if isinstance(node, (Const, Var)):
-            return node
-        if isinstance(node, Unary):
-            arg = rec(node.arg)
-            if isinstance(arg, Const):
-                return Const(_float_unary(node.op, arg.value, node))
-            return Unary(node.op, arg)
-        left, right = rec(node.left), rec(node.right)
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(_float_binary(node.op, left.value, right.value, node))
-        return Binary(node.op, left, right)
-
-    return Expr(rec(e.root), e.variables)
-
-
 # ---------------------------------------------------------------------------
 # Jet arithmetic
 
@@ -606,34 +586,6 @@ def _domain_error(err: Exception, node: Node) -> EvalDomainError:
     return EvalDomainError(reason, to_text(node))
 
 
-def _float_unary(op: str, v, node: Node):
-    try:
-        if op == "neg":
-            return -v
-        return _fn_coeffs(op, v)[0]
-    except _OP_ERRORS as err:
-        raise _domain_error(err, node) from None
-
-
-def _float_binary(op: str, a, b, node: Node):
-    try:
-        if op == "/" and _any(b == 0.0):
-            raise _JetDomain("division by zero")
-        return _require_finite(_powf(a, b) if op == "^" else _ARITHMETIC[op](a, b))
-    except _OP_ERRORS as err:
-        raise _domain_error(err, node) from None
-
-
-def _eval_const(node: Node) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Unary):
-        return _float_unary(node.op, _eval_const(node.arg), node)
-    if isinstance(node, Binary):
-        return _float_binary(node.op, _eval_const(node.left), _eval_const(node.right), node)
-    raise ExprError("exponent is not constant")  # unreachable after parse
-
-
 def _eval_jet(node: Node, env: dict, const):
     if isinstance(node, Const):
         return const(node.value)
@@ -645,7 +597,7 @@ def _eval_jet(node: Node, env: dict, const):
             return -a if node.op == "neg" else _require_finite(a.apply(node.op))
         left = _eval_jet(node.left, env, const)
         if node.op == "^":
-            return _require_finite(left.pow_const(_eval_const(node.right)))
+            return _require_finite(left.pow_const(_eval_float(node.right, {})))
         return _require_finite(_ARITHMETIC[node.op](left, _eval_jet(node.right, env, const)))
     except _OP_ERRORS as err:
         raise _domain_error(err, node) from None
@@ -659,10 +611,18 @@ def _eval_float(node: Node, env: dict):
         return node.value
     if isinstance(node, Var):
         return env[node.name]
-    if isinstance(node, Unary):
-        return _float_unary(node.op, _eval_float(node.arg, env), node)
-    return _float_binary(node.op, _eval_float(node.left, env),
-                         _eval_float(node.right, env), node)
+    try:
+        if isinstance(node, Unary):
+            a = _eval_float(node.arg, env)
+            return -a if node.op == "neg" else _fn_coeffs(node.op, a)[0]
+        a, b = _eval_float(node.left, env), _eval_float(node.right, env)
+        if node.op == "^":
+            return _require_finite(_powf(a, b))
+        if node.op == "/" and _any(b == 0.0):
+            raise _JetDomain("division by zero")
+        return _require_finite(_ARITHMETIC[node.op](a, b))
+    except _OP_ERRORS as err:
+        raise _domain_error(err, node) from None
 
 
 _FIELDS = {cls: operator.attrgetter(*cls.__slots__) for cls in _JETS}

@@ -52,10 +52,6 @@ class VanishingCurvatureError(GeometryError):
     """kappa ~ 0: principal normal, binormal and torsion are undefined."""
 
 
-class TorsionUnavailableError(GeometryError):
-    """Table-backed curves expose jets to order 2 only; torsion needs order 3."""
-
-
 def violation(ok, *values) -> tuple[float, ...] | None:
     """None when the check ``ok`` holds (at the point, or at every grid
     point); otherwise ``values`` as Python floats at the first point where
@@ -143,9 +139,6 @@ class SurfacePatch:
         return PatchJets(pick("value"), pick("du"), pick("dv"),
                          pick("duu"), pick("duv"), pick("dvv"))
 
-    def point(self, u: float, v: float) -> np.ndarray:
-        return self.jets(u, v).p
-
     def first_form(self, u: float, v: float) -> "FirstForm":
         return first_fundamental(self, u, v)
 
@@ -232,8 +225,6 @@ class CurveJets:
     v1: float
     u2: float
     v2: float
-    u3: float | None = None
-    v3: float | None = None
 
 
 @dataclass(frozen=True)
@@ -243,21 +234,17 @@ class ParamCurve:
     u: Expr
     v: Expr
 
-    supports_order3 = True
-
-    def jets(self, s, order: int = 2) -> CurveJets:
+    def jets(self, s) -> CurveJets:
         ju = eval_jet3(self.u, s)
         jv = eval_jet3(self.v, s)
-        if order >= 3:
-            return CurveJets(ju.value, jv.value, ju.d1, jv.d1, ju.d2, jv.d2, ju.d3, jv.d3)
         return CurveJets(ju.value, jv.value, ju.d1, jv.d1, ju.d2, jv.d2)
 
 
 @dataclass(frozen=True)
 class FrameData:
     """Frenet data; n, b, tau are None when undefined at the point (kappa ~
-    0) and NaN at such points of a grid; tau is None when not computed (a
-    table-backed curve cannot supply order-3 jets)."""
+    0) and NaN at such points of a grid; tau is None when not computed (on
+    request, or for a reparameterized curve, whose jets stop at order 2)."""
 
     beta: np.ndarray
     t: np.ndarray
@@ -381,12 +368,12 @@ def _composed_components(p: SurfacePatch, c: ParamCurve) -> tuple[Expr, Expr, Ex
     return (substitute(p.x, mapping), substitute(p.y, mapping), substitute(p.z, mapping))
 
 
-def frenet(p: SurfacePatch, c, s, with_torsion: bool | None = None) -> FrameData:
+def frenet(p: SurfacePatch, c, s, with_torsion: bool = True) -> FrameData:
     """Frenet data of a unit-speed curve on a patch.
 
-    ``with_torsion=None`` computes tau when the curve supplies order-3 jets
-    and leaves it None otherwise; ``True`` requires it (raising
-    :class:`TorsionUnavailableError` for table-backed curves).
+    The torsion reads the third derivative of beta from the patch composed
+    with an analytic curve (:class:`ParamCurve`).  It is None for any other
+    curve, and with ``with_torsion=False``.
     """
     cj = c.jets(s)
     pj, beta1, beta2 = beta_jets(p, cj)
@@ -403,13 +390,8 @@ def frenet(p: SurfacePatch, c, s, with_torsion: bool | None = None) -> FrameData
     n = beta2 / k
     b = cross(beta1, n)
 
-    if with_torsion is None:
-        with_torsion = getattr(c, "supports_order3", False)
     tau = None
-    if with_torsion:
-        if not getattr(c, "supports_order3", False):
-            raise TorsionUnavailableError(
-                "torsion needs order-3 jets; table-backed curves stop at order 2")
+    if with_torsion and isinstance(c, ParamCurve):
         beta3 = np.array([eval_jet3(comp, s).d3 for comp in _composed_components(p, c)])
         tau = dot(cross(beta1, beta2), beta3) / (k * k)
     return FrameData(pj.p, beta1, kappa, n, b, tau)

@@ -72,7 +72,6 @@ class CurveClass:
 
     verdict: str
     max_offending: float
-    s_grid: tuple[float, ...]
     satisfied: tuple[str, ...]
     component_maxima: dict[str, float]
 
@@ -99,23 +98,22 @@ def classify_curve(p: SurfacePatch, c, s_grid, tol: float = CLASSIFY_TOL) -> Cur
     The grid is evaluated at once.  Where the frame is undefined the verdict
     is "undefined", with the component maxima over the points before it.
     """
-    grid = tuple(float(s) for s in s_grid)
-    if not grid:
+    grid = np.asarray(s_grid, dtype=np.float64)
+    if not grid.size:
         raise ValueError("classification grid must be nonempty")
-    fr = frenet(p, c, np.array(grid), with_torsion=False)
+    fr = frenet(p, c, grid, with_torsion=False)
     defined = fr.kappa > CURVATURE_FLOOR
-    k = len(grid) if defined.all() else int(np.argmin(defined))
+    k = grid.size if defined.all() else int(np.argmin(defined))
     maxima = {name: float(np.max(np.abs(dot(fr.beta, axis)[:k]), initial=0.0))
               for name, axis in (("c_t", fr.t), ("c_n", fr.n), ("c_b", fr.b))}
-    if k < len(grid):
-        return CurveClass("undefined", float("nan"), grid, (), maxima)
+    if k < grid.size:
+        return CurveClass("undefined", float("nan"), (), maxima)
     satisfied = tuple(name for name in ("normal", "osculating", "rectifying")
                       if maxima[CLASS_COMPONENT[name]] < tol)
     if satisfied:
         verdict = satisfied[0]
-        return CurveClass(verdict, maxima[CLASS_COMPONENT[verdict]], grid,
-                          satisfied, maxima)
-    return CurveClass("generic", min(maxima.values()), grid, (), maxima)
+        return CurveClass(verdict, maxima[CLASS_COMPONENT[verdict]], satisfied, maxima)
+    return CurveClass("generic", min(maxima.values()), (), maxima)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +228,6 @@ def theorem3_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     nu_term = (st["nu"] / kappa) * (knt - z ** 4 * kn)
     eta_over_kappa = st["eta"] / kappa
     return {
-        "s": s,
         "zeta": z,
         "kappa_n_src": kn,
         "kappa_n_tgt": knt,
@@ -279,13 +276,9 @@ def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s,
              - z * z * dot(st["beta"], a * pj.pu + b * pj.pv))
     rhs_T = a * g1 + b * g2 + eta_over_kappa * delta * (a * cj.v1 - b * cj.u1)
     return {
-        "s": s,
         "zeta": z,
         "g1": g1,
         "g2": g2,
-        "delta_kn": delta,
-        "lhs_u": lhs_u,
-        "lhs_v": lhs_v,
         "lhs_T": lhs_T,
         "rhs_T": rhs_T,
         "r_u": abs(lhs_u - rhs_u),

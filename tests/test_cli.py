@@ -114,6 +114,42 @@ def test_validation_errors_name_offending_key(tmp_path, capsys, mutate, fragment
     assert fragment in capsys.readouterr().err
 
 
+def _reparam_curve(t_range):
+    return {"name": "raw", "reparameterize": True, "surface": "plane",
+            "u": "t", "v": "0", "t_range": t_range}
+
+
+@pytest.mark.parametrize("mutate, argv, fragment", [
+    (lambda d: d["curves"][0].update(s_range="ab"), [], "curves[0].s_range"),
+    (lambda d: d["curves"][0].update(s_range=[0.0]), [], "curves[0].s_range"),
+    (lambda d: d["curves"][0].update(s_range=[0.0, float("inf")]), [], "curves[0].s_range[1]"),
+    (lambda d: d["curves"].append(_reparam_curve("x")), [], "curves[1].t_range"),
+    (lambda d: d.update(tolerances={"forms": "tight"}), [], "tolerances.forms"),
+    (lambda d: d.update(tolerances={"forms": float("nan")}), [], "tolerances.forms"),
+    (lambda d: d.update(tolerances={"forms": float("inf")}), [], "tolerances.forms"),
+    (lambda d: d.update(grids={"surface": "8"}), [], "grids.surface"),
+    (lambda d: d.update(grids={"surface": 2.5}), [], "grids.surface"),
+    (lambda d: d.update(grids={"surface": 0, "curve": 0}), [], "grids.surface"),
+    (lambda d: d.update(grids={"curve": 0}), [], "grids.curve"),
+    (lambda d: d["surfaces"][0].update(domain=[[-1.5, float("inf")], [-1.5, 1.5]]), [],
+     "surfaces[0].domain"),
+    (lambda d: d["surfaces"][0].update(name=["plane"]), [], "surfaces[0].name"),
+    (lambda d: d["suites"][0].update(surface=["plane"]), [], "suites[0].surface"),
+    (lambda d: d["suites"].__setitem__(0, 7), [], "suites[0]"),
+    (lambda d: None, ["--tol", "nan"], "--tol"),
+    (lambda d: None, ["--tol", "inf"], "--tol"),
+])
+def test_malformed_values_are_scenario_errors(tmp_path, capsys, mutate, argv, fragment):
+    doc = copy.deepcopy(BASE_SCENARIO)
+    mutate(doc)
+    path = write_scenario(tmp_path, doc)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "r"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_invalid_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -77,6 +77,27 @@ def test_pair_checks_ambient_map_at_load():
                       ambient_map=(e3("x+1"), e3("y"), e3("z")))
 
 
+SAMPLE_BOX = ((0.0, 4.0), (0.0, 4.0))  # sample points at 1, 2, 3 on each axis
+
+
+def test_pair_names_first_nonpositive_dilation_sample():
+    # negative at (1, 3) and (3, 1): the u-major sweep meets (1, 3) first
+    with pytest.raises(ValueError, match=r"positive, got -0\.5 at \(1\.0, 3\.0\)$"):
+        ConformalPair(plane(SAMPLE_BOX), plane(SAMPLE_BOX), dilation=e2("(u-2)*(v-2)+0.5"))
+
+
+def test_pair_names_first_ambient_mismatch_sample():
+    with pytest.raises(AmbientMapError, match=r"by 1\.0 at \(2\.0, 1\.0\)$"):
+        ConformalPair(plane(SAMPLE_BOX), plane(SAMPLE_BOX),
+                      ambient_map=(e3("x"), e3("y"), e3("z+(x-1)*(y-2)")))
+
+
+def test_pair_ambient_map_needs_embedded_members():
+    with pytest.raises(AmbientMapError, match="requires embedded patches"):
+        ConformalPair(flat_metric(), plane(STEREO_BOX),
+                      ambient_map=(e3("x"), e3("y"), e3("z")))
+
+
 # -- dilation field -------------------------------------------------------------
 
 

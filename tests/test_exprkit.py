@@ -13,7 +13,6 @@ from confgeo.exprkit import (
     ExprSyntaxError,
     Unary,
     Var,
-    constant_fold,
     eval_grad3,
     eval_jet2,
     eval_jet3,
@@ -183,23 +182,6 @@ def test_roundtrip_through_pretty_printer(text):
         assert evaluate(e2, u, v) == a
 
 
-@settings(max_examples=60, deadline=None)
-@given(text=_exprs(3))
-def test_constant_fold_is_bitwise_equal(text):
-    e = parse_scalar_field(text, UV)
-    folded = constant_fold(e)
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        u, v = rng.uniform(-2, 2, 2)
-        try:
-            j = eval_jet2(e, u, v)
-        except (EvalDomainError, OverflowError):
-            continue
-        jf = eval_jet2(folded, u, v)
-        assert (j.value, j.du, j.dv, j.duu, j.duv, j.dvv) == \
-               (jf.value, jf.du, jf.dv, jf.duu, jf.duv, jf.dvv)
-
-
 @st.composite
 def _polynomials(draw):
     n = draw(st.integers(1, 4))
@@ -223,9 +205,3 @@ def test_polynomial_first_partials_match_fd(text, u, v):
     for idx, got in (((1, 0), j.du), ((0, 1), j.dv)):
         ref = fd_partial(e, (u, v), idx, step=1e-5)
         assert abs(ref - got) / max(1.0, abs(got)) < 1e-6
-
-
-def test_fold_keeps_variables_intact():
-    e = parse_scalar_field("(2*3)*u + sin(0.5)", UV)
-    folded = constant_fold(e)
-    assert to_text(folded) == f"((6.0*u)+{math.sin(0.5)!r})"
