@@ -1,8 +1,8 @@
 """Finite-difference oracle and numerical arc-length reparameterization.
 
 The finite differences here are deliberately independent of the jet
-evaluator: they see expressions only through plain float evaluation, which
-is what makes them usable as an anti-drift check on the jets.
+evaluator: they see expressions only through plain evaluation, which is
+what makes them usable as an anti-drift check on the jets.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprkit import Expr, eval_jet3, evaluate
-from .geometry import CurveJets, SurfacePatch, speed_from_form, sqrt, violation
+from .geometry import CurveJets, SurfacePatch, speed_from_form, violation
 
 QUAD_TOL = 1e-10
 ZERO_SPEED_FLOOR = 1e-12
@@ -95,24 +95,42 @@ def fd_partial(e: Expr, point, index, step: float | None = None) -> float:
 # Quadrature
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
-    """Adaptive Simpson quadrature with absolute per-panel tolerance."""
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+def adaptive_simpson(f, a, b, tol: float = QUAD_TOL) -> np.ndarray:
+    """Adaptive Simpson quadrature of ``f`` over the intervals [a, b] (arrays
+    broadcast to one shape), with absolute per-panel tolerance.
+
+    The panels are refined level by level: each depth evaluates ``f`` once,
+    on an array of the quarter points of every panel still open.  A panel
+    closes when its two halves agree with it, |S2 - S1| <= 15 tol, with tol
+    halved per depth and at most 50 depths; the closed panels are then
+    summed pairwise up the tree of splits, as a recursion would add them.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    fa, fm, fb = np.split(f(np.concatenate([a, 0.5 * (a + b), b])), 3)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth=50)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    half = 0.5 * tol
-    return (_simpson_rec(f, a, m, fa, flm, fm, left, half, depth - 1)
-            + _simpson_rec(f, m, b, fm, frm, fb, right, half, depth - 1))
+    levels = []  # per depth: the sum of each closed panel, and which are split
+    for depth in range(50, -1, -1):
+        m = 0.5 * (a + b)
+        flm, frm = np.split(f(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        gap = left + right - whole
+        split = (np.abs(gap) > 15.0 * tol) & (depth > 0)
+        levels.append((left + right + gap / 15.0, split))
+        if not split.any():
+            break
+        # the two halves of each split panel, side by side
+        halves = [np.column_stack([x[split], y[split]]).ravel() for x, y in
+                  ((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right))]
+        a, b, fa, fm, fb, whole = halves
+        tol *= 0.5
+    total = levels.pop()[0]
+    for sums, split in reversed(levels):
+        sums[split] = total[0::2] + total[1::2]
+        total = sums
+    return total.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +167,9 @@ class UnitSpeedCurve:
     fixed-order Gauss-Legendre rule that built the table, and exact
     raw-curve jets are pushed through the inverse chain rule.  The
     unit-speed invariant therefore holds to quadrature accuracy, well
-    inside the 1e-6 reparameterization tolerance.  ``s`` is a float (one
-    point) or an array (an s-grid, all points solved at once).  Jets stop
-    at order 2, so :func:`geometry.frenet` gives no torsion here.
+    inside the 1e-6 reparameterization tolerance.  ``s`` is an s-grid, all
+    points solved at once (a float is a grid of one).  Jets stop at order
+    2, so :func:`geometry.frenet` gives no torsion here.
     """
 
     patch: SurfacePatch
@@ -191,7 +209,7 @@ class UnitSpeedCurve:
                     f"after {NEWTON_STEPS} Newton steps")
             todo = todo[keep]
             t[todo] = np.clip(t[todo] - g[keep] / speed[keep], self.t0, self.t1)
-        return t if np.ndim(s) else float(t[0])
+        return t.reshape(np.shape(s))
 
     # -- curve protocol --------------------------------------------------------
 
@@ -201,7 +219,7 @@ class UnitSpeedCurve:
         m = self.patch.first_form(ju.value, jv.value)
         u1, v1, u2, v2 = ju.d1, jv.d1, ju.d2, jv.d2
         q = m.E * u1 * u1 + 2.0 * m.F * u1 * v1 + m.G * v1 * v1
-        w = sqrt(q)
+        w = np.sqrt(q)
         dq = ((m.E_u * u1 + m.E_v * v1) * u1 * u1 + 2.0 * m.E * u1 * u2
               + 2.0 * (m.F_u * u1 + m.F_v * v1) * u1 * v1 + 2.0 * m.F * (u2 * v1 + u1 * v2)
               + (m.G_u * u1 + m.G_v * v1) * v1 * v1 + 2.0 * m.G * v1 * v2)
@@ -231,15 +249,11 @@ def reparameterize_arclength(patch: SurfacePatch, curve: tuple[Expr, Expr],
     if n < 16:
         raise ValueError("need n >= 16 samples")
     u_raw, v_raw = curve
-
-    def speed(t: float) -> float:
-        return _curve_speed(patch, u_raw, v_raw, t)
-
     t_samples = np.linspace(t0, t1, n + 1)
     for _ in range(REFINE_ROUNDS):
         a, b = t_samples[:-1], t_samples[1:]
         increments = _gauss_lengths(patch, u_raw, v_raw, a, b)[0]
-        simpson = [adaptive_simpson(speed, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        simpson = adaptive_simpson(lambda t: _curve_speed(patch, u_raw, v_raw, t), a, b)
         missed = np.abs(increments - simpson) > QUAD_TOL
         if not missed.any():
             break

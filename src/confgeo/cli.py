@@ -96,6 +96,15 @@ def _finite(raw, where: str) -> float:
     raise ScenarioError(f"{where}: expected a finite number, got {raw!r}")
 
 
+def _section(doc: dict, key: str, kind: type):
+    """A top-level section: a JSON list or object, empty when absent."""
+    raw = doc.get(key, kind())
+    if type(raw) is not kind:
+        expected = "a list" if kind is list else "an object"
+        raise ScenarioError(f"{key}: expected {expected}, got {raw!r}")
+    return raw
+
+
 def _range(entry: dict, key: str, where: str) -> tuple[float, float]:
     raw = _need(entry, key, where)
     if not (isinstance(raw, list) and len(raw) == 2):
@@ -144,7 +153,7 @@ def load_scenario(path: Path) -> Scenario:
             raise ScenarioError(f"{where}.name: duplicate name '{name}'")
         return name
 
-    for i, entry in enumerate(doc.get("surfaces", [])):
+    for i, entry in enumerate(_section(doc, "surfaces", list)):
         where = f"surfaces[{i}]"
         name = fresh_name(entry, where, sc.surfaces)
         kind = entry.get("kind", "patch")
@@ -160,7 +169,7 @@ def load_scenario(path: Path) -> Scenario:
         else:
             raise ScenarioError(f"{where}.kind: expected 'patch' or 'metric', got '{kind}'")
 
-    for i, entry in enumerate(doc.get("curves", [])):
+    for i, entry in enumerate(_section(doc, "curves", list)):
         where = f"curves[{i}]"
         name = fresh_name(entry, where, sc.curves)
         if entry.get("reparameterize", False):
@@ -173,9 +182,12 @@ def load_scenario(path: Path) -> Scenario:
             t0, t1 = _range(entry, "t_range", where)
             u_raw = _parse_field(_need(entry, "u", where), ("t",), f"{where}.u")
             v_raw = _parse_field(_need(entry, "v", where), ("t",), f"{where}.v")
+            samples = entry.get("samples", 32)
+            if type(samples) is not int:
+                raise ScenarioError(f"{where}.samples: expected an integer, got {samples!r}")
             try:
                 curve = calculus.reparameterize_arclength(
-                    patch, (u_raw, v_raw), t0, t1, int(entry.get("samples", 32)))
+                    patch, (u_raw, v_raw), t0, t1, samples)
             except (calculus.CalculusError, ValueError) as err:
                 raise ScenarioError(f"{where}: {err}") from None
             sc.curves[name] = curve
@@ -187,7 +199,7 @@ def load_scenario(path: Path) -> Scenario:
             sc.curve_ranges[name] = _range(entry, "s_range", where)
 
     sc.tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in doc.get("tolerances", {}).items():
+    for key, val in _section(doc, "tolerances", dict).items():
         if key not in SUITE_NAMES and key != "conformality":
             raise ScenarioError(f"tolerances.{key}: unknown suite name")
         val = _finite(val, f"tolerances.{key}")
@@ -195,7 +207,7 @@ def load_scenario(path: Path) -> Scenario:
             raise ScenarioError(f"tolerances.{key}: tolerance must be positive, got {val}")
         sc.tolerances[key] = val
 
-    for i, entry in enumerate(doc.get("pairs", [])):
+    for i, entry in enumerate(_section(doc, "pairs", list)):
         where = f"pairs[{i}]"
         name = fresh_name(entry, where, sc.pairs)
         members = []
@@ -221,7 +233,7 @@ def load_scenario(path: Path) -> Scenario:
         except (ValueError, conformal.ConformalError, geometry.GeometryError, ExprError) as err:
             raise ScenarioError(f"{where}: {err}") from None
 
-    for i, entry in enumerate(doc.get("profiles", [])):
+    for i, entry in enumerate(_section(doc, "profiles", list)):
         where = f"profiles[{i}]"
         name = fresh_name(entry, where, sc.profiles)
         sc.profiles[name] = (
@@ -229,7 +241,7 @@ def load_scenario(path: Path) -> Scenario:
             _parse_field(_need(entry, "eta", where), ("s",), f"{where}.eta"),
         )
 
-    suites = doc.get("suites", [])
+    suites = _section(doc, "suites", list)
     if not suites:
         raise ScenarioError("suites: scenario declares no suites")
     for i, entry in enumerate(suites):
@@ -248,7 +260,7 @@ def load_scenario(path: Path) -> Scenario:
         sc.suites.append(dict(entry))
 
     sc.grids = {"surface": 8, "curve": 10, "mode": "uniform"}
-    for key, val in doc.get("grids", {}).items():
+    for key, val in _section(doc, "grids", dict).items():
         if key not in sc.grids:
             raise ScenarioError(f"grids.{key}: unknown grid key")
         if key != "mode" and not (type(val) is int and val >= 1):

@@ -6,10 +6,10 @@ metric ratio; a declared dilation expression is cross-checked against the
 estimate and, when present, supplies exact derivatives.
 
 The dilation, the Christoffel shift and the pushforward take ``u, v`` as
-floats (one point) or as arrays (a grid of points, evaluated at once), and
-the curve residuals take ``s`` the same way.  A caller that already holds
-``pair.forms(u, v)`` passes it as ``forms`` so that the source and target
-forms are computed once.
+arrays (a grid of points, evaluated at once; floats are a grid of one),
+and the curve residuals take ``s`` the same way.  A caller that already
+holds ``pair.forms(u, v)`` passes it as ``forms`` so that the source and
+target forms are computed once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .geometry import (
     require_unit_speed,
     second_fundamental,
     speed_from_form,
-    sqrt,
     violation,
 )
 
@@ -67,10 +66,6 @@ def _is_patch(member) -> bool:
 
 def _position(patch: SurfacePatch, u, v) -> np.ndarray:
     return np.array([evaluate(c, u, v) for c in (patch.x, patch.y, patch.z)])
-
-
-def _at_least_one(x):
-    return np.maximum(1.0, x) if isinstance(x, np.ndarray) else max(1.0, x)
 
 
 @dataclass(frozen=True)
@@ -140,8 +135,8 @@ def dilation_field(pair: ConformalPair, u, v,
     if bad is not None:
         raise NonConformalError(
             f"metric ratio E~/E = {bad[2]} not positive at ({bad[0]}, {bad[1]})")
-    zeta = sqrt(z2)
-    scale = _at_least_one(abs(mt.E))
+    zeta = np.sqrt(z2)
+    scale = np.maximum(1.0, abs(mt.E))
     residuals = (
         abs(z2 * m.E - mt.E) / scale,
         abs(z2 * m.F - mt.F) / scale,
@@ -155,7 +150,7 @@ def dilation_field(pair: ConformalPair, u, v,
             f"(E, F, G) = {bad[2:]}", bad[2:])
     if pair.dilation is not None:
         declared = evaluate(pair.dilation, u, v)
-        bad = violation(abs(declared - zeta) <= tol * _at_least_one(abs(zeta)),
+        bad = violation(abs(declared - zeta) <= tol * np.maximum(1.0, abs(zeta)),
                         u, v, declared, zeta)
         if bad is not None:
             raise NonConformalError(
@@ -301,8 +296,8 @@ def g_functions(m: FirstForm, zeta_jet: Jet2, cj: CurveJets,
 
 @dataclass(frozen=True)
 class DeviationReport:
-    """Record of the geodesic-curvature deviation identity at one s or over
-    an s-grid (each number is then an array).
+    """Record of the geodesic-curvature deviation identity over an s-grid
+    (each number is an array, 0-d at one s).
 
     ``i20_residuals`` holds |kg~(i) - zeta^2 kg(j) - f| keyed by
     "<target weight>/<source weight>"; ``passing`` lists the pairings below

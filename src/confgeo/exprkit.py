@@ -6,17 +6,15 @@ unary minus, and the binary operators + - * / ^ (exponent restricted to
 constant sub-expressions).  Trees are immutable after parse and evaluation
 is pure, so expressions can be shared freely across threads.
 
-``eval_jet2``, ``eval_jet3``, ``eval_grad3`` and ``evaluate`` take floats
-(one point) or float64 arrays (a grid of points, evaluated in one tree
-walk, as in vector forward mode).  One jet arithmetic serves both:
-constant subtrees stay floats and broadcast, and only the elementary
-functions and the domain checks pick ``math`` or ``numpy`` by the type of
-their argument.
+``eval_jet2``, ``eval_jet3``, ``eval_grad3`` and ``evaluate`` take float64
+arrays (a grid of points, evaluated in one tree walk, as in vector forward
+mode).  There is one numeric path, numpy's: a point is a grid of one
+(floats enter as 0-d arrays), and constants are ``np.float64`` scalars
+that broadcast, so numpy's floating-point checks see every operation.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Union
@@ -135,9 +133,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                         j += 1
             lit = text[i:j]
             try:
-                float(lit)
+                value = float(lit)
             except ValueError:
                 raise ExprSyntaxError(f"bad number literal '{lit}'", i) from None
+            if not np.isfinite(value):
+                raise ExprSyntaxError(f"number literal '{lit}' overflows", i)
             tokens.append(("num", lit, i))
             i = j
             continue
@@ -307,28 +307,15 @@ class _JetDomain(Exception):
     """Internal: domain violation inside a jet operation (no node context)."""
 
 
-def _xp(x):
-    # The module that computes elementary functions of x: math for a float,
-    # numpy for an array of grid values.
-    return np if isinstance(x, np.ndarray) else math
-
-
-def _any(flags) -> bool:
-    # True if a check flags the point (a bool) or any grid point (an array).
-    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
-
-
 def _powf(base, expo: float):
     # base**expo with Taylor-friendly conventions: 0^0 == 1.
     if expo == 0.0:
         return 1.0
-    if expo < 0.0 and _any(base == 0.0):
+    if expo < 0.0 and np.any(base == 0.0):
         raise _JetDomain("zero base raised to a negative power")
-    if expo != round(expo) and _any(base < 0.0):
+    if expo != round(expo) and np.any(base < 0.0):
         raise _JetDomain("negative base raised to a non-integer power")
-    if isinstance(base, np.ndarray):
-        return np.power(base, expo)
-    return 0.0 if base == 0.0 else base ** expo
+    return np.power(base, expo)
 
 
 def _pow_coeffs(v, p: float, order: int) -> list:
@@ -340,7 +327,7 @@ def _pow_coeffs(v, p: float, order: int) -> list:
     for k in range(order + 1):
         if coef == 0.0:
             out.append(0.0)
-        elif k and p - k < 0.0 and _any(v == 0.0):
+        elif k and p - k < 0.0 and np.any(v == 0.0):
             raise _JetDomain(f"derivative of order {k} is infinite at a zero base")
         else:
             out.append(coef * _powf(v, p - k))
@@ -350,37 +337,36 @@ def _pow_coeffs(v, p: float, order: int) -> list:
 
 def _fn_coeffs(name: str, v) -> tuple:
     # (f, f', f'', f''') of the named unary function at v.
-    xp = _xp(v)
     if name == "sin":
-        s, c = xp.sin(v), xp.cos(v)
+        s, c = np.sin(v), np.cos(v)
         return s, c, -s, -c
     if name == "cos":
-        s, c = xp.sin(v), xp.cos(v)
+        s, c = np.sin(v), np.cos(v)
         return c, -s, -c, s
     if name == "tan":
-        t = xp.tan(v)
+        t = np.tan(v)
         d = 1.0 + t * t
         return t, d, 2.0 * t * d, (2.0 + 6.0 * t * t) * d
     if name == "exp":
-        ev = xp.exp(v)
+        ev = np.exp(v)
         return ev, ev, ev, ev
     if name == "log":
-        if _any(v <= 0.0):
+        if np.any(v <= 0.0):
             raise _JetDomain("log of a non-positive value")
-        return xp.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)
+        return np.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)
     if name == "sqrt":
-        if _any(v <= 0.0):
+        if np.any(v <= 0.0):
             raise _JetDomain("sqrt of a non-positive value")
-        r = xp.sqrt(v)
+        r = np.sqrt(v)
         return r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)
     if name == "sinh":
-        return xp.sinh(v), xp.cosh(v), xp.sinh(v), xp.cosh(v)
+        return np.sinh(v), np.cosh(v), np.sinh(v), np.cosh(v)
     if name == "cosh":
-        return xp.cosh(v), xp.sinh(v), xp.cosh(v), xp.sinh(v)
+        return np.cosh(v), np.sinh(v), np.cosh(v), np.sinh(v)
     if name == "tanh":
-        t = xp.tanh(v)
+        t = np.tanh(v)
         # sech^2 from exp(-2|v|): 1 - t*t cancels to nothing as |t| -> 1
-        ev = xp.exp(-2.0 * abs(v))
+        ev = np.exp(-2.0 * abs(v))
         d = 4.0 * ev / ((1.0 + ev) * (1.0 + ev))
         return t, d, -2.0 * t * d, (6.0 * t * t - 2.0) * d
     raise ValueError(f"no such function '{name}'")
@@ -388,7 +374,7 @@ def _fn_coeffs(name: str, v) -> tuple:
 
 class Jet2:
     """Value and exact partial derivatives to order 2 in two variables;
-    each field is a float (one point) or an array (a grid of points)."""
+    each field holds the grid's values (0-d at a point)."""
 
     __slots__ = ("value", "du", "dv", "duu", "duv", "dvv")
 
@@ -426,7 +412,7 @@ class Jet2:
         )
 
     def __truediv__(self, o):
-        if _any(o.value == 0.0):
+        if np.any(o.value == 0.0):
             raise _JetDomain("division by zero")
         q = self.value / o.value
         qu = (self.du - q * o.du) / o.value
@@ -455,8 +441,8 @@ class Jet2:
 
 
 class Jet3:
-    """Value and exact derivatives to order 3 in one variable; each field is
-    a float (one point) or an array (a grid of points)."""
+    """Value and exact derivatives to order 3 in one variable; each field
+    holds the grid's values (0-d at a point)."""
 
     __slots__ = ("value", "d1", "d2", "d3")
 
@@ -487,7 +473,7 @@ class Jet3:
         )
 
     def __truediv__(self, o):
-        if _any(o.value == 0.0):
+        if np.any(o.value == 0.0):
             raise _JetDomain("division by zero")
         q = self.value / o.value
         q1 = (self.d1 - q * o.d1) / o.value
@@ -513,7 +499,7 @@ class Jet3:
 
 class Grad3:
     """Value and first partials in three variables (ambient-map Jacobians);
-    each field is a float (one point) or an array (a grid of points)."""
+    each field holds the grid's values (0-d at a point)."""
 
     __slots__ = ("value", "gx", "gy", "gz")
 
@@ -541,7 +527,7 @@ class Grad3:
         )
 
     def __truediv__(self, o):
-        if _any(o.value == 0.0):
+        if np.any(o.value == 0.0):
             raise _JetDomain("division by zero")
         q = self.value / o.value
         return Grad3(
@@ -565,40 +551,32 @@ class Grad3:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-# What an elementary operation can raise: a domain check, an overflow (from
-# math, or from numpy under the errstate of ``_evaluate``), a division by a value
-# that underflowed to zero, or math's domain error on an infinite argument.
-_OP_ERRORS = (_JetDomain, ArithmeticError, ValueError)
+# What an elementary operation can raise: a domain check, or numpy's
+# overflow, invalid-value or divide-by-zero error under the errstate of
+# ``_evaluate``.
+_OP_ERRORS = (_JetDomain, ArithmeticError)
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _require_finite(out):
-    # Python float arithmetic overflows to inf without raising, where numpy
-    # raises under the errstate of ``_evaluate``.  A float value means float
-    # fields (one point, or a constant subtree of a grid): those are checked.
-    if type(getattr(out, "value", out)) is float and not all(map(math.isfinite, _fields(out))):
-        raise _JetDomain("overflow")
-    return out
-
-
 def _domain_error(err: Exception, node: Node) -> EvalDomainError:
-    reason = "overflow" if isinstance(err, OverflowError) else str(err)
-    return EvalDomainError(reason, to_text(node))
+    # numpy says "overflow encountered in exp" of an array and "... in scalar
+    # multiply" of a scalar: the reason is what was encountered
+    return EvalDomainError(str(err).split(" encountered")[0], to_text(node))
 
 
 def _eval_jet(node: Node, env: dict, const):
     if isinstance(node, Const):
-        return const(node.value)
+        return const(np.float64(node.value))
     if isinstance(node, Var):
         return env[node.name]
     try:
         if isinstance(node, Unary):
             a = _eval_jet(node.arg, env, const)
-            return -a if node.op == "neg" else _require_finite(a.apply(node.op))
+            return -a if node.op == "neg" else a.apply(node.op)
         left = _eval_jet(node.left, env, const)
         if node.op == "^":
-            return _require_finite(left.pow_const(_eval_float(node.right, {})))
-        return _require_finite(_ARITHMETIC[node.op](left, _eval_jet(node.right, env, const)))
+            return left.pow_const(float(_eval_value(node.right, {})))
+        return _ARITHMETIC[node.op](left, _eval_jet(node.right, env, const))
     except _OP_ERRORS as err:
         raise _domain_error(err, node) from None
 
@@ -606,80 +584,68 @@ def _eval_jet(node: Node, env: dict, const):
 _JETS = (Jet2, Jet3, Grad3)
 
 
-def _eval_float(node: Node, env: dict):
+def _eval_value(node: Node, env: dict):
     if isinstance(node, Const):
-        return node.value
+        return np.float64(node.value)
     if isinstance(node, Var):
         return env[node.name]
     try:
         if isinstance(node, Unary):
-            a = _eval_float(node.arg, env)
+            a = _eval_value(node.arg, env)
             return -a if node.op == "neg" else _fn_coeffs(node.op, a)[0]
-        a, b = _eval_float(node.left, env), _eval_float(node.right, env)
+        a, b = _eval_value(node.left, env), _eval_value(node.right, env)
         if node.op == "^":
-            return _require_finite(_powf(a, b))
-        if node.op == "/" and _any(b == 0.0):
+            return _powf(a, b)
+        if node.op == "/" and np.any(b == 0.0):
             raise _JetDomain("division by zero")
-        return _require_finite(_ARITHMETIC[node.op](a, b))
+        return _ARITHMETIC[node.op](a, b)
     except _OP_ERRORS as err:
         raise _domain_error(err, node) from None
 
 
-_FIELDS = {cls: operator.attrgetter(*cls.__slots__) for cls in _JETS}
-
-
-def _fields(out) -> tuple:
-    return _FIELDS[type(out)](out) if type(out) in _FIELDS else (out,)
-
-
 def _evaluate(values, walk):
-    """``walk(values)`` at one point (floats) or over a grid (arrays).
+    """``walk`` over the grid of ``values``: float64 arrays broadcast to one
+    shape, 0-d at a point.
 
-    On a grid the walk runs once with float64 arrays broadcast to one
-    shape.  numpy overflow, invalid and divide-by-zero results raise there,
-    so they name their node instead of passing inf or NaN on, and constant
-    fields of the result are filled out to full arrays.  Either way an
-    :class:`EvalDomainError` names the (first) point where evaluation fails.
+    numpy overflow, invalid and divide-by-zero results raise, so they name
+    their node instead of passing inf or NaN on, and an
+    :class:`EvalDomainError` names the first grid point where evaluation
+    fails.  Constant fields of the result are filled out to the grid.
     """
-    if not any(isinstance(x, np.ndarray) for x in values):
-        point = [float(x) for x in values]
-        try:
-            return walk(point)
-        except EvalDomainError as err:
-            raise EvalDomainError(err.reason, err.node_text, tuple(point)) from None
     grid = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in values))
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
             out = walk(grid)
-    except EvalDomainError as err:
-        raise _locate(err, grid, walk) from None
+        except EvalDomainError as err:
+            raise _locate(err, grid, walk) from None
+    # constant fields are filled out to the grid; at a point every field
+    # becomes a 0-d array, whose ``**`` rounds as the array power does (a
+    # numpy scalar's may not)
     shape = grid[0].shape
     if not isinstance(out, _JETS):
-        return out if np.shape(out) == shape else np.full(shape, out)
+        return out if shape and np.shape(out) == shape else np.full(shape, out)
     for name in out.__slots__:
         x = getattr(out, name)
-        if np.shape(x) != shape:
+        if not shape or np.shape(x) != shape:
             setattr(out, name, np.full(shape, x))
     return out
 
 
 def _locate(err: EvalDomainError, grid: list, walk) -> EvalDomainError:
-    """The error of a failed grid evaluation, at the first grid point where
-    evaluating point by point fails: the error raised there, or ``err`` at
-    the first point whose result is not finite."""
+    """The error of a failed grid evaluation at the first grid point that
+    fails alone (a point gets the bits it gets in the grid, so some point
+    does)."""
     for point in zip(*(a.ravel().tolist() for a in grid)):
         try:
-            out = walk(list(point))
+            walk([np.asarray(x) for x in point])
         except EvalDomainError as at_point:
             return EvalDomainError(at_point.reason, at_point.node_text, point)
-        if not all(math.isfinite(x) for x in _fields(out)):
-            return EvalDomainError(err.reason, err.node_text, point)
     return err
 
 
 def eval_jet2(e: Expr, u, v) -> Jet2:
-    """Evaluate a two-variable expression with exact partials to order 2,
-    at one point (floats) or over a grid (arrays).
+    """Evaluate a two-variable expression with exact partials to order 2
+    over a grid (arrays, or floats for a grid of one).
 
     The first declared variable is seeded as the 'u' direction and the
     second as 'v'; no truncation error beyond floating point.
@@ -692,8 +658,8 @@ def eval_jet2(e: Expr, u, v) -> Jet2:
 
 
 def eval_jet3(e: Expr, s) -> Jet3:
-    """Evaluate a one-variable expression with exact derivatives to order 3,
-    at one point (a float) or over a grid (an array)."""
+    """Evaluate a one-variable expression with exact derivatives to order 3
+    over a grid (an array, or a float for a grid of one)."""
     if len(e.variables) != 1:
         raise ExprError(f"eval_jet3 needs a one-variable expression, got {e.variables}")
     name = e.variables[0]
@@ -701,8 +667,8 @@ def eval_jet3(e: Expr, s) -> Jet3:
 
 
 def eval_grad3(e: Expr, x, y, z) -> Grad3:
-    """Evaluate a three-variable expression with exact first partials, at
-    one point (floats) or over a grid (arrays)."""
+    """Evaluate a three-variable expression with exact first partials over
+    a grid (arrays, or floats for a grid of one)."""
     if len(e.variables) != 3:
         raise ExprError(f"eval_grad3 needs a three-variable expression, got {e.variables}")
     n0, n1, n2 = e.variables
@@ -712,8 +678,8 @@ def eval_grad3(e: Expr, x, y, z) -> Grad3:
 
 
 def evaluate(e: Expr, *values):
-    """Plain evaluation, binding declared variables positionally, at one
-    point (floats) or over a grid (arrays)."""
+    """Plain evaluation, binding declared variables positionally, over a
+    grid (arrays, or floats for a grid of one)."""
     if len(values) != len(e.variables):
         raise ExprError(f"expected {len(e.variables)} values for {e.variables}")
-    return _evaluate(values, lambda p: _eval_float(e.root, dict(zip(e.variables, p))))
+    return _evaluate(values, lambda p: _eval_value(e.root, dict(zip(e.variables, p))))

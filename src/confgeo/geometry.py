@@ -10,15 +10,15 @@ everywhere; every signed quantity (second-form coefficients, normal
 curvature) inherits it.
 
 Patch jets, the fundamental forms and the Christoffel symbols take
-``u, v`` as floats (one point) or as arrays (a grid of points, evaluated
-at once); curve jets and Frenet data take ``s`` the same way.  On a grid,
-vectors are ``(3, n)`` arrays and every check that fails names the first
-offending grid point.
+``u, v`` as arrays (a grid of points, evaluated at once); curve jets and
+Frenet data take ``s`` the same way.  There is one numpy path: a point is
+a grid of one, given as floats, whose values come out 0-d.  Vectors are
+``(3, n)`` arrays (``(3,)`` at a point), and every check that fails names
+the first offending grid point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,15 +53,13 @@ class VanishingCurvatureError(GeometryError):
 
 
 def violation(ok, *values) -> tuple[float, ...] | None:
-    """None when the check ``ok`` holds (at the point, or at every grid
-    point); otherwise ``values`` as Python floats at the first point where
-    it fails, for the error message."""
-    if isinstance(ok, np.ndarray):
-        if ok.all():
-            return None
-        i = int(np.argmin(ok))
-        return tuple(float(x[i]) if np.ndim(x) else float(x) for x in values)
-    return None if ok else tuple(float(x) for x in values)
+    """None when the check ``ok`` holds at every grid point; otherwise
+    ``values`` as Python floats at the first point where it fails, for the
+    error message (numpy 2 would spell a scalar ``np.float64(0.5)``)."""
+    if np.all(ok):
+        return None
+    i = int(np.argmin(ok))
+    return tuple(float(x[i]) if np.ndim(x) else float(x) for x in values)
 
 
 def require_unit_speed(speed, s) -> None:
@@ -82,28 +80,22 @@ def _require_in_box(domain: Box, u, v) -> None:
         raise GeometryError(f"point ({bad[0]}, {bad[1]}) outside domain box {domain}")
 
 
-def sqrt(x):
-    """Square root of a float, or of each value of a grid array."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over axis 0, as :func:`dot`."""
     return np.cross(a, b, axis=0)
 
 
 def dot(a: np.ndarray, b: np.ndarray):
-    """Dot product over axis 0: a float for 3-vectors, an array for (3, n)
-    stacks of them.  Both add the products in the same order, so a point
-    of a grid gets the bits it gets alone."""
+    """Dot product over axis 0, of 3-vectors or of (3, n) stacks of them.
+    Both add the products in the same order, so a point of a grid gets the
+    bits it gets alone."""
     p = a * b
-    d = p[0] + p[1] + p[2]
-    return float(d) if a.ndim == 1 else d
+    return p[0] + p[1] + p[2]
 
 
 def norm(a: np.ndarray):
     """Euclidean length over axis 0, as :func:`dot`."""
-    return sqrt(dot(a, a))
+    return np.sqrt(dot(a, a))
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +104,8 @@ def norm(a: np.ndarray):
 
 @dataclass
 class PatchJets:
-    """Position and partial derivatives of an embedded patch: 3-vectors at
-    one point, (3, n) arrays over a grid."""
+    """Position and partial derivatives of an embedded patch: (3, n) arrays
+    over a grid, 3-vectors at a point."""
 
     p: np.ndarray
     pu: np.ndarray
@@ -167,7 +159,7 @@ class AbstractMetric:
         bad = violation(disc > METRIC_FLOOR, u, v, disc)
         if bad is not None:
             raise RegularityError(f"EG - F^2 = {bad[2]} below floor at ({bad[0]}, {bad[1]})")
-        return FirstForm(je.value, jf.value, jg.value, sqrt(disc),
+        return FirstForm(je.value, jf.value, jg.value, np.sqrt(disc),
                          je.du, je.dv, jf.du, jf.dv, jg.du, jg.dv)
 
 
@@ -177,8 +169,8 @@ class AbstractMetric:
 
 @dataclass(frozen=True)
 class FirstForm:
-    """E, F, G with their first partials and W = sqrt(EG - F^2); floats at
-    one point, arrays over a grid."""
+    """E, F, G with their first partials and W = sqrt(EG - F^2), each over
+    the grid (0-d at a point)."""
 
     E: float
     F: float
@@ -216,8 +208,8 @@ class ChristoffelSet:
 
 @dataclass(frozen=True)
 class CurveJets:
-    """Parameter values and s-derivatives of a surface curve: floats at one
-    s, arrays over an s-grid."""
+    """Parameter values and s-derivatives of a surface curve, each over the
+    s-grid (0-d at a point)."""
 
     u: float
     v: float
@@ -242,15 +234,15 @@ class ParamCurve:
 
 @dataclass(frozen=True)
 class FrameData:
-    """Frenet data; n, b, tau are None when undefined at the point (kappa ~
-    0) and NaN at such points of a grid; tau is None when not computed (on
-    request, or for a reparameterized curve, whose jets stop at order 2)."""
+    """Frenet data; n, b, tau are NaN at the points where they are undefined
+    (kappa ~ 0); tau is None when not computed (on request, or for a
+    reparameterized curve, whose jets stop at order 2)."""
 
     beta: np.ndarray
     t: np.ndarray
     kappa: float
-    n: np.ndarray | None
-    b: np.ndarray | None
+    n: np.ndarray
+    b: np.ndarray
     tau: float | None
 
 
@@ -259,7 +251,7 @@ class FrameData:
 
 
 def _require_finite(what: str, u, v, *values) -> None:
-    # values: floats at one point, or grid arrays of one shape
+    # values: grid arrays of one shape
     bad = violation(np.isfinite(values).all(axis=0), u, v)
     if bad is not None:
         raise GeometryError(f"{what} is not finite at ({bad[0]}, {bad[1]})")
@@ -287,7 +279,7 @@ def first_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> Fir
     bad = violation(disc > REGULARITY_FLOOR ** 2, u, v, disc)
     if bad is not None:
         raise RegularityError(f"degenerate patch at ({bad[0]}, {bad[1]}): EG - F^2 = {bad[2]}")
-    return FirstForm(E, F, G, sqrt(disc), **partials)
+    return FirstForm(E, F, G, np.sqrt(disc), **partials)
 
 
 def second_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> SecondForm:
@@ -348,9 +340,7 @@ def normal_curvature_form(sf: SecondForm, u1, v1):
 def speed_from_form(m: FirstForm, u1, v1):
     """|beta'| from the first form; 0 where the quadratic form is not positive."""
     q = m.E * u1 * u1 + 2.0 * m.F * u1 * v1 + m.G * v1 * v1
-    if isinstance(q, np.ndarray):
-        return np.sqrt(np.maximum(q, 0.0))
-    return math.sqrt(q) if q > 0.0 else 0.0
+    return np.sqrt(np.maximum(q, 0.0))
 
 
 def beta_jets(p: SurfacePatch, cj: CurveJets) -> tuple[PatchJets, np.ndarray, np.ndarray]:
@@ -379,14 +369,8 @@ def frenet(p: SurfacePatch, c, s, with_torsion: bool = True) -> FrameData:
     pj, beta1, beta2 = beta_jets(p, cj)
     require_unit_speed(norm(beta1), s)
     kappa = norm(beta2)
-    if isinstance(kappa, np.ndarray):
-        # NaN propagates through n, b and tau at the points where they are undefined
-        k = np.where(kappa <= CURVATURE_FLOOR, np.nan, kappa)
-    elif kappa <= CURVATURE_FLOOR:
-        return FrameData(pj.p, beta1, kappa, None, None, None)
-    else:
-        k = kappa
-
+    # NaN propagates through n, b and tau at the points where they are undefined
+    k = np.where(kappa <= CURVATURE_FLOOR, np.nan, kappa)
     n = beta2 / k
     b = cross(beta1, n)
 
@@ -437,12 +421,8 @@ def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets | None = N
         Psi_uv.Psi_u = E_v/2        Psi_uv.Psi_v = G_u/2
         Psi_vv.Psi_u = F_v - G_u/2  Psi_vv.Psi_v = G_v/2
 
-    A point is evaluated as a grid of one, so it gets the bits it gets in a
-    grid (the 1/2h stencil would blow numpy's and the C library's ulp
-    differences in elementary functions up to about 1e-11).
+    A point is a grid of one, so it gets the bits it gets in a grid.
     """
-    point = np.ndim(u) == 0
-    u, v = (np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (u, v))
     pj = p.jets(u, v) if pj is None else pj
     h = 1e-5
     shifted = [p.jets(uu, vv) for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h))]
@@ -455,4 +435,4 @@ def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets | None = N
         rhs = [E_u / 2.0, F_u - E_v / 2.0, E_v / 2.0, G_u / 2.0, F_v - G_u / 2.0, G_v / 2.0]
         res = abs(np.column_stack(lhs) - np.column_stack(rhs))
     _require_finite("metric-derivative residual", u, v, *res.T)
-    return tuple(res[0].tolist()) if point else res
+    return tuple(res[0].tolist()) if np.ndim(u) == 0 else res

@@ -83,8 +83,8 @@ def _require_curved(kappa, s) -> None:
 
 
 def frame_decompose(p: SurfacePatch, c, s) -> FrameDecomposition:
-    """Dot the position vector into the Frenet frame at s (a float or an
-    s-grid array)."""
+    """Dot the position vector into the Frenet frame over an s-grid (a
+    float is a grid of one)."""
     fr = frenet(p, c, s, with_torsion=False)
     _require_curved(fr.kappa, s)
     beta = fr.beta

@@ -8,7 +8,6 @@ import pytest
 from confgeo import cli
 from confgeo.calculus import (
     CalculusError,
-    NonMonotoneLengthError,
     ZeroSpeedError,
     _curve_speed,
     GAUSS_W,
@@ -18,7 +17,7 @@ from confgeo.calculus import (
     reparameterize_arclength,
 )
 from confgeo.exprkit import EvalDomainError, eval_jet2, parse_scalar_field
-from conftest import catenoid, e1, plane, stereographic_target
+from conftest import catenoid, plane, stereographic_target
 
 UV = ("u", "v")
 
@@ -97,7 +96,7 @@ def test_gauss_rule_is_numpys():
 
 
 def test_adaptive_simpson_known_integrals():
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
+    assert adaptive_simpson(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
     assert adaptive_simpson(lambda t: t * t, 0.0, 3.0) == pytest.approx(9.0, abs=1e-12)
 
 
@@ -172,8 +171,36 @@ def test_reparam_refines_panels_the_inverse_rule_misses():
     assert len(c.s_samples) > 17
     ss = np.array([0.3, 0.5, 0.8]) * c.length
     speed = functools.partial(_curve_speed, target, *raw)
-    reached = [adaptive_simpson(speed, 0.0, t) for t in c.invert(ss).tolist()]
-    assert np.max(np.abs(np.array(reached) - ss)) < 1e-9
+    reached = adaptive_simpson(speed, 0.0, c.invert(ss))
+    assert np.max(np.abs(reached - ss)) < 1e-9
+
+
+# adaptive_simpson over the 16 uniform panels of [1, 2] of the near-cusp speed
+# below, as the recursive form (one scalar speed call per point) summed them
+NEAR_CUSP_PANEL_SUMS = [
+    0.32968918500917427, 0.29576942354879604, 0.24768870209967356, 0.19691343044414328,
+    0.15015464574532345, 0.10958713101437473, 0.07482727467885525, 0.04446833639909045,
+    0.016837168910911745, 0.01021166844266151, 0.03693649849760888, 0.06640585030493511,
+    0.09984096418776395, 0.1387667630677731, 0.18395315439928328, 0.23409868566987918,
+]
+
+
+def test_adaptive_simpson_refines_level_by_level_as_the_recursion_did():
+    raw = (_t("0.9*cos(2*t)"), _t("0.9*sin(3*t)"))
+    speed = functools.partial(_curve_speed, stereographic_target(), *raw)
+    sizes = []
+
+    def counted(t):
+        sizes.append(t.size)
+        return speed(t)
+
+    knots = np.linspace(1.0, 2.0, 17)
+    got = adaptive_simpson(counted, knots[:-1], knots[1:])
+    want = np.array(NEAR_CUSP_PANEL_SUMS)
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+    # one array call for the panel ends and midpoints, then one per depth;
+    # the panel holding the cusp at t = pi/2 is split many times over
+    assert sizes[0] == 48 and len(sizes) == 17
 
 
 def test_reparam_near_cusp_is_a_calculus_error():

@@ -138,6 +138,13 @@ def _reparam_curve(t_range):
     (lambda d: d["suites"].__setitem__(0, 7), [], "suites[0]"),
     (lambda d: None, ["--tol", "nan"], "--tol"),
     (lambda d: None, ["--tol", "inf"], "--tol"),
+    (lambda d: d.update(tolerances=[1]), [], "tolerances: expected an object"),
+    (lambda d: d.update(grids=[8]), [], "grids: expected an object"),
+    (lambda d: d.update(surfaces=5), [], "surfaces: expected a list"),
+    (lambda d: d["curves"].append(dict(_reparam_curve([0.0, 1.0]), samples=[1])), [],
+     "curves[1].samples"),
+    (lambda d: d["curves"].append(dict(_reparam_curve([0.0, 1.0]), samples=2.7)), [],
+     "curves[1].samples"),
 ])
 def test_malformed_values_are_scenario_errors(tmp_path, capsys, mutate, argv, fragment):
     doc = copy.deepcopy(BASE_SCENARIO)

@@ -27,7 +27,6 @@ from confgeo.geometry import FirstForm, SurfacePatch, christoffel, first_fundame
 from conftest import (
     STEREO_BOX,
     catenoid_helicoid_pair,
-    circle_curve,
     diag_line,
     e2,
     e3,

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confgeo.exprkit import (
     Binary,
-    Const,
     EvalDomainError,
     ExprNameError,
     ExprSyntaxError,
@@ -76,6 +75,12 @@ def test_empty_and_garbage_input():
         parse_scalar_field("u !", UV)
     with pytest.raises(ValueError, match="shadows"):
         parse_scalar_field("sin(1)", ("sin",))
+
+
+def test_overflowing_literal_is_a_syntax_error():
+    # every constant is finite, so an inf could only come from an operation
+    with pytest.raises(ExprSyntaxError, match=r"number literal '1e400' overflows at offset 2"):
+        parse_scalar_field("u*1e400", UV)
 
 
 # -- jets ------------------------------------------------------------------------

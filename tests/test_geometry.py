@@ -203,7 +203,8 @@ def test_frenet_equator():
 def test_frenet_straight_line_degenerates():
     fr = frenet(plane(), line_curve(), 0.5)
     assert fr.kappa <= 1e-9
-    assert fr.n is None and fr.b is None and fr.tau is None
+    # undefined, as at such points of a grid
+    assert np.isnan(fr.n).all() and np.isnan(fr.b).all() and np.isnan(fr.tau)
 
 
 def test_frenet_latitude_against_fd_oracle():

@@ -5,7 +5,7 @@ import pytest
 
 from confgeo.conformal import EmbeddingRequiredError
 from confgeo.exprkit import parse_scalar_field
-from confgeo.geometry import VanishingCurvatureError, frenet, normal_curvature
+from confgeo.geometry import VanishingCurvatureError, frenet
 from confgeo.normalcurve import (
     classify_curve,
     frame_decompose,
