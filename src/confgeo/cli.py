@@ -318,14 +318,22 @@ def curve_grid(s_range, n: int, rng) -> np.ndarray:
 
 @dataclass
 class SuiteResult:
+    """One suite's report.  ``columns`` maps each name to a float64 array, or
+    an object array where cells are strings or None (undefined).  ``worst_at``
+    is the (column, row) that set ``max_residual``, if any cell is defined."""
     suite: str
     params: dict
     tolerance: float
-    columns: list[str]
-    rows: list[list]
+    columns: dict[str, np.ndarray]
     max_residual: float
     pass_: bool
+    worst_at: tuple[str, int] | None = None
     wall_ms: float = 0.0
+
+    @property
+    def rows(self) -> range:
+        """The report's row indices."""
+        return range(len(next(iter(self.columns.values()))))
 
 
 def _fmt(x) -> str:
@@ -336,19 +344,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _max_over(rows, cols, names) -> float:
-    """Worst residual over the named columns.  A NaN anywhere makes it NaN,
-    which fails the suite (Python's ``max`` could pass over it)."""
-    idx = [cols.index(c) for c in names]
-    vals = [row[i] for row in rows for i in idx if row[i] is not None]
-    return float(np.max(vals)) if vals else 0.0
+def _columns(names: list[str], *cells) -> dict[str, np.ndarray]:
+    """Report columns by name from per-point arrays (or (n, k) blocks, one
+    column per k).  A None column, or None in an object array, holds
+    undefined cells."""
+    flat = [x for c in cells for x in (c.T if np.ndim(c) == 2 else [c])]
+    return {name: np.full(len(cells[0]), None) if c is None else c
+            for name, c in zip(names, flat, strict=True)}
 
 
-def _table(*columns) -> list[list]:
-    """Report rows of Python floats from per-point arrays (or (n, k) blocks).
-    A None column, or None in an object array, is an undefined cell."""
-    n = len(columns[0])
-    return np.column_stack([np.full(n, None) if c is None else c for c in columns]).tolist()
+def _worst(columns: dict, names: list[str]) -> tuple[float, tuple[str, int] | None]:
+    """Worst residual over the named columns, with the column and row that
+    set it.  Undefined (None) cells are skipped; a NaN in a defined cell is
+    the worst, which fails the suite (Python's ``max`` could pass over it)."""
+    block = np.stack([columns[c] for c in names], axis=1)
+    defined = block != None  # noqa: E711 - elementwise on object columns
+    if not defined.any():
+        return 0.0, None
+    vals = np.where(defined, block, -np.inf).astype(np.float64)
+    # argmax, like max, stops at the first NaN
+    row, j = divmod(int(np.argmax(vals)), len(names))
+    return float(vals[row, j]), (names[j], row)
 
 
 def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> SuiteResult:
@@ -360,8 +376,8 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
         surf = sc.surfaces[entry["surface"]]
         if not isinstance(surf, geometry.SurfacePatch):
             raise ScenarioError(f"suite 'forms' needs a patch, '{entry['surface']}' is a metric")
-        cols = ["u", "v", "E", "F", "G", "W",
-                "r_uu_u", "r_uu_v", "r_uv_u", "r_uv_v", "r_vv_u", "r_vv_v", "r_lagrange"]
+        names = ["u", "v", "E", "F", "G", "W",
+                 "r_uu_u", "r_uu_v", "r_uv_u", "r_uv_v", "r_vv_u", "r_vv_v", "r_lagrange"]
         us, vs = surface_grid(surf.domain, grids["surface"], rng)
         # one patch-jet evaluation at the grid feeds the forms, the Lagrange
         # column and the oracle's left sides; the oracle adds four shifted ones
@@ -371,110 +387,110 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
         disc = m.E * m.G - m.F * m.F
         lagrange = abs(geometry.dot(cr, cr) - disc) / np.maximum(1.0, abs(disc))
         fd = geometry.metric_derivative_identities(surf, us, vs, pj=pj)
-        rows = _table(us, vs, m.E, m.F, m.G, m.W, fd, lagrange)
-        worst = _max_over(rows, cols, cols[6:])
+        cols = _columns(names, us, vs, m.E, m.F, m.G, m.W, fd, lagrange)
+        residuals = names[6:]
 
     elif name == "frenet":
         surf, curve = sc.surfaces[entry["surface"]], sc.curves[entry["curve"]]
-        cols = ["s", "kappa", "tau", "r_unit", "r_tn", "r_tb", "r_nb", "r_btxn"]
+        names = ["s", "kappa", "tau", "r_unit", "r_tn", "r_tb", "r_nb", "r_btxn"]
         ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
         fr = geometry.frenet(surf, curve, ss)
         # n, b and tau are NaN where kappa <= floor: those cells are undefined
         undefined = fr.kappa <= geometry.CURVATURE_FLOOR
 
         def where_defined(x):
-            return np.where(undefined, None, x)
+            return np.where(undefined, None, x) if undefined.any() else x
 
-        rows = _table(ss, fr.kappa, None if fr.tau is None else where_defined(fr.tau),
-                      abs(geometry.norm(fr.t) - 1.0),
-                      *(where_defined(x) for x in (
-                          abs(geometry.dot(fr.t, fr.n)), abs(geometry.dot(fr.t, fr.b)),
-                          abs(geometry.dot(fr.n, fr.b)),
-                          geometry.norm(fr.b - geometry.cross(fr.t, fr.n)))))
-        worst = _max_over(rows, cols, cols[3:])
+        cols = _columns(names, ss, fr.kappa, None if fr.tau is None else where_defined(fr.tau),
+                        abs(geometry.norm(fr.t) - 1.0),
+                        *(where_defined(x) for x in (
+                            abs(geometry.dot(fr.t, fr.n)), abs(geometry.dot(fr.t, fr.b)),
+                            abs(geometry.dot(fr.n, fr.b)),
+                            geometry.norm(fr.b - geometry.cross(fr.t, fr.n)))))
+        residuals = names[3:]
 
     elif name == "christoffel-shift":
         pair = sc.pairs[entry["pair"]]
-        cols = ["u", "v", "zeta", "r111", "r112", "r121", "r122", "r221", "r222"]
+        names = ["u", "v", "zeta", "r111", "r112", "r121", "r122", "r221", "r222"]
         us, vs = surface_grid(pair.source.domain, grids["surface"], rng)
         forms = pair.forms(us, vs)
         zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
-        rows = _table(us, vs, zeta,
-                      *conformal.christoffel_shift_residual(pair, us, vs, forms=forms))
-        worst = _max_over(rows, cols, cols[3:])
+        cols = _columns(names, us, vs, zeta, *conformal.christoffel_shift_residual(
+            pair, us, vs, forms=forms, zeta=zeta))
+        residuals = names[3:]
 
     elif name == "bracket-shift":
         pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
-        cols = ["s", "b_src", "b_tgt", "theta_bracket", "residual"]
+        names = ["s", "b_src", "b_tgt", "theta_bracket", "residual"]
         ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
         bs = conformal.beltrami_bracket_shift(pair, curve, ss)
-        rows = _table(ss, bs.b_src, bs.b_tgt, bs.theta_bracket, bs.residual)
-        worst = _max_over(rows, cols, ["residual"])
+        cols = _columns(names, ss, bs.b_src, bs.b_tgt, bs.theta_bracket, bs.residual)
+        residuals = ["residual"]
 
     elif name == "geodesic-deviation":
         pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
-        cols = ["s", "zeta", "f", "h", "kg_src_W1", "kg_src_W2", "kg_tgt_W1", "kg_tgt_W2",
-                "r_W1_W1", "r_W1_W2", "r_W2_W1", "r_W2_W2", "oracle_kg"]
+        names = ["s", "zeta", "f", "h", "kg_src_W1", "kg_src_W2", "kg_tgt_W1", "kg_tgt_W2",
+                 "r_W1_W1", "r_W1_W2", "r_W2_W1", "r_W2_W2", "oracle_kg"]
         ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
         rep = conformal.geodesic_deviation_report(pair, curve, ss, tol=tol)
         oracle = (conformal.image_geodesic_curvature(pair, curve, ss)
                   if pair.embedded else None)
-        rows = _table(ss, rep.zeta, rep.f, rep.h,
-                      rep.kappa_g_src["W1"], rep.kappa_g_src["W2"],
-                      rep.kappa_g_tgt["W1"], rep.kappa_g_tgt["W2"],
-                      *(rep.i20_residuals[k] for k in conformal.PAIRINGS), oracle)
+        cols = _columns(names, ss, rep.zeta, rep.f, rep.h,
+                        rep.kappa_g_src["W1"], rep.kappa_g_src["W2"],
+                        rep.kappa_g_tgt["W1"], rep.kappa_g_tgt["W2"],
+                        *(rep.i20_residuals[k] for k in conformal.PAIRINGS), oracle)
         pinned = _pin_pairing(rep, oracle)
         params["pinned_pairing"] = pinned
-        key = "r_" + pinned.replace("/", "_")
-        worst = _max_over(rows, cols, [key])
+        residuals = ["r_" + pinned.replace("/", "_")]
 
     elif name == "theorem3":
         pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
         nu, eta = sc.profiles[entry["profile"]]
-        cols = ["s", "zeta", "h", "lhs", "r_as_printed", "r_zeta4_on_h", "r_best"]
+        names = ["s", "zeta", "h", "lhs", "r_as_printed", "r_zeta4_on_h", "r_best"]
         ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
         rep = normalcurve.theorem3_report(pair, curve, nu, eta, ss)
-        rows = _table(ss, rep["zeta"], rep["h"], rep["lhs"], rep["as_printed"],
-                      rep["zeta4_on_h"], np.minimum(rep["as_printed"], rep["zeta4_on_h"]))
-        worst = _max_over(rows, cols, ["r_best"])
+        cols = _columns(names, ss, rep["zeta"], rep["h"], rep["lhs"], rep["as_printed"],
+                        rep["zeta4_on_h"], np.minimum(rep["as_printed"], rep["zeta4_on_h"]))
+        residuals = ["r_best"]
 
     elif name == "tangential":
         pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
         nu, eta = sc.profiles[entry["profile"]]
-        cols = ["s", "zeta", "g1", "g2", "r_u", "r_v", "r_T"]
+        names = ["s", "zeta", "g1", "g2", "r_u", "r_v", "r_T"]
         ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
         rep = normalcurve.tangential_report(pair, curve, nu, eta, ss)
-        rows = _table(ss, *(rep[k] for k in ("zeta", "g1", "g2", "r_u", "r_v", "r_T")))
-        worst = _max_over(rows, cols, ["r_u", "r_v", "r_T"])
+        cols = _columns(names, ss, *(rep[k] for k in names[1:]))
+        residuals = ["r_u", "r_v", "r_T"]
 
     elif name == "classify":
         surf, curve = sc.surfaces[entry["surface"]], sc.curves[entry["curve"]]
         grid = curve_grid(sc.curve_ranges[entry["curve"]],
                           max(grids["curve"], 64), rng)
         verdict = normalcurve.classify_curve(surf, curve, grid, tol=tol)
-        cols = ["verdict", "satisfied", "c_t_max", "c_n_max", "c_b_max", "max_offending"]
-        rows = [[verdict.verdict, "+".join(verdict.satisfied),
-                 verdict.component_maxima["c_t"], verdict.component_maxima["c_n"],
-                 verdict.component_maxima["c_b"], verdict.max_offending]]
+        names = ["verdict", "satisfied", "c_t_max", "c_n_max", "c_b_max", "max_offending"]
+        row = [verdict.verdict, "+".join(verdict.satisfied),
+               verdict.component_maxima["c_t"], verdict.component_maxima["c_n"],
+               verdict.component_maxima["c_b"], verdict.max_offending]
+        cols = {c: np.array([x], dtype=object) for c, x in zip(names, row)}
         expect = entry.get("expect")
         ok = (verdict.verdict == expect) if expect else (verdict.verdict != "undefined")
-        result = SuiteResult(name, params, tol, cols, rows,
-                             max_residual=verdict.max_offending, pass_=ok)
-        return result
+        return SuiteResult(name, params, tol, cols, max_residual=verdict.max_offending, pass_=ok)
 
     elif name == "pushforward":
         pair = sc.pairs[entry["pair"]]
-        cols = ["u", "v", "zeta", "r_u", "r_v"]
+        names = ["u", "v", "zeta", "r_u", "r_v"]
         us, vs = surface_grid(pair.source.domain, grids["surface"], rng)
         forms = pair.forms(us, vs)
         zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
-        rows = _table(us, vs, zeta, *conformal.pushforward_residual(pair, us, vs, forms=forms))
-        worst = _max_over(rows, cols, ["r_u", "r_v"])
+        cols = _columns(names, us, vs, zeta, *conformal.pushforward_residual(
+            pair, us, vs, forms=forms, zeta=zeta))
+        residuals = ["r_u", "r_v"]
 
     else:  # pragma: no cover - guarded by validation
         raise ScenarioError(f"unknown suite '{name}'")
 
-    return SuiteResult(name, params, tol, cols, rows, worst, pass_=worst < tol)
+    worst, at = _worst(cols, residuals)
+    return SuiteResult(name, params, tol, cols, worst, pass_=worst < tol, worst_at=at)
 
 
 def _pin_pairing(rep: conformal.DeviationReport, oracle) -> str:
@@ -507,8 +523,51 @@ def _report_paths(out_dir: Path, stem: str, suites: list[SuiteResult], ext: str)
     return paths
 
 
+# Rows are formatted and written this many at a time, so that a large
+# report is never held as one string.
+CHUNK_ROWS = 1024
+
+# json's spellings of the non-finite floats, keyed by float.__repr__'s
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# a report row in json's indent-2 layout: opening, between cells, closing
+_JSON_ROW = ("    [\n      ", ",\n      ", "\n    ]")
+
+
+def _json_cells(col: np.ndarray) -> list[str]:
+    """A column's cells as json writes them."""
+    if col.dtype != np.float64:
+        return list(map(json.dumps, col.tolist()))
+    cells = list(map(float.__repr__, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[i] = _JSON_NONFINITE[cells[i]]
+    return cells
+
+
+def _csv_cells(col: np.ndarray) -> list[str]:
+    """A column's cells as CSV text: repr floats, empty undefined cells."""
+    return list(map(float.__repr__ if col.dtype == np.float64 else _fmt, col.tolist()))
+
+
+def _write_rows(f, columns: dict, cells, layout: tuple[str, str, str], sep: str) -> None:
+    """Write a newline and the first row, then ``sep`` before each further
+    one.  ``cells`` formats a column's cells; ``layout`` opens a row, goes
+    between its cells and closes it."""
+    opening, between, closing = layout
+    n = len(next(iter(columns.values())))
+    lead = "\n"
+    for a in range(0, n, CHUNK_ROWS):
+        chunk = zip(*(cells(c[a:a + CHUNK_ROWS]) for c in columns.values()))
+        rows = (closing + sep + opening).join([between.join(r) for r in chunk])
+        f.write(lead + opening + rows + closing)
+        lead = sep
+
+
 def write_reports(sc: Scenario, results: list[SuiteResult], out_dir: Path,
                   fmt: str, seed: int, grids: dict) -> list[Path]:
+    """Write one report per suite, column by column: JSON with the layout of
+    ``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte, or CSV with
+    ``repr`` floats and empty undefined cells."""
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = sc.path.stem
     digest = {
@@ -520,23 +579,30 @@ def write_reports(sc: Scenario, results: list[SuiteResult], out_dir: Path,
     ext = "json" if fmt == "obj" else "csv"
     paths = _report_paths(out_dir, stem, results, ext)
     for res, path in zip(results, paths):
-        if fmt == "obj":
-            doc = {
-                "digest": digest,
-                "suite": res.suite,
-                "params": res.params,
-                "tolerance": res.tolerance,
-                "max_residual": res.max_residual,
-                "pass": res.pass_,
-                "wall_ms": res.wall_ms,
-                "columns": res.columns,
-                "rows": res.rows,
-            }
-            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        else:
-            lines = [",".join(res.columns)]
-            lines += [",".join(_fmt(x) for x in row) for row in res.rows]
-            path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as f:
+            if fmt == "obj":
+                doc = {
+                    "digest": digest,
+                    "suite": res.suite,
+                    "params": res.params,
+                    "tolerance": res.tolerance,
+                    "max_residual": res.max_residual,
+                    "pass": res.pass_,
+                    "wall_ms": res.wall_ms,
+                    "columns": list(res.columns),
+                    "rows": [],
+                }
+                # split at the report's own "rows": a "rows" key in params
+                # sits deeper, and params sorts before it anyway
+                text = json.dumps(doc, indent=2, sort_keys=True)
+                before, _, after = text.rpartition('\n  "rows": []')
+                f.write(before + '\n  "rows": [')
+                _write_rows(f, res.columns, _json_cells, _JSON_ROW, ",\n")
+                f.write("\n  ]" + after + "\n")
+            else:
+                f.write(",".join(res.columns))
+                _write_rows(f, res.columns, _csv_cells, ("", ",", ""), "\n")
+                f.write("\n")
     return paths
 
 
@@ -546,6 +612,16 @@ def write_reports(sc: Scenario, results: list[SuiteResult], out_dir: Path,
 
 def _suite_context(entry: dict) -> str:
     return ", ".join(f"{k}='{v}'" for k, v in entry.items() if k != "suite")
+
+
+def _worst_text(res: SuiteResult) -> str:
+    """Where the worst residual is: its column and its s or (u, v) point."""
+    if res.worst_at is None:
+        return ""
+    col, row = res.worst_at
+    axes = ("s",) if "s" in res.columns else ("u", "v")
+    point = ", ".join(f"{a}={float(res.columns[a][row])!r}" for a in axes)
+    return f" in {col} at {point}"
 
 
 def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
@@ -581,8 +657,8 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
         results.append(res)
         status = "PASS" if res.pass_ else "FAIL"
         print(f"{status} {res.suite} ({_suite_context(entry)}): "
-              f"max residual {res.max_residual:.3e} vs tol {res.tolerance:.1e} "
-              f"[{res.wall_ms:.1f} ms]")
+              f"max residual {res.max_residual:.3e}{_worst_text(res)} "
+              f"vs tol {res.tolerance:.1e} [{res.wall_ms:.1f} ms]")
 
     paths = write_reports(sc, results, out_dir, fmt, seed, grids)
     print(f"wrote {len(paths)} report file(s) under {out_dir}")

@@ -213,10 +213,12 @@ def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ThetaSet:
 
 
 def christoffel_shift_residual(pair: ConformalPair, u, v,
-                               forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
-    """|Gamma~^k_ij - Gamma^k_ij - theta^k_ij| for the six slots."""
+                               forms: tuple[FirstForm, FirstForm] | None = None,
+                               zeta=None) -> tuple:
+    """|Gamma~^k_ij - Gamma^k_ij - theta^k_ij| for the six slots.  A caller
+    that has run :func:`dilation_field` passes its estimate as ``zeta``."""
     m, mt = pair.forms(u, v) if forms is None else forms
-    zj = dilation_jet(pair, u, v, forms=(m, mt))
+    zj = dilation_jet(pair, u, v, forms=(m, mt), zeta=zeta)
     g, gt, th = christoffel(m), christoffel(mt), theta_terms(m, zj)
     return tuple(
         abs(getattr(gt, slot) - getattr(g, slot) - getattr(th, "t" + slot[1:]))
@@ -366,17 +368,20 @@ def ambient_jacobian(map3: tuple[Expr, Expr, Expr], p) -> np.ndarray:
 
 
 def pushforward_residual(pair: ConformalPair, u, v,
-                         forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
+                         forms: tuple[FirstForm, FirstForm] | None = None,
+                         zeta=None) -> tuple:
     """|Psi~_u - zeta (J* Psi_u)| and |Psi~_v - zeta (J* Psi_v)|.
 
     For an ambient-conformal map the Jacobian factors as zeta times a
     length-preserving part; J* here is that part (Jacobian / zeta), so the
     residual compares target patch jets against the dilation-times-isometry
-    pushforward of the source jets.
+    pushforward of the source jets.  A caller that has run
+    :func:`dilation_field` passes its estimate as ``zeta``.
     """
     if pair.ambient_map is None:
         raise AmbientMapError("pair has no ambient map")
-    zeta, _ = dilation_field(pair, u, v, forms=forms)
+    if zeta is None:
+        zeta, _ = dilation_field(pair, u, v, forms=forms)
     pj = pair.source.jets(u, v)
     pjt = pair.target.jets(u, v)
     jac_star = ambient_jacobian(pair.ambient_map, pj.p) / zeta

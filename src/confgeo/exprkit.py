@@ -634,12 +634,23 @@ def _evaluate(values, walk):
 def _locate(err: EvalDomainError, grid: list, walk) -> EvalDomainError:
     """The error of a failed grid evaluation at the first grid point that
     fails alone (a point gets the bits it gets in the grid, so some point
-    does)."""
-    for point in zip(*(a.ravel().tolist() for a in grid)):
+    does).  A prefix of the grid fails as an array iff one of its points
+    does, so the point is found by halving the failing prefix: about
+    log2(n) array walks, then one walk at the point for its message."""
+    flat = [a.ravel() for a in grid]
+    lo, hi = 0, flat[0].size  # the prefix [0, lo) passes and [0, hi) fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            walk([np.asarray(x) for x in point])
-        except EvalDomainError as at_point:
-            return EvalDomainError(at_point.reason, at_point.node_text, point)
+            walk([a[:mid] for a in flat])
+            lo = mid
+        except EvalDomainError:
+            hi = mid
+    point = tuple(float(a[lo]) for a in flat)
+    try:
+        walk([np.asarray(x) for x in point])
+    except EvalDomainError as at_point:
+        return EvalDomainError(at_point.reason, at_point.node_text, point)
     return err
 
 

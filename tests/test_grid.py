@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confgeo import calculus, cli, conformal, geometry, normalcurve
+from confgeo import calculus, cli, conformal, exprkit, geometry, normalcurve
 from confgeo.exprkit import (
     FUNCTIONS,
     EvalDomainError,
@@ -249,6 +249,34 @@ def test_grid_domain_error_names_first_failing_point():
         eval_jet2(e, np.array([1.0, -1.0, -2.0]), np.array([0.0, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [[-1], [9000, 12345, -1], [0, 5]],
+                         ids=["last", "three", "first"])
+def test_failing_grid_point_is_found_by_halving(bad, monkeypatch):
+    # the message is the one a walk at the first failing point gives, after
+    # at most 2*log2(n) + 2 walks of the expression
+    walks = []
+    real = exprkit._evaluate
+
+    def counting(values, walk):
+        def counted(p):
+            walks.append(p[0].size)
+            return walk(p)
+        return real(values, counted)
+
+    monkeypatch.setattr(exprkit, "_evaluate", counting)
+    e = e2("cosh(v)*cos(u)+log(u)")
+    us, vs = cli.surface_grid(((1.0, 2.0), (0.0, 1.0)), 128, None)
+    us[bad] = -1.0
+    with pytest.raises(EvalDomainError) as point:
+        eval_jet2(e, float(us[bad[0]]), float(vs[bad[0]]))
+    walks.clear()
+    with pytest.raises(EvalDomainError) as grid:
+        eval_jet2(e, us, vs)
+    assert str(grid.value) == str(point.value)
+    assert grid.value.point == (-1.0, float(vs[bad[0]]))
+    assert len(walks) <= 2 * math.log2(us.size) + 2
+
+
 def test_cli_overflow_exits_with_math_error(tmp_path, capsys):
     doc = copy.deepcopy(BASE_SCENARIO)
     doc["surfaces"] = [{"name": "hot", "kind": "patch", "x": "u", "y": "v",
@@ -352,12 +380,14 @@ def test_suite_matches_per_point_functions(suite, key, name, make, row_at, first
     member = make()
     res = _run_suite({"suite": suite, key: name}, {name: member}, tol)
     assert len(res.rows) == GRIDS["surface"] ** 2
-    expected = [row_at(member, row[0], row[1]) for row in res.rows]
+    expected = [row_at(member, u, v)
+                for u, v in zip(res.columns["u"].tolist(), res.columns["v"].tolist())]
     apart = [(suite, c) in ROUNDED_APART for c in res.columns]
-    for got_row, want_row in zip(res.rows, expected):
-        for j, (got, want) in enumerate(zip(got_row, want_row)):
+    for j, (col_name, col) in enumerate(res.columns.items()):
+        for got, want_row in zip(col.tolist(), expected, strict=True):
+            want = want_row[j]
             bound = AGREE * max(1.0, abs(want)) if apart[j] else 0.0
-            assert abs(got - want) <= bound, (res.columns[j], got, want)
+            assert abs(got - want) <= bound, (col_name, got, want)
     worst = max(x for row in expected for x in row[first_residual:])
     assert res.pass_ == (worst < res.tolerance)
     if any(apart):
@@ -601,9 +631,9 @@ def test_curve_suite_matches_per_point_functions(suite, key, name, curve_name, p
     want_rows, want_params = rows_at(members[name], curve, ss, tolerances[suite], *extra)
     assert len(res.rows) == len(want_rows)
     apart = [(suite, c) in ROUNDED_APART for c in res.columns]
-    for got_row, want_row in zip(res.rows, want_rows):
-        for j, (got, want) in enumerate(zip(got_row, want_row)):
-            assert _cell_agrees(got, want, apart[j]), (res.columns[j], got, want)
+    for j, (col_name, col) in enumerate(res.columns.items()):
+        for got, want_row in zip(col.tolist(), want_rows, strict=True):
+            assert _cell_agrees(got, want_row[j], apart[j]), (col_name, got, want_row[j])
     for k, v in want_params.items():
         assert res.params[k] == v
 
@@ -613,7 +643,7 @@ def test_curve_suite_matches_per_point_functions(suite, key, name, curve_name, p
         assert res.pass_ == (verdict == "normal" if name == "sphere" else verdict != "undefined")
         return
     if suite == "geodesic-deviation":
-        j = res.columns.index("r_" + want_params["pinned_pairing"].replace("/", "_"))
+        j = list(res.columns).index("r_" + want_params["pinned_pairing"].replace("/", "_"))
         worst = max(row[j] for row in want_rows)
     elif suite == "theorem3":
         worst = max(row[6] for row in want_rows)
@@ -631,9 +661,10 @@ def test_curve_suite_matches_per_point_functions(suite, key, name, curve_name, p
 
 
 def test_nan_residual_is_the_worst():
-    cols = ["a", "b"]
+    names = ["a", "b"]
     for rows in ([[0.0, 1.0], [math.nan, 0.5]], [[math.nan, 0.0]], [[1.0, math.nan]]):
-        assert math.isnan(cli._max_over(rows, cols, cols))
+        worst, _ = cli._worst(dict(zip(names, np.array(rows).T)), names)
+        assert math.isnan(worst)
 
 
 def test_nan_residual_fails_the_suite(identity_scenario, tmp_path, capsys, monkeypatch):
@@ -648,6 +679,31 @@ def test_nan_residual_fails_the_suite(identity_scenario, tmp_path, capsys, monke
                      "--suite", "christoffel-shift"])
     assert code == 1
     assert "FAIL christoffel-shift" in capsys.readouterr().out
+
+
+def test_summary_line_names_the_worst_cell(identity_scenario, tmp_path, capsys, monkeypatch):
+    # the identity pair's residuals are exactly zero; plant 1e-3 in r121 at
+    # row 5, and NaN in r111 at row 9 for the second run
+    real = conformal.christoffel_shift_residual
+    planted = {2: (5, 1e-3)}
+
+    def with_planted(*args, **kwargs):
+        res = list(real(*args, **kwargs))
+        for slot, (row, x) in planted.items():
+            res[slot] = np.where(np.arange(res[slot].size) == row, x, res[slot])
+        return tuple(res)
+
+    monkeypatch.setattr(conformal, "christoffel_shift_residual", with_planted)
+    us, vs = (a.tolist() for a in cli.surface_grid(((-1.5, 1.5), (-1.5, 1.5)), 4, None))
+    argv = ["--scenario", str(identity_scenario), "--out", str(tmp_path / "r"),
+            "--suite", "christoffel-shift"]
+    assert cli.main(argv) == 1
+    assert (f"FAIL christoffel-shift (pair='id'): max residual 1.000e-03 in r121 "
+            f"at u={us[5]!r}, v={vs[5]!r} vs tol") in capsys.readouterr().out
+    planted[0] = (9, math.nan)
+    assert cli.main(argv) == 1
+    assert (f"max residual nan in r111 at u={us[9]!r}, v={vs[9]!r} "
+            in capsys.readouterr().out)
 
 
 @pytest.fixture()
@@ -681,7 +737,7 @@ def test_reports_hold_plain_floats(tmp_path):
     sc = cli.load_scenario(path)
     for entry in sc.suites:
         res = cli.run_suite(sc, entry, sc.grids, sc.tolerances, np.random.default_rng(1))
-        assert all(type(x) is float for row in res.rows for x in row)
+        assert all(type(x) is float for col in res.columns.values() for x in col.tolist())
         assert type(res.max_residual) is float
     for fmt in ("obj", "table"):
         out = tmp_path / fmt
