@@ -480,10 +480,13 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
         pair = sc.pairs[entry["pair"]]
         names = ["u", "v", "zeta", "r_u", "r_v"]
         us, vs = surface_grid(pair.source.domain, grids["surface"], rng)
-        forms = pair.forms(us, vs)
+        # each patch is evaluated once: its jets give the forms and the residual
+        jets = pair.source.jets(us, vs), pair.target.jets(us, vs)
+        forms = tuple(geometry.first_fundamental(m, us, vs, pj=pj)
+                      for m, pj in zip((pair.source, pair.target), jets))
         zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
         cols = _columns(names, us, vs, zeta, *conformal.pushforward_residual(
-            pair, us, vs, forms=forms, zeta=zeta))
+            pair, us, vs, jets=jets, zeta=zeta))
         residuals = ["r_u", "r_v"]
 
     else:  # pragma: no cover - guarded by validation

@@ -8,8 +8,8 @@ estimate and, when present, supplies exact derivatives.
 The dilation, the Christoffel shift and the pushforward take ``u, v`` as
 arrays (a grid of points, evaluated at once; floats are a grid of one),
 and the curve residuals take ``s`` the same way.  A caller that already
-holds ``pair.forms(u, v)`` passes it as ``forms`` so that the source and
-target forms are computed once.
+holds ``pair.forms(u, v)`` passes it as ``forms`` (the pushforward takes
+the two patches' jets as ``jets``) so that each patch is evaluated once.
 """
 
 from __future__ import annotations
@@ -23,12 +23,14 @@ from .geometry import (
     AbstractMetric,
     CurveJets,
     FirstForm,
+    PatchJets,
     SurfacePatch,
     beltrami_bracket,
     beta_jets,
     christoffel,
     cross,
     dot,
+    first_fundamental,
     norm,
     require_unit_speed,
     second_fundamental,
@@ -350,7 +352,8 @@ def image_geodesic_curvature(pair: ConformalPair, c, s):
     cj = c.jets(s)
     pj, beta1, beta2 = beta_jets(pair.target, cj)
     n_vec = second_fundamental(pair.target, cj.u, cj.v, pj=pj).n_vec
-    return dot(beta2, cross(n_vec, beta1)) / norm(beta1) ** 3
+    # np.power, not a numpy scalar's ``**``: a point gets its grid element's bits
+    return dot(beta2, cross(n_vec, beta1)) / np.power(norm(beta1), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +371,28 @@ def ambient_jacobian(map3: tuple[Expr, Expr, Expr], p) -> np.ndarray:
 
 
 def pushforward_residual(pair: ConformalPair, u, v,
-                         forms: tuple[FirstForm, FirstForm] | None = None,
+                         jets: tuple[PatchJets, PatchJets] | None = None,
                          zeta=None) -> tuple:
     """|Psi~_u - zeta (J* Psi_u)| and |Psi~_v - zeta (J* Psi_v)|.
 
     For an ambient-conformal map the Jacobian factors as zeta times a
     length-preserving part; J* here is that part (Jacobian / zeta), so the
     residual compares target patch jets against the dilation-times-isometry
-    pushforward of the source jets.  A caller that has run
-    :func:`dilation_field` passes its estimate as ``zeta``.
+    pushforward of the source jets.  A caller that holds the source and
+    target patch jets at ``u, v`` passes them as ``jets``, and one that has
+    run :func:`dilation_field` passes its estimate as ``zeta``.
     """
     if pair.ambient_map is None:
         raise AmbientMapError("pair has no ambient map")
+    pj, pjt = (pair.source.jets(u, v), pair.target.jets(u, v)) if jets is None else jets
     if zeta is None:
-        zeta, _ = dilation_field(pair, u, v, forms=forms)
-    pj = pair.source.jets(u, v)
-    pjt = pair.target.jets(u, v)
+        zeta, _ = dilation_field(pair, u, v, forms=(first_fundamental(pair.source, u, v, pj=pj),
+                                                    first_fundamental(pair.target, u, v, pj=pjt)))
     jac_star = ambient_jacobian(pair.ambient_map, pj.p) / zeta
 
     def push(x):
-        return np.einsum("ij...,j...->i...", jac_star, x)
+        # three products summed in turn, so a point gets its grid element's
+        # bits (einsum of one point calls BLAS, which rounds apart)
+        return jac_star[:, 0] * x[0] + jac_star[:, 1] * x[1] + jac_star[:, 2] * x[2]
 
     return norm(pjt.pu - zeta * push(pj.pu)), norm(pjt.pv - zeta * push(pj.pv))

@@ -6,18 +6,26 @@ unary minus, and the binary operators + - * / ^ (exponent restricted to
 constant sub-expressions).  Trees are immutable after parse and evaluation
 is pure, so expressions can be shared freely across threads.
 
-``eval_jet2``, ``eval_jet3``, ``eval_grad3`` and ``evaluate`` take float64
-arrays (a grid of points, evaluated in one tree walk, as in vector forward
-mode).  There is one numeric path, numpy's: a point is a grid of one
-(floats enter as 0-d arrays), and constants are ``np.float64`` scalars
-that broadcast, so numpy's floating-point checks see every operation.
+There is one jet arithmetic, driven by tables: ``eval_jet2`` (order 2 in
+two variables), ``eval_jet3`` (order 3 in one), ``eval_grad3`` (order 1 in
+three) and ``evaluate`` (order 0, the plain value) differ only in the
+table they read, and return the namedtuples ``Jet2``, ``Jet3``, ``Grad3``
+and the value.  A coefficient gets the same bits at every order that
+computes it.  All four take float64 arrays (a grid of points, evaluated in
+one tree walk, as in vector forward mode).  There is one numeric path,
+numpy's: a point is a grid of one (floats enter as 0-d arrays), and
+constants are ``np.float64`` scalars that broadcast, so numpy's
+floating-point checks see every operation.
 """
 
 from __future__ import annotations
 
-import operator
+import functools
+import itertools
+import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -302,9 +310,120 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Jet arithmetic
+#
+# A jet holds the exact partial derivatives d^a f of a field for every
+# multi-index a up to its order, in one list: by total order, then earlier
+# variables first.  So (value, du, dv, duu, duv, dvv) in two variables to
+# order 2, (value, d1, d2, d3) in one variable to order 3, (value, gx, gy, gz)
+# in three to order 1, and (value,) for plain evaluation.  Products,
+# quotients and compositions read the Leibniz and Faa di Bruno tables of
+# their (number of variables, order) (Griewank & Walther, Evaluating
+# Derivatives, 2nd ed., 2008, ch. 13).
+
+Jet2 = namedtuple("Jet2", "value du dv duu duv dvv", defaults=(0.0,) * 5)
+Jet3 = namedtuple("Jet3", "value d1 d2 d3", defaults=(0.0,) * 3)
+Grad3 = namedtuple("Grad3", "value gx gy gz", defaults=(0.0,) * 3)
+Jet2.__doc__ = "Value and exact partials to order 2 in two variables (grid arrays)."
+Jet3.__doc__ = "Value and exact derivatives to order 3 in one variable (grid arrays)."
+Grad3.__doc__ = "Value and exact first partials in three variables (grid arrays)."
+
 
 class _JetDomain(Exception):
     """Internal: domain violation inside a jet operation (no node context)."""
+
+
+class _Table(NamedTuple):
+    """The arithmetic of jets in ``nvars`` variables to ``order``; each
+    list has one entry per coefficient, in jet order."""
+
+    order: int
+    zeros: tuple     # the coefficients of a constant past its value
+    seeds: tuple     # per variable, the coefficients of that variable past its value
+    leibniz: tuple   # (binomial, i, j): d^a (fg) is f[a] * g[0] plus binomial * f[i] * g[j]
+    faa: tuple       # (count, k, blocks): d^a f(g) sums count * f^(k) * prod g[blocks]
+
+
+def _partitions(items: list):
+    # every set partition of the positions of ``items``, as lists of items
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _partitions(rest):
+        yield [[first], *blocks]
+        for i in range(len(blocks)):
+            yield [*blocks[:i], [first, *blocks[i]], *blocks[i + 1:]]
+
+
+@functools.lru_cache(maxsize=None)
+def _table(nvars: int, order: int) -> _Table:
+    # Terms are listed so that each coefficient forms its products in the
+    # order of a hand-written jet: Leibniz terms by descending beta, Faa di
+    # Bruno terms by descending k with their blocks in jet order, a constant
+    # factor applied first and a factor of 1 never applied.
+    index = [a for k in range(order + 1)
+             for a in sorted((a for a in itertools.product(range(k + 1), repeat=nvars)
+                              if sum(a) == k), reverse=True)]
+    pos = {a: i for i, a in enumerate(index)}
+    leibniz, faa = [], []
+    for a in index:
+        betas = sorted((b for b in index if all(x <= y for x, y in zip(b, a))), reverse=True)
+        leibniz.append(tuple(
+            (float(math.prod(map(math.comb, a, b))), pos[b],
+             pos[tuple(y - x for x, y in zip(b, a))])
+            for b in betas[1:]))
+        # the set partitions of a's variables (u, u, v for duuv): a block
+        # of the partition is a partial of g
+        labels = [i for i, n in enumerate(a) for _ in range(n)]
+        counts = Counter(tuple(sorted(pos[tuple(map(block.count, range(nvars)))]
+                                      for block in blocks))
+                         for blocks in _partitions(labels))
+        faa.append(tuple((float(n), len(blocks), blocks)
+                         for blocks, n in sorted(counts.items(), key=lambda t: -len(t[0]))))
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    seeds = tuple(tuple(float(b == e) for b in index[1:]) for e in units)
+    return _Table(order, (0.0,) * (len(index) - 1), seeds, tuple(leibniz), tuple(faa[1:]))
+
+
+def _mul(f: list, g: list, tab: _Table) -> list:
+    out, g0 = [], g[0]
+    for fa, rest in zip(f, tab.leibniz):
+        x = fa * g0
+        for c, i, j in rest:
+            x += (f[i] if c == 1.0 else c * f[i]) * g[j]  # in place: x is no input
+        out.append(x)
+    return out
+
+
+def _div(f: list, g: list, tab: _Table) -> list:
+    # the quotient recurrence: q[a] = (f[a] - the other Leibniz terms of
+    # (q g)[a]) / g[0]
+    g0 = g[0]
+    if np.any(g0 == 0.0):
+        raise _JetDomain("division by zero")
+    q = []
+    for x, rest in zip(f, tab.leibniz):
+        for c, i, j in rest:
+            x = x - (q[i] if c == 1.0 else c * q[i]) * g[j]
+        q.append(x / g0)
+    return q
+
+
+def _chain(c: list, g: list, tab: _Table) -> list:
+    # the jet of f(g) from c = (f, f', ...) at g's value
+    out = [c[0]]
+    for terms in tab.faa:
+        x = None
+        for n, k, blocks in terms:
+            t = c[k] if n == 1.0 else n * c[k]
+            for b in blocks:
+                t = t * g[b]
+            if x is None:
+                x = t
+            else:
+                x += t  # in place: x is no input
+        out.append(x)
+    return out
 
 
 def _powf(base, expo: float):
@@ -335,217 +454,64 @@ def _pow_coeffs(v, p: float, order: int) -> list:
     return out
 
 
-def _fn_coeffs(name: str, v) -> tuple:
-    # (f, f', f'', f''') of the named unary function at v.
+def _fn_coeffs(name: str, v):
+    # f, f', f'', f''' of the named unary function at v, in turn: a jet
+    # reads only as many as its order needs, so a derivative it does not
+    # need can neither overflow nor leave the domain.
     if name == "sin":
-        s, c = np.sin(v), np.cos(v)
-        return s, c, -s, -c
-    if name == "cos":
-        s, c = np.sin(v), np.cos(v)
-        return c, -s, -c, s
-    if name == "tan":
+        s = np.sin(v)
+        yield s
+        c = np.cos(v)
+        yield from (c, -s, -c)
+    elif name == "cos":
+        c = np.cos(v)
+        yield c
+        s = np.sin(v)
+        yield from (-s, -c, s)
+    elif name == "tan":
         t = np.tan(v)
+        yield t
         d = 1.0 + t * t
-        return t, d, 2.0 * t * d, (2.0 + 6.0 * t * t) * d
-    if name == "exp":
+        yield d
+        yield 2.0 * t * d
+        yield (2.0 + 6.0 * t * t) * d
+    elif name == "exp":
         ev = np.exp(v)
-        return ev, ev, ev, ev
-    if name == "log":
+        yield from (ev, ev, ev, ev)
+    elif name == "log":
         if np.any(v <= 0.0):
             raise _JetDomain("log of a non-positive value")
-        return np.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)
-    if name == "sqrt":
-        if np.any(v <= 0.0):
-            raise _JetDomain("sqrt of a non-positive value")
+        yield np.log(v)
+        yield 1.0 / v
+        yield -1.0 / (v * v)
+        yield 2.0 / (v * v * v)
+    elif name == "sqrt":
+        if np.any(v < 0.0):
+            raise _JetDomain("sqrt of a negative value")
         r = np.sqrt(v)
-        return r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)
-    if name == "sinh":
-        return np.sinh(v), np.cosh(v), np.sinh(v), np.cosh(v)
-    if name == "cosh":
-        return np.cosh(v), np.sinh(v), np.cosh(v), np.sinh(v)
-    if name == "tanh":
+        yield r
+        if np.any(v == 0.0):
+            raise _JetDomain("derivative of sqrt is infinite at zero")
+        yield 0.5 / r
+        yield -0.25 / (r * v)
+        yield 0.375 / (r * v * v)
+    elif name in ("sinh", "cosh"):
+        f, df = (np.sinh, np.cosh) if name == "sinh" else (np.cosh, np.sinh)
+        a = f(v)
+        yield a
+        b = df(v)
+        yield from (b, a, b)
+    elif name == "tanh":
         t = np.tanh(v)
+        yield t
         # sech^2 from exp(-2|v|): 1 - t*t cancels to nothing as |t| -> 1
         ev = np.exp(-2.0 * abs(v))
         d = 4.0 * ev / ((1.0 + ev) * (1.0 + ev))
-        return t, d, -2.0 * t * d, (6.0 * t * t - 2.0) * d
-    raise ValueError(f"no such function '{name}'")
-
-
-class Jet2:
-    """Value and exact partial derivatives to order 2 in two variables;
-    each field holds the grid's values (0-d at a point)."""
-
-    __slots__ = ("value", "du", "dv", "duu", "duv", "dvv")
-
-    def __init__(self, value, du=0.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0):
-        self.value = value
-        self.du = du
-        self.dv = dv
-        self.duu = duu
-        self.duv = duv
-        self.dvv = dvv
-
-    def __repr__(self):
-        return (f"Jet2({self.value!r}, du={self.du!r}, dv={self.dv!r}, "
-                f"duu={self.duu!r}, duv={self.duv!r}, dvv={self.dvv!r})")
-
-    def __add__(self, o):
-        return Jet2(self.value + o.value, self.du + o.du, self.dv + o.dv,
-                    self.duu + o.duu, self.duv + o.duv, self.dvv + o.dvv)
-
-    def __sub__(self, o):
-        return Jet2(self.value - o.value, self.du - o.du, self.dv - o.dv,
-                    self.duu - o.duu, self.duv - o.duv, self.dvv - o.dvv)
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.du, -self.dv, -self.duu, -self.duv, -self.dvv)
-
-    def __mul__(self, o):
-        return Jet2(
-            self.value * o.value,
-            self.du * o.value + self.value * o.du,
-            self.dv * o.value + self.value * o.dv,
-            self.duu * o.value + 2.0 * self.du * o.du + self.value * o.duu,
-            self.duv * o.value + self.du * o.dv + self.dv * o.du + self.value * o.duv,
-            self.dvv * o.value + 2.0 * self.dv * o.dv + self.value * o.dvv,
-        )
-
-    def __truediv__(self, o):
-        if np.any(o.value == 0.0):
-            raise _JetDomain("division by zero")
-        q = self.value / o.value
-        qu = (self.du - q * o.du) / o.value
-        qv = (self.dv - q * o.dv) / o.value
-        quu = (self.duu - 2.0 * qu * o.du - q * o.duu) / o.value
-        quv = (self.duv - qu * o.dv - qv * o.du - q * o.duv) / o.value
-        qvv = (self.dvv - 2.0 * qv * o.dv - q * o.dvv) / o.value
-        return Jet2(q, qu, qv, quu, quv, qvv)
-
-    def _chain(self, c0, c1, c2):
-        return Jet2(
-            c0,
-            c1 * self.du,
-            c1 * self.dv,
-            c2 * self.du * self.du + c1 * self.duu,
-            c2 * self.du * self.dv + c1 * self.duv,
-            c2 * self.dv * self.dv + c1 * self.dvv,
-        )
-
-    def pow_const(self, p: float):
-        return self._chain(*_pow_coeffs(self.value, p, 2))
-
-    def apply(self, name: str):
-        c0, c1, c2, _ = _fn_coeffs(name, self.value)
-        return self._chain(c0, c1, c2)
-
-
-class Jet3:
-    """Value and exact derivatives to order 3 in one variable; each field
-    holds the grid's values (0-d at a point)."""
-
-    __slots__ = ("value", "d1", "d2", "d3")
-
-    def __init__(self, value, d1=0.0, d2=0.0, d3=0.0):
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
-        self.d3 = d3
-
-    def __repr__(self):
-        return f"Jet3({self.value!r}, d1={self.d1!r}, d2={self.d2!r}, d3={self.d3!r})"
-
-    def __add__(self, o):
-        return Jet3(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
-
-    def __sub__(self, o):
-        return Jet3(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2, self.d3 - o.d3)
-
-    def __neg__(self):
-        return Jet3(-self.value, -self.d1, -self.d2, -self.d3)
-
-    def __mul__(self, o):
-        return Jet3(
-            self.value * o.value,
-            self.d1 * o.value + self.value * o.d1,
-            self.d2 * o.value + 2.0 * self.d1 * o.d1 + self.value * o.d2,
-            self.d3 * o.value + 3.0 * self.d2 * o.d1 + 3.0 * self.d1 * o.d2 + self.value * o.d3,
-        )
-
-    def __truediv__(self, o):
-        if np.any(o.value == 0.0):
-            raise _JetDomain("division by zero")
-        q = self.value / o.value
-        q1 = (self.d1 - q * o.d1) / o.value
-        q2 = (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.value
-        q3 = (self.d3 - 3.0 * q2 * o.d1 - 3.0 * q1 * o.d2 - q * o.d3) / o.value
-        return Jet3(q, q1, q2, q3)
-
-    def _chain(self, c0, c1, c2, c3):
-        f1, f2, f3 = self.d1, self.d2, self.d3
-        return Jet3(
-            c0,
-            c1 * f1,
-            c2 * f1 * f1 + c1 * f2,
-            c3 * f1 * f1 * f1 + 3.0 * c2 * f1 * f2 + c1 * f3,
-        )
-
-    def pow_const(self, p: float):
-        return self._chain(*_pow_coeffs(self.value, p, 3))
-
-    def apply(self, name: str):
-        return self._chain(*_fn_coeffs(name, self.value))
-
-
-class Grad3:
-    """Value and first partials in three variables (ambient-map Jacobians);
-    each field holds the grid's values (0-d at a point)."""
-
-    __slots__ = ("value", "gx", "gy", "gz")
-
-    def __init__(self, value, gx=0.0, gy=0.0, gz=0.0):
-        self.value = value
-        self.gx = gx
-        self.gy = gy
-        self.gz = gz
-
-    def __add__(self, o):
-        return Grad3(self.value + o.value, self.gx + o.gx, self.gy + o.gy, self.gz + o.gz)
-
-    def __sub__(self, o):
-        return Grad3(self.value - o.value, self.gx - o.gx, self.gy - o.gy, self.gz - o.gz)
-
-    def __neg__(self):
-        return Grad3(-self.value, -self.gx, -self.gy, -self.gz)
-
-    def __mul__(self, o):
-        return Grad3(
-            self.value * o.value,
-            self.gx * o.value + self.value * o.gx,
-            self.gy * o.value + self.value * o.gy,
-            self.gz * o.value + self.value * o.gz,
-        )
-
-    def __truediv__(self, o):
-        if np.any(o.value == 0.0):
-            raise _JetDomain("division by zero")
-        q = self.value / o.value
-        return Grad3(
-            q,
-            (self.gx - q * o.gx) / o.value,
-            (self.gy - q * o.gy) / o.value,
-            (self.gz - q * o.gz) / o.value,
-        )
-
-    def _chain(self, c0, c1):
-        return Grad3(c0, c1 * self.gx, c1 * self.gy, c1 * self.gz)
-
-    def pow_const(self, p: float):
-        return self._chain(*_pow_coeffs(self.value, p, 1))
-
-    def apply(self, name: str):
-        c0, c1, _, _ = _fn_coeffs(name, self.value)
-        return self._chain(c0, c1)
+        yield d
+        yield -2.0 * t * d
+        yield (6.0 * t * t - 2.0) * d
+    else:
+        raise ValueError(f"no such function '{name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +521,6 @@ class Grad3:
 # overflow, invalid-value or divide-by-zero error under the errstate of
 # ``_evaluate``.
 _OP_ERRORS = (_JetDomain, ArithmeticError)
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _domain_error(err: Exception, node: Node) -> EvalDomainError:
@@ -564,53 +529,48 @@ def _domain_error(err: Exception, node: Node) -> EvalDomainError:
     return EvalDomainError(str(err).split(" encountered")[0], to_text(node))
 
 
-def _eval_jet(node: Node, env: dict, const):
+def _eval_jet(node: Node, env: dict, tab: _Table) -> list:
     if isinstance(node, Const):
-        return const(np.float64(node.value))
+        return [np.float64(node.value), *tab.zeros]
     if isinstance(node, Var):
         return env[node.name]
     try:
         if isinstance(node, Unary):
-            a = _eval_jet(node.arg, env, const)
-            return -a if node.op == "neg" else a.apply(node.op)
-        left = _eval_jet(node.left, env, const)
+            a = _eval_jet(node.arg, env, tab)
+            if node.op == "neg":
+                return [-x for x in a]
+            return _chain(list(itertools.islice(_fn_coeffs(node.op, a[0]), tab.order + 1)),
+                          a, tab)
+        left = _eval_jet(node.left, env, tab)
         if node.op == "^":
-            return left.pow_const(float(_eval_value(node.right, {})))
-        return _ARITHMETIC[node.op](left, _eval_jet(node.right, env, const))
+            p = float(_eval_jet(node.right, {}, _table(0, 0))[0])
+            return _chain(_pow_coeffs(left[0], p, tab.order), left, tab)
+        right = _eval_jet(node.right, env, tab)
+        if node.op == "+":
+            return [x + y for x, y in zip(left, right)]
+        if node.op == "-":
+            return [x - y for x, y in zip(left, right)]
+        return (_mul if node.op == "*" else _div)(left, right, tab)
     except _OP_ERRORS as err:
         raise _domain_error(err, node) from None
 
 
-_JETS = (Jet2, Jet3, Grad3)
+def _walk(e: Expr, order: int):
+    """The grid walk of ``e`` to ``order``: each declared variable is
+    seeded as its own direction."""
+    tab = _table(len(e.variables), order)
+    return lambda p: _eval_jet(e.root, {
+        name: [x, *seed] for name, x, seed in zip(e.variables, p, tab.seeds)}, tab)
 
 
-def _eval_value(node: Node, env: dict):
-    if isinstance(node, Const):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        return env[node.name]
-    try:
-        if isinstance(node, Unary):
-            a = _eval_value(node.arg, env)
-            return -a if node.op == "neg" else _fn_coeffs(node.op, a)[0]
-        a, b = _eval_value(node.left, env), _eval_value(node.right, env)
-        if node.op == "^":
-            return _powf(a, b)
-        if node.op == "/" and np.any(b == 0.0):
-            raise _JetDomain("division by zero")
-        return _ARITHMETIC[node.op](a, b)
-    except _OP_ERRORS as err:
-        raise _domain_error(err, node) from None
-
-
-def _evaluate(values, walk):
+def _evaluate(values, walk) -> list:
     """``walk`` over the grid of ``values``: float64 arrays broadcast to one
     shape, 0-d at a point.
 
     numpy overflow, invalid and divide-by-zero results raise, so they name
     their node instead of passing inf or NaN on, and an
     :class:`EvalDomainError` names the first grid point where evaluation
-    fails.  Constant fields of the result are filled out to the grid.
+    fails.  Constant coefficients of the result are filled out to the grid.
     """
     grid = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in values))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -618,17 +578,11 @@ def _evaluate(values, walk):
             out = walk(grid)
         except EvalDomainError as err:
             raise _locate(err, grid, walk) from None
-    # constant fields are filled out to the grid; at a point every field
-    # becomes a 0-d array, whose ``**`` rounds as the array power does (a
-    # numpy scalar's may not)
+    # constant coefficients are filled out to the grid; at a point every
+    # one becomes a 0-d array, whose ``**`` rounds as the array power does
+    # (a numpy scalar's may not)
     shape = grid[0].shape
-    if not isinstance(out, _JETS):
-        return out if shape and np.shape(out) == shape else np.full(shape, out)
-    for name in out.__slots__:
-        x = getattr(out, name)
-        if not shape or np.shape(x) != shape:
-            setattr(out, name, np.full(shape, x))
-    return out
+    return [x if shape and np.shape(x) == shape else np.full(shape, x) for x in out]
 
 
 def _locate(err: EvalDomainError, grid: list, walk) -> EvalDomainError:
@@ -663,9 +617,7 @@ def eval_jet2(e: Expr, u, v) -> Jet2:
     """
     if len(e.variables) != 2:
         raise ExprError(f"eval_jet2 needs a two-variable expression, got {e.variables}")
-    n0, n1 = e.variables
-    return _evaluate((u, v), lambda p: _eval_jet(
-        e.root, {n0: Jet2(p[0], du=1.0), n1: Jet2(p[1], dv=1.0)}, Jet2))
+    return Jet2(*_evaluate((u, v), _walk(e, 2)))
 
 
 def eval_jet3(e: Expr, s) -> Jet3:
@@ -673,8 +625,7 @@ def eval_jet3(e: Expr, s) -> Jet3:
     over a grid (an array, or a float for a grid of one)."""
     if len(e.variables) != 1:
         raise ExprError(f"eval_jet3 needs a one-variable expression, got {e.variables}")
-    name = e.variables[0]
-    return _evaluate((s,), lambda p: _eval_jet(e.root, {name: Jet3(p[0], d1=1.0)}, Jet3))
+    return Jet3(*_evaluate((s,), _walk(e, 3)))
 
 
 def eval_grad3(e: Expr, x, y, z) -> Grad3:
@@ -682,15 +633,12 @@ def eval_grad3(e: Expr, x, y, z) -> Grad3:
     a grid (arrays, or floats for a grid of one)."""
     if len(e.variables) != 3:
         raise ExprError(f"eval_grad3 needs a three-variable expression, got {e.variables}")
-    n0, n1, n2 = e.variables
-    return _evaluate((x, y, z), lambda p: _eval_jet(
-        e.root, {n0: Grad3(p[0], gx=1.0), n1: Grad3(p[1], gy=1.0), n2: Grad3(p[2], gz=1.0)},
-        Grad3))
+    return Grad3(*_evaluate((x, y, z), _walk(e, 1)))
 
 
 def evaluate(e: Expr, *values):
-    """Plain evaluation, binding declared variables positionally, over a
-    grid (arrays, or floats for a grid of one)."""
+    """Plain evaluation (a jet of order 0), binding declared variables
+    positionally, over a grid (arrays, or floats for a grid of one)."""
     if len(values) != len(e.variables):
         raise ExprError(f"expected {len(e.variables)} values for {e.variables}")
-    return _evaluate(values, lambda p: _eval_value(e.root, dict(zip(e.variables, p))))
+    return _evaluate(values, _walk(e, 0))[0]
