@@ -2,8 +2,8 @@
 
 A :class:`ConformalPair` holds two surfaces (or bare metrics) over one
 shared parameter domain.  The dilation zeta is always estimated from the
-metric ratio; a declared dilation expression is cross-checked against the
-estimate and, when present, supplies exact derivatives.
+metric ratio; a declared dilation expression supplies exact derivatives,
+and is cross-checked against the estimate where its jet is taken.
 
 The dilation, the Christoffel shift and the pushforward take ``u, v`` as
 arrays (a grid of points, evaluated at once; floats are a grid of one),
@@ -124,7 +124,8 @@ def dilation_field(pair: ConformalPair, u, v,
     """Estimate zeta = sqrt(E~/E) and the three conformality residuals
     |zeta^2 E - E~|, |zeta^2 F - F~|, |zeta^2 G - G~|, each normalized by
     max(1, |E~|).  Raises :class:`NonConformalError` past the pair's
-    ``conformality_tol``.
+    ``conformality_tol``.  A declared dilation is not read here:
+    :func:`dilation_jet` checks it against this estimate.
     """
     tol = pair.conformality_tol
     m, mt = pair.forms(u, v) if forms is None else forms
@@ -150,28 +151,28 @@ def dilation_field(pair: ConformalPair, u, v,
         raise NonConformalError(
             f"pair is not conformal at ({bad[0]}, {bad[1]}): metric ratio residuals "
             f"(E, F, G) = {bad[2:]}", bad[2:])
-    if pair.dilation is not None:
-        declared = evaluate(pair.dilation, u, v)
-        bad = violation(abs(declared - zeta) <= tol * np.maximum(1.0, abs(zeta)),
-                        u, v, declared, zeta)
-        if bad is not None:
-            raise NonConformalError(
-                f"declared dilation {bad[2]} disagrees with estimate {bad[3]} "
-                f"at ({bad[0]}, {bad[1]})")
     return zeta, residuals
 
 
 def dilation_jet(pair: ConformalPair, u, v,
                  forms: tuple[FirstForm, FirstForm] | None = None, zeta=None) -> Jet2:
-    """zeta with first partials.  A declared dilation (cross-checked against
-    the metric-ratio estimate) supplies exact jets; otherwise the partials
-    come from differentiating zeta^2 E = E~.  A caller that has run
-    :func:`dilation_field` already passes its estimate as ``zeta``."""
+    """zeta with first partials.  A declared dilation supplies exact jets,
+    and its value is cross-checked here against the metric-ratio estimate
+    (raising :class:`NonConformalError` past ``conformality_tol``); otherwise
+    the partials come from differentiating zeta^2 E = E~.  A caller that has
+    run :func:`dilation_field` already passes its estimate as ``zeta``."""
     m, mt = pair.forms(u, v) if forms is None else forms
     if zeta is None:
         zeta, _ = dilation_field(pair, u, v, forms=(m, mt))
     if pair.dilation is not None:
-        return eval_jet2(pair.dilation, u, v)
+        zj = eval_jet2(pair.dilation, u, v)
+        tol = pair.conformality_tol * np.maximum(1.0, abs(zeta))
+        bad = violation(abs(zj.value - zeta) <= tol, u, v, zj.value, zeta)
+        if bad is not None:
+            raise NonConformalError(
+                f"declared dilation {bad[2]} disagrees with estimate {bad[3]} "
+                f"at ({bad[0]}, {bad[1]})")
+        return zj
     zu = (mt.E_u - zeta * zeta * m.E_u) / (2.0 * zeta * m.E)
     zv = (mt.E_v - zeta * zeta * m.E_v) / (2.0 * zeta * m.E)
     return Jet2(zeta, du=zu, dv=zv)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from confgeo import conformal
 from confgeo.exprkit import Jet2, evaluate
 from confgeo.conformal import (
     AmbientMapError,
@@ -140,10 +141,34 @@ def test_non_conformal_pair_raises_with_residuals():
 
 
 def test_declared_dilation_mismatch_detected():
+    # the declared dilation is checked where its jet is taken, with or
+    # without an estimate from the caller
     target = SurfacePatch(e2("3*u"), e2("3*v"), e2("0"), STEREO_BOX)
     pair = ConformalPair(plane(STEREO_BOX), target, dilation=e2("2"))
-    with pytest.raises(NonConformalError, match="declared dilation"):
-        dilation_field(pair, 0.2, 0.2)
+    want = r"declared dilation 2\.0 disagrees with estimate 3\.0 at \(0\.2, 0\.2\)"
+    with pytest.raises(NonConformalError, match=want):
+        dilation_jet(pair, 0.2, 0.2)
+    zeta, _ = dilation_field(pair, 0.2, 0.2)
+    with pytest.raises(NonConformalError, match=want):
+        christoffel_shift_residual(pair, 0.2, 0.2, zeta=zeta)
+    # a pair that is not conformal says so first
+    bent = ConformalPair(plane(STEREO_BOX), SurfacePatch(e2("u"), e2("2*v"), e2("0"), STEREO_BOX),
+                         dilation=e2("2"))
+    with pytest.raises(NonConformalError, match="not conformal"):
+        dilation_jet(bent, 0.2, 0.2)
+
+
+def test_declared_dilation_is_walked_once_per_grid(monkeypatch):
+    pair = stereographic_pair()
+    walks = []
+    for name in ("evaluate", "eval_jet2"):
+        fn = getattr(conformal, name)
+        monkeypatch.setattr(conformal, name,
+                            lambda e, *a, fn=fn: walks.append(e) or fn(e, *a))
+    u, v = np.array([0.1, 0.4, -0.3]), np.array([0.2, -0.5, 0.6])
+    zeta, _ = dilation_field(pair, u, v)
+    christoffel_shift_residual(pair, u, v, zeta=zeta)
+    assert sum(e is pair.dilation for e in walks) == 1
 
 
 def test_dilation_consistency_across_coefficients():

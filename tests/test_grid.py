@@ -74,8 +74,13 @@ def _exprs(names, depth: int):
     if depth == 0:
         return leaf
     sub = _exprs(names, depth - 1)
+    # products and quotients first and twice, leaves last: a jet's Leibniz
+    # and quotient sums round by their order only in a product of non-trivial
+    # factors, and one_of draws (and shrinks towards) its earlier branches
+    product = st.tuples(st.sampled_from("*/"), sub, sub).map(lambda t: f"({t[1]}{t[0]}{t[2]})")
     return st.one_of(
-        leaf,
+        product,
+        product,
         st.tuples(st.sampled_from("+-*/"), sub, sub).map(lambda t: f"({t[1]}{t[0]}{t[2]})"),
         st.tuples(st.sampled_from(["sin", "cos", "log", "sqrt", "-"]), sub)
         .map(lambda t: f"{t[0]}({t[1]})"),
@@ -83,6 +88,7 @@ def _exprs(names, depth: int):
                   st.sampled_from(["sin", "cos"]), sub)
         .map(lambda t: f"{t[0]}({t[1]}({t[2]}))"),
         st.tuples(sub, st.sampled_from(["2", "3", "-1", "0.5"])).map(lambda t: f"({t[0]})^({t[1]})"),
+        leaf,
     )
 
 
@@ -391,6 +397,23 @@ def test_cli_non_conformal_names_first_grid_point(tmp_path, capsys):
     u0, v0 = (float(a[0]) for a in cli.surface_grid(((-1.5, 1.5), (-1.5, 1.5)), 4, None))
     assert f"not conformal at ({u0!r}, {v0!r})" in err
     assert "np." not in err
+
+
+def test_cli_wrong_declared_dilation_names_first_grid_point(tmp_path, capsys):
+    # the suites that read the declared dilation's jet check it; the
+    # pushforward suite reads none
+    doc = copy.deepcopy(BASE_SCENARIO)
+    doc["pairs"] = [{"name": "bad", "source": "plane", "target": "plane", "dilation": "2",
+                     "ambient_map": ["x", "y", "z"]}]
+    doc["suites"] = [{"suite": "pushforward", "pair": "bad"},
+                     {"suite": "christoffel-shift", "pair": "bad"}]
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("PASS pushforward")
+    u0, v0 = (float(a[0]) for a in cli.surface_grid(((-1.5, 1.5), (-1.5, 1.5)), 4, None))
+    assert (f"math error in suite 'christoffel-shift' (pair='bad'): declared dilation 2.0 "
+            f"disagrees with estimate 1.0 at ({u0!r}, {v0!r})") in err
 
 
 # -- suites against the per-point functions ------------------------------------------

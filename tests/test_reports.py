@@ -1,14 +1,19 @@
 """Reports are written column by column and must keep the bytes of the row
 writer they replaced: ``json.dumps(doc, indent=2, sort_keys=True)`` over
-row lists, and CSV rows of ``_fmt`` cells joined by commas."""
+row lists, and CSV rows of ``_fmt`` cells joined by commas.  One
+``write_reports`` call formats each distinct double once for all its
+reports, so several reports are also written in one call."""
 
 import copy
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confgeo import cli
 from test_cli import BASE_SCENARIO, write_scenario
@@ -43,15 +48,18 @@ def _row_csv(res) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _assert_same_bytes(res, tmp_path):
-    """Both formats of ``res`` against the row writer's text, written the way
-    it wrote it."""
+def _assert_same_bytes(res, tmp_path, *more):
+    """Both formats of ``res`` and ``more``, written by one ``write_reports``
+    call, each against the row writer's text, written the way it wrote it."""
     sc = cli.Scenario(path=Path("cells.json"), digest="d" * 64)
-    for fmt, want in (("obj", _row_json(sc, res)), ("table", _row_csv(res))):
-        (path,) = cli.write_reports(sc, [res], tmp_path / fmt, fmt, SEED, GRIDS)
-        ref = tmp_path / f"want.{fmt}"
-        ref.write_text(want)
-        assert path.read_bytes() == ref.read_bytes(), fmt
+    results = [res, *more]
+    for fmt in ("obj", "table"):
+        paths = cli.write_reports(sc, results, tmp_path / fmt, fmt, SEED, GRIDS)
+        assert len(paths) == len(results)
+        for i, (r, path) in enumerate(zip(results, paths)):
+            ref = tmp_path / f"want{i}.{fmt}"
+            ref.write_text(_row_json(sc, r) if fmt == "obj" else _row_csv(r))
+            assert path.read_bytes() == ref.read_bytes(), (fmt, i)
 
 
 def _kinds(n: int) -> dict:
@@ -90,6 +98,69 @@ def test_writer_keeps_the_bytes_when_params_hold_a_rows_key(tmp_path):
     params = {"surface": "s", "rows": [], "nested": {"rows": [1.5, None]}, "note": 'ü "q"'}
     res = cli.SuiteResult("forms", params, 1e-9, _kinds(3), 0.5, True)
     _assert_same_bytes(res, tmp_path)
+
+
+# -- one write_reports call over several reports ------------------------------------
+
+
+def _report(columns: dict, suite: str = "forms") -> cli.SuiteResult:
+    return cli.SuiteResult(suite, {"surface": "s"}, 1e-9, columns, 0.5, True, wall_ms=2.0)
+
+
+def _from_bits(*bits: int) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+NANS = _from_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                  0x7FF8DEAD00000000, 0xFFF0000000000123)
+
+
+def test_writer_shares_one_array_between_reports(tmp_path):
+    shared = np.array([0.1, -0.0, 0.0, 1e300, 0.1])
+    other = np.array([0.0, 0.1, 2.5, -0.0, 3.0])
+    _assert_same_bytes(_report({"u": shared, "a": other}), tmp_path,
+                       _report({"u": shared, "b": shared[::-1]}, "pushforward"),
+                       _report({"v": other, "u": shared}))
+
+
+def test_writer_keeps_a_value_apart_from_its_column(tmp_path):
+    x = np.array([0.1, 1 / 3, 2.0, 1 / 3])
+    cols = {"a": x, "b": x.copy(), "c": x[::-1].copy(), "d": np.array([1 / 3] * 4)}
+    _assert_same_bytes(_report(cols), tmp_path, _report({"e": x + 0.0, "f": 2.0 * x}))
+
+
+def test_writer_keeps_signed_zeros_nans_and_extremes_apart(tmp_path):
+    zeros = np.array([0.0, -0.0, -0.0, 0.0, 0.0])
+    assert zeros.view(np.uint64)[1] != zeros.view(np.uint64)[0]
+    extremes = np.array([5e-324, math.inf, -math.inf, -5e-324, math.inf])
+    assert len(set(NANS.view(np.uint64).tolist())) == len(NANS)
+    _assert_same_bytes(_report({"z": zeros, "nan": NANS, "x": extremes}), tmp_path,
+                       _report({"nan": NANS[::-1].copy(), "z": -zeros}))
+
+
+def test_writer_mixes_reports_with_and_without_float_columns(tmp_path):
+    words = np.array(['say "hi"', None, "ζ"], dtype=object)
+    boxed = np.array([np.float64(0.1), None, math.nan], dtype=object)
+    floats = _report({"u": np.array([0.1, -0.0, 7.0]), "r": np.array([0.0, 0.0, 1e-17])})
+    objects = _report({"w": words, "b": boxed}, "classify")
+    _assert_same_bytes(floats, tmp_path, objects, floats)
+
+
+def test_writer_with_no_float_column_in_any_report(tmp_path):
+    words = np.array(["normal", "", None], dtype=object)
+    _assert_same_bytes(_report({"w": words}, "classify"), tmp_path,
+                       _report({"w": words[::-1].copy(), "n": np.full(3, None)}, "classify"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+       shift=st.integers(0, 39))
+def test_writer_keeps_the_bytes_of_any_bit_patterns(bits, shift):
+    x = _from_bits(*bits)
+    y = np.roll(x, shift)
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_same_bytes(_report({"a": x, "b": y}), Path(tmp),
+                           _report({"b": y, "c": np.negative(x)}, "pushforward"))
 
 
 def test_scenario_key_named_rows_stays_in_params(tmp_path):
