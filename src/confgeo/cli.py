@@ -14,6 +14,7 @@ scenario element and the point).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calculus, conformal, geometry, normalcurve
-from .exprkit import ExprError, parse_scalar_field
+from .exprkit import ExprError, parse_scalar_field, walk_store
 
 SUITE_NAMES = (
     "forms", "frenet", "christoffel-shift", "bracket-shift",
@@ -357,11 +358,14 @@ def _worst(columns: dict, names: list[str]) -> tuple[float, tuple[str, int] | No
     """Worst residual over the named columns, with the column and row that
     set it.  Undefined (None) cells are skipped; a NaN in a defined cell is
     the worst, which fails the suite (Python's ``max`` could pass over it)."""
-    block = np.stack([columns[c] for c in names], axis=1)
-    defined = block != None  # noqa: E711 - elementwise on object columns
-    if not defined.any():
+    vals = np.stack([columns[c] for c in names], axis=1)
+    if vals.dtype != np.float64:  # only object columns hold undefined cells
+        defined = vals != None  # noqa: E711 - elementwise on object columns
+        if not defined.any():
+            return 0.0, None
+        vals = np.where(defined, vals, -np.inf).astype(np.float64)
+    elif not vals.size:
         return 0.0, None
-    vals = np.where(defined, block, -np.inf).astype(np.float64)
     # argmax, like max, stops at the first NaN
     row, j = divmod(int(np.argmax(vals)), len(names))
     return float(vals[row, j]), (names[j], row)
@@ -666,22 +670,31 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
         if not selected:
             raise ScenarioError(f"--suite: scenario has no suites among {only}")
 
-    results = []
-    for entry in selected:
-        rng = (np.random.default_rng(seed) if grids["mode"] == "random" else None)
-        t0 = time.perf_counter()
-        try:
-            res = run_suite(sc, entry, grids, tolerances, rng)
-        except MATH_ERRORS as err:
-            print(f"math error in suite '{entry['suite']}' ({_suite_context(entry)}): {err}",
-                  file=sys.stderr)
-            return 3
-        res.wall_ms = (time.perf_counter() - t0) * 1e3
-        results.append(res)
-        status = "PASS" if res.pass_ else "FAIL"
-        print(f"{status} {res.suite} ({_suite_context(entry)}): "
-              f"max residual {res.max_residual:.3e}{_worst_text(res)} "
-              f"vs tol {res.tolerance:.1e} [{res.wall_ms:.1f} ms]")
+    # The suites along a curve walk the same patch, curve, dilation and
+    # profile expressions at the same s-grid, so they share one store of
+    # walks for the run.  The surface suites run outside it: their n*n
+    # grids are where the memory goes, and no other suite walks them.
+    results, walks = [], {}
+    try:
+        for entry in selected:
+            rng = (np.random.default_rng(seed) if grids["mode"] == "random" else None)
+            shared = "curve" in _SUITE_NEEDS[entry["suite"]]
+            t0 = time.perf_counter()
+            try:
+                with walk_store(walks) if shared else contextlib.nullcontext():
+                    res = run_suite(sc, entry, grids, tolerances, rng)
+            except MATH_ERRORS as err:
+                print(f"math error in suite '{entry['suite']}' ({_suite_context(entry)}): "
+                      f"{err}", file=sys.stderr)
+                return 3
+            res.wall_ms = (time.perf_counter() - t0) * 1e3
+            results.append(res)
+            status = "PASS" if res.pass_ else "FAIL"
+            print(f"{status} {res.suite} ({_suite_context(entry)}): "
+                  f"max residual {res.max_residual:.3e}{_worst_text(res)} "
+                  f"vs tol {res.tolerance:.1e} [{res.wall_ms:.1f} ms]")
+    finally:
+        walks.clear()  # no walk outlives the run
 
     paths = write_reports(sc, results, out_dir, fmt, seed, grids)
     print(f"wrote {len(paths)} report file(s) under {out_dir}")

@@ -16,10 +16,16 @@ one tree walk, as in vector forward mode).  There is one numeric path,
 numpy's: a point is a grid of one (floats enter as 0-d arrays), and
 constants are ``np.float64`` scalars that broadcast, so numpy's
 floating-point checks see every operation.
+
+A caller that walks the same expressions at the same grids again enters a
+store of walks (:func:`walk_store`).  It is held in a context variable, so
+another thread or task does not see it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -608,6 +614,55 @@ def _locate(err: EvalDomainError, grid: list, walk) -> EvalDomainError:
     return err
 
 
+# The store of walks a caller has entered, if any (see ``walk_store``).
+_STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "confgeo_walk_store", default=None)
+
+
+@contextlib.contextmanager
+def walk_store(store: dict):
+    """Keep the walks of the block in ``store`` and reuse them.
+
+    While the block runs, ``eval_jet2``, ``eval_jet3``, ``eval_grad3`` and
+    ``evaluate`` look a walk up by the expression's identity, the order and
+    the grid's shape and bits (so ``-0.0`` and ``0.0``, NaN payloads and a
+    0-d point stay apart).  On a miss they walk as without a store and keep
+    the coefficients as read-only arrays, with the expression, so that its
+    identity is not reused.  A failed walk is never kept: its error is
+    raised again on the next call.  The caller owns ``store``, may enter it
+    again, and empties it when the walks are no longer needed.
+    """
+    token = _STORE.set(store)
+    try:
+        yield store
+    finally:
+        _STORE.reset(token)
+
+
+def _frozen(x: np.ndarray, grid: list) -> np.ndarray:
+    # a bare variable's value is an input array: the store keeps a copy, so
+    # that neither the caller's grid is frozen nor a later write to it
+    # reaches the store; any other coefficient is kept as a read-only view
+    kept = np.array(x) if any(x is g for g in grid) else x.view()
+    kept.flags.writeable = False
+    return kept
+
+
+def _jet(e: Expr, order: int, values) -> list:
+    """The coefficients of ``e`` to ``order`` over the grid of ``values``:
+    from the active store of walks, if a caller has entered one."""
+    store = _STORE.get()
+    if store is None:
+        return _evaluate(values, _walk(e, order))
+    grid = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in values))
+    key = (id(e), order, grid[0].shape, *(a.tobytes() for a in grid))
+    kept = store.get(key)
+    if kept is None:
+        out = _evaluate(grid, _walk(e, order))
+        kept = store[key] = (e, [_frozen(x, grid) for x in out])
+    return kept[1]
+
+
 def eval_jet2(e: Expr, u, v) -> Jet2:
     """Evaluate a two-variable expression with exact partials to order 2
     over a grid (arrays, or floats for a grid of one).
@@ -617,7 +672,7 @@ def eval_jet2(e: Expr, u, v) -> Jet2:
     """
     if len(e.variables) != 2:
         raise ExprError(f"eval_jet2 needs a two-variable expression, got {e.variables}")
-    return Jet2(*_evaluate((u, v), _walk(e, 2)))
+    return Jet2(*_jet(e, 2, (u, v)))
 
 
 def eval_jet3(e: Expr, s) -> Jet3:
@@ -625,7 +680,7 @@ def eval_jet3(e: Expr, s) -> Jet3:
     over a grid (an array, or a float for a grid of one)."""
     if len(e.variables) != 1:
         raise ExprError(f"eval_jet3 needs a one-variable expression, got {e.variables}")
-    return Jet3(*_evaluate((s,), _walk(e, 3)))
+    return Jet3(*_jet(e, 3, (s,)))
 
 
 def eval_grad3(e: Expr, x, y, z) -> Grad3:
@@ -633,7 +688,7 @@ def eval_grad3(e: Expr, x, y, z) -> Grad3:
     a grid (arrays, or floats for a grid of one)."""
     if len(e.variables) != 3:
         raise ExprError(f"eval_grad3 needs a three-variable expression, got {e.variables}")
-    return Grad3(*_evaluate((x, y, z), _walk(e, 1)))
+    return Grad3(*_jet(e, 1, (x, y, z)))
 
 
 def evaluate(e: Expr, *values):
@@ -641,4 +696,4 @@ def evaluate(e: Expr, *values):
     positionally, over a grid (arrays, or floats for a grid of one)."""
     if len(values) != len(e.variables):
         raise ExprError(f"expected {len(e.variables)} values for {e.variables}")
-    return _evaluate(values, _walk(e, 0))[0]
+    return _jet(e, 0, values)[0]

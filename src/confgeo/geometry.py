@@ -81,8 +81,12 @@ def _require_in_box(domain: Box, u, v) -> None:
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product over axis 0, as :func:`dot`."""
-    return np.cross(a, b, axis=0)
+    """Cross product over axis 0, as :func:`dot`: the bits of
+    ``np.cross(a, b, axis=0)``, from the same products, without its axis
+    handling."""
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def dot(a: np.ndarray, b: np.ndarray):

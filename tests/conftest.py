@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
+from confgeo import exprkit
 from confgeo.conformal import ConformalPair
 from confgeo.exprkit import Expr, parse_scalar_field, substitute
 from confgeo.geometry import AbstractMetric, ParamCurve, SurfacePatch
@@ -171,3 +174,21 @@ def sheared_stereographic_pair(shear: float = 0.3) -> ConformalPair:
     target = SurfacePatch(substitute(tgt0.x, mapping), substitute(tgt0.y, mapping),
                           substitute(tgt0.z, mapping), box)
     return ConformalPair(src, target, dilation=e2(f"2/(1+(u+{k}*v)^2+v^2)"))
+
+
+# -- walks -------------------------------------------------------------------
+
+
+@pytest.fixture()
+def walks(monkeypatch):
+    """Every expression walk, in order, as (expression, grid values)."""
+    walked, walk_of, evaluate_of = [], exprkit._walk, exprkit._evaluate
+
+    def counting(values, tagged):
+        e, walk = tagged
+        walked.append((e, values))
+        return evaluate_of(values, walk)
+
+    monkeypatch.setattr(exprkit, "_walk", lambda e, order: (e, walk_of(e, order)))
+    monkeypatch.setattr(exprkit, "_evaluate", counting)
+    return walked

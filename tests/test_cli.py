@@ -2,9 +2,12 @@ import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from confgeo import cli, exprkit
 from confgeo.cli import main
 
 BASE_SCENARIO = {
@@ -267,3 +270,82 @@ def test_module_invocation_smoke(identity_scenario, tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+# -- the run's store of walks ----------------------------------------------------
+
+DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
+
+
+def _without_wall_ms(path: Path) -> bytes:
+    return b"".join(line for line in path.read_bytes().splitlines(keepends=True)
+                    if b'"wall_ms"' not in line)
+
+
+def test_demo_reports_match_each_suite_run_alone(tmp_path):
+    # a store key that mixed up two walks would hand one suite another's values
+    full, alone = tmp_path / "full", tmp_path / "alone"
+    assert main(["--scenario", str(DEMO), "--out", str(full), "--grid", "8"]) == 0
+    for name in cli.SUITE_NAMES:
+        assert main(["--scenario", str(DEMO), "--out", str(alone), "--grid", "8",
+                     "--suite", name]) == 0
+    names = sorted(p.name for p in full.iterdir())
+    assert len(names) == 15 and names == sorted(p.name for p in alone.iterdir())
+    for name in names:
+        assert _without_wall_ms(alone / name) == _without_wall_ms(full / name), name
+
+
+def test_demo_walks_each_latitude_point_once_per_expression(tmp_path, walks):
+    # frenet, bracket-shift, theorem3 and tangential all run along latitude on
+    # the spheres: without the store its (u, v) points were walked 24 times
+    sc = cli.load_scenario(DEMO)
+    cj = sc.curves["latitude"].jets(cli.curve_grid(sc.curve_ranges["latitude"], 8, None))
+    walks.clear()
+    assert main(["--scenario", str(DEMO), "--out", str(tmp_path), "--grid", "8"]) == 0
+    at_latitude = [e for e, values in walks if len(values) == 2
+                   and all(np.array_equal(np.asarray(x).view(np.uint64), y.view(np.uint64))
+                           for x, y in zip(values, (cj.u, cj.v)))]
+    expected = [getattr(sc.surfaces[name], c) for name in ("sphere", "sphere3") for c in "xyz"]
+    expected.append(sc.pairs["spheres"].dilation)
+    assert sorted(map(exprkit.to_text, at_latitude)) == sorted(map(exprkit.to_text, expected))
+
+
+@pytest.fixture()
+def stores(monkeypatch):
+    """(suite, store active while it ran, number of walks stored after it)."""
+    seen, run_suite = [], cli.run_suite
+
+    def spy(sc, entry, *args):
+        store = exprkit._STORE.get()
+        seen.append([entry["suite"], store, None])
+        res = run_suite(sc, entry, *args)
+        seen[-1][2] = None if store is None else len(store)
+        return res
+
+    monkeypatch.setattr(cli, "run_suite", spy)
+    return seen
+
+
+def test_only_curve_suites_share_the_run_store(identity_scenario, tmp_path, stores):
+    assert main(["--scenario", str(identity_scenario), "--out", str(tmp_path)]) == 0
+    assert [name for name, store, _ in stores if store is None] == \
+        ["forms", "christoffel-shift", "pushforward"]
+    shared = [store for _, store, _ in stores if store is not None]
+    assert len(shared) == 6 and all(store is shared[0] for store in shared)
+    assert all(n > 0 for _, store, n in stores if store is not None)
+    # nothing outlives the run: the store is emptied and left
+    assert shared[0] == {} and exprkit._STORE.get() is None
+
+
+def test_store_ends_with_a_math_error(tmp_path, capsys, stores):
+    doc = copy.deepcopy(BASE_SCENARIO)
+    doc["surfaces"].append({"name": "stretch", "kind": "patch",
+                            "x": "u", "y": "2*v", "z": "0",
+                            "domain": [[-1.5, 1.5], [-1.5, 1.5]]})
+    doc["pairs"] = [{"name": "bad", "source": "plane", "target": "stretch"}]
+    doc["suites"] = [{"suite": "bracket-shift", "pair": "bad", "curve": "circle"}]
+    path = write_scenario(tmp_path, doc)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 3
+    assert "not conformal" in capsys.readouterr().err
+    [(_, store, _)] = stores
+    assert store == {} and exprkit._STORE.get() is None

@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confgeo import exprkit
 from confgeo.exprkit import (
     Binary,
     EvalDomainError,
@@ -18,6 +20,7 @@ from confgeo.exprkit import (
     evaluate,
     parse_scalar_field,
     to_text,
+    walk_store,
 )
 
 UV = ("u", "v")
@@ -210,3 +213,74 @@ def test_polynomial_first_partials_match_fd(text, u, v):
     for idx, got in (((1, 0), j.du), ((0, 1), j.dv)):
         ref = fd_partial(e, (u, v), idx, step=1e-5)
         assert abs(ref - got) / max(1.0, abs(got)) < 1e-6
+
+
+# -- the store of walks ----------------------------------------------------------
+
+
+def test_store_walks_once_per_expression_order_and_grid(walks):
+    e = parse_scalar_field("sin(u)*v", UV)
+    u, v = np.linspace(0.0, 1.0, 5), np.linspace(1.0, 2.0, 5)
+    plain = eval_jet2(e, u, v)
+    with walk_store({}) as store:
+        first = eval_jet2(e, u, v)
+        again = eval_jet2(e, u.copy(), v.copy())  # the same bits in other arrays
+        assert len(walks) == 2 and len(store) == 1  # one walk without the store
+        assert all(x is y for x, y in zip(first, again))
+        evaluate(e, u, v)  # another order
+        eval_jet2(e, u[:4], v[:4])  # another grid
+        eval_jet2(parse_scalar_field("sin(u)*v", UV), u, v)  # an equal tree
+        assert len(walks) == 5 and len(store) == 4
+    eval_jet2(e, u, v)  # outside the block nothing is looked up
+    assert len(walks) == 6
+    for x, y in zip(plain, first):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_store_keys_the_grid_by_its_bits():
+    s = parse_scalar_field("s", S)
+    quiet = np.array([math.nan])
+    loud = (quiet.view(np.uint64) | np.uint64(1)).view(np.float64)
+    with walk_store({}) as store:
+        for grid in (np.array([0.0]), np.array([-0.0]), quiet, loud):
+            got = evaluate(s, grid)
+            assert got.view(np.uint64) == grid.view(np.uint64)
+        assert np.shape(evaluate(s, 0.5)) == ()
+        assert np.shape(evaluate(s, np.array([0.5]))) == (1,)
+        assert len(store) == 6
+
+
+def test_store_keeps_no_failed_walk():
+    e = parse_scalar_field("log(s)", S)
+    messages = []
+    with walk_store({}) as store:
+        for _ in range(2):
+            with pytest.raises(EvalDomainError) as err:
+                evaluate(e, np.array([1.0, -1.0]))
+            messages.append(str(err.value))
+        assert not store
+    assert messages[0] == messages[1]
+    assert "log of a non-positive value" in messages[0] and "-1.0" in messages[0]
+
+
+def test_stored_coefficients_are_read_only_and_the_grid_is_not():
+    s = np.linspace(0.0, 1.0, 4)
+    with walk_store({}):
+        bare = eval_jet3(parse_scalar_field("s", S), s)
+        square = eval_jet3(parse_scalar_field("s*s", S), s)
+    for x in (bare.value, bare.d1, square.value, square.d2):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 9.0
+    s[0] = 9.0  # the caller's grid stays writeable
+    assert bare.value[0] == 0.0  # and the store kept its own copy of it
+
+
+def test_store_is_not_seen_by_another_thread():
+    seen = []
+    with walk_store({}) as store:
+        worker = threading.Thread(target=lambda: seen.append(exprkit._STORE.get()))
+        worker.start()
+        worker.join(timeout=10.0)
+        assert exprkit._STORE.get() is store
+    assert not worker.is_alive() and seen == [None]
+    assert exprkit._STORE.get() is None

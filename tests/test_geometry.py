@@ -14,6 +14,7 @@ from confgeo.geometry import (
     SurfacePatch,
     beltrami_bracket,
     christoffel,
+    cross,
     first_fundamental,
     frenet,
     geodesic_curvature,
@@ -373,3 +374,15 @@ def test_beltrami_bracket_matches_geodesic_curvature():
     bracket = beltrami_bracket(christoffel(m), cj)
     assert bracket * m.W == pytest.approx(geodesic_curvature(sph, lat, s, "W1"), rel=1e-12)
     assert bracket * m.W ** 2 == pytest.approx(geodesic_curvature(sph, lat, s, "W2"), rel=1e-12)
+
+
+def test_cross_has_the_bits_of_np_cross():
+    rng = np.random.default_rng(11)
+    # magnitudes up to 1e+-300: some products overflow or underflow
+    a, b = (rng.standard_normal((3, 2000)) * 10.0 ** rng.integers(-300, 301, (3, 2000))
+            for _ in range(2))
+    with np.errstate(all="ignore"):
+        for x, y in ((a, b), (a[:, 7], b[:, 7]), (a[:, :1], b[:, :1])):
+            got, want = cross(x, y), np.cross(x, y, axis=0)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -197,6 +197,9 @@ def test_worst_skips_undefined_cells_but_not_nan():
     b = np.array([None, 0.5, None], dtype=object)
     assert cli._worst({"a": a, "b": b}, names) == (0.5, ("b", 1))
     assert cli._worst({"a": a, "b": np.full(3, None)}, ["b"]) == (0.0, None)
+    # an empty report has no worst cell, with float columns or object ones
+    assert cli._worst({"a": a[:0], "b": a[:0]}, names) == (0.0, None)
+    assert cli._worst({"a": a[:0], "b": b[:0]}, names) == (0.0, None)
     worst, at = cli._worst({"a": a, "b": np.array([None, math.nan, 9.0], dtype=object)},
                            names)
     assert math.isnan(worst) and at == ("b", 1)
