@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,24 +28,6 @@ import numpy as np
 
 from . import calculus, conformal, geometry, normalcurve
 from .exprkit import ExprError, parse_scalar_field, walk_store
-
-SUITE_NAMES = (
-    "forms", "frenet", "christoffel-shift", "bracket-shift",
-    "geodesic-deviation", "theorem3", "tangential", "classify", "pushforward",
-)
-
-DEFAULT_TOLERANCES = {
-    "forms": 1e-9,
-    "frenet": 1e-9,
-    "christoffel-shift": 1e-7,
-    "bracket-shift": 1e-8,
-    "geodesic-deviation": 1e-6,
-    "theorem3": 1e-8,
-    "tangential": 1e-6,
-    "classify": 1e-8,
-    "pushforward": 1e-8,
-    "conformality": 1e-8,
-}
 
 MATH_ERRORS = (ExprError, geometry.GeometryError, calculus.CalculusError,
                conformal.ConformalError)
@@ -70,6 +53,12 @@ class Scenario:
     suites: list = field(default_factory=list)
     tolerances: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
+
+    @property
+    def pools(self) -> dict:
+        """The named members of each kind a suite entry can name."""
+        return {"surface": self.surfaces, "curve": self.curves, "pair": self.pairs,
+                "profile": self.profiles}
 
 
 def _need(entry: dict, key: str, where: str):
@@ -113,13 +102,15 @@ def _range(entry: dict, key: str, where: str) -> tuple[float, float]:
     return _finite(raw[0], f"{where}.{key}[0]"), _finite(raw[1], f"{where}.{key}[1]")
 
 
-def _parse_field(text, variables, where: str):
+def _parse_field(text, variables, where: str, parsed: dict):
     if not isinstance(text, str):
         raise ScenarioError(f"{where}: expected an expression string, got {text!r}")
-    try:
-        return parse_scalar_field(text, variables)
-    except ExprError as err:
-        raise ScenarioError(f"{where}: {err}") from None
+    if (text, variables) not in parsed:
+        try:
+            parsed[text, variables] = parse_scalar_field(text, variables)
+        except ExprError as err:
+            raise ScenarioError(f"{where}: {err}") from None
+    return parsed[text, variables]
 
 
 def _box(raw, where: str):
@@ -147,6 +138,7 @@ def load_scenario(path: Path) -> Scenario:
         raise ScenarioError(f"'{path}': top level must be an object")
 
     sc = Scenario(path=path, digest=hashlib.sha256(raw_bytes).hexdigest())
+    parsed: dict = {}  # one Expr per (text, variables), so equal texts share stored walks
 
     def fresh_name(entry: dict, where: str, pool: dict) -> str:
         name = _name(entry, "name", where)
@@ -161,11 +153,11 @@ def load_scenario(path: Path) -> Scenario:
         box = _box(_need(entry, "domain", where), where)
         if kind == "patch":
             sc.surfaces[name] = geometry.SurfacePatch(
-                *(_parse_field(_need(entry, k, where), ("u", "v"), f"{where}.{k}")
+                *(_parse_field(_need(entry, k, where), ("u", "v"), f"{where}.{k}", parsed)
                   for k in ("x", "y", "z")), box)
         elif kind == "metric":
             sc.surfaces[name] = geometry.AbstractMetric(
-                *(_parse_field(_need(entry, k, where), ("u", "v"), f"{where}.{k}")
+                *(_parse_field(_need(entry, k, where), ("u", "v"), f"{where}.{k}", parsed)
                   for k in ("E", "F", "G")), box)
         else:
             raise ScenarioError(f"{where}.kind: expected 'patch' or 'metric', got '{kind}'")
@@ -181,8 +173,8 @@ def load_scenario(path: Path) -> Scenario:
             if not isinstance(patch, geometry.SurfacePatch):
                 raise ScenarioError(f"{where}.surface: reparameterization needs a patch")
             t0, t1 = _range(entry, "t_range", where)
-            u_raw = _parse_field(_need(entry, "u", where), ("t",), f"{where}.u")
-            v_raw = _parse_field(_need(entry, "v", where), ("t",), f"{where}.v")
+            u_raw = _parse_field(_need(entry, "u", where), ("t",), f"{where}.u", parsed)
+            v_raw = _parse_field(_need(entry, "v", where), ("t",), f"{where}.v", parsed)
             samples = entry.get("samples", 32)
             if type(samples) is not int:
                 raise ScenarioError(f"{where}.samples: expected an integer, got {samples!r}")
@@ -194,8 +186,8 @@ def load_scenario(path: Path) -> Scenario:
             sc.curves[name] = curve
             sc.curve_ranges[name] = (0.0, curve.length)
         else:
-            u = _parse_field(_need(entry, "u", where), ("s",), f"{where}.u")
-            v = _parse_field(_need(entry, "v", where), ("s",), f"{where}.v")
+            u = _parse_field(_need(entry, "u", where), ("s",), f"{where}.u", parsed)
+            v = _parse_field(_need(entry, "v", where), ("s",), f"{where}.v", parsed)
             sc.curves[name] = geometry.ParamCurve(u, v)
             sc.curve_ranges[name] = _range(entry, "s_range", where)
 
@@ -219,14 +211,14 @@ def load_scenario(path: Path) -> Scenario:
             members.append(sc.surfaces[sname])
         dilation = None
         if "dilation" in entry:
-            dilation = _parse_field(entry["dilation"], ("u", "v"), f"{where}.dilation")
+            dilation = _parse_field(entry["dilation"], ("u", "v"), f"{where}.dilation", parsed)
         ambient = None
         if "ambient_map" in entry:
             comps = entry["ambient_map"]
             if not (isinstance(comps, list) and len(comps) == 3):
                 raise ScenarioError(f"{where}.ambient_map: expected three expressions")
-            ambient = tuple(_parse_field(c, ("x", "y", "z"), f"{where}.ambient_map[{j}]")
-                            for j, c in enumerate(comps))
+            ambient = tuple(_parse_field(c, ("x", "y", "z"), f"{where}.ambient_map[{j}]",
+                                         parsed) for j, c in enumerate(comps))
         try:
             sc.pairs[name] = conformal.ConformalPair(
                 members[0], members[1], dilation=dilation, ambient_map=ambient,
@@ -238,8 +230,8 @@ def load_scenario(path: Path) -> Scenario:
         where = f"profiles[{i}]"
         name = fresh_name(entry, where, sc.profiles)
         sc.profiles[name] = (
-            _parse_field(_need(entry, "nu", where), ("s",), f"{where}.nu"),
-            _parse_field(_need(entry, "eta", where), ("s",), f"{where}.eta"),
+            _parse_field(_need(entry, "nu", where), ("s",), f"{where}.nu", parsed),
+            _parse_field(_need(entry, "eta", where), ("s",), f"{where}.eta", parsed),
         )
 
     suites = _section(doc, "suites", list)
@@ -250,12 +242,10 @@ def load_scenario(path: Path) -> Scenario:
         sname = _need(entry, "suite", where)
         if sname not in SUITE_NAMES:
             raise ScenarioError(f"{where}.suite: unknown suite '{sname}'")
-        for key, pool in (("surface", sc.surfaces), ("curve", sc.curves),
-                          ("pair", sc.pairs), ("profile", sc.profiles)):
+        for key, pool in sc.pools.items():
             if key in entry and _name(entry, key, where) not in pool:
                 raise ScenarioError(f"{where}.{key}: unknown {key} '{entry[key]}'")
-        needs = _SUITE_NEEDS[sname]
-        for key in needs:
+        for key in SUITES[sname].needs:
             if key not in entry:
                 raise ScenarioError(f"{where}: suite '{sname}' needs key '{key}'")
         sc.suites.append(dict(entry))
@@ -270,19 +260,6 @@ def load_scenario(path: Path) -> Scenario:
     if sc.grids["mode"] not in ("uniform", "random"):
         raise ScenarioError(f"grids.mode: expected 'uniform' or 'random', got '{sc.grids['mode']}'")
     return sc
-
-
-_SUITE_NEEDS = {
-    "forms": ("surface",),
-    "frenet": ("surface", "curve"),
-    "christoffel-shift": ("pair",),
-    "bracket-shift": ("pair", "curve"),
-    "geodesic-deviation": ("pair", "curve"),
-    "theorem3": ("pair", "curve", "profile"),
-    "tangential": ("pair", "curve", "profile"),
-    "classify": ("surface", "curve"),
-    "pushforward": ("pair",),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -371,132 +348,142 @@ def _worst(columns: dict, names: list[str]) -> tuple[float, tuple[str, int] | No
     return float(vals[row, j]), (names[j], row)
 
 
+def _forms(surf, us, vs, params, tol):
+    if not isinstance(surf, geometry.SurfacePatch):
+        raise ScenarioError(f"suite 'forms' needs a patch, '{params['surface']}' is a metric")
+    names = ["u", "v", "E", "F", "G", "W",
+             "r_uu_u", "r_uu_v", "r_uv_u", "r_uv_v", "r_vv_u", "r_vv_v", "r_lagrange"]
+    # one patch-jet evaluation at the grid feeds the forms, the Lagrange
+    # column and the oracle's left sides; the oracle adds four shifted ones
+    pj = surf.jets(us, vs)
+    m = geometry.first_fundamental(surf, us, vs, pj=pj)
+    cr = geometry.cross(pj.pu, pj.pv)
+    disc = m.E * m.G - m.F * m.F
+    lagrange = abs(geometry.dot(cr, cr) - disc) / np.maximum(1.0, abs(disc))
+    fd = geometry.metric_derivative_identities(surf, us, vs, pj=pj)
+    return _columns(names, us, vs, m.E, m.F, m.G, m.W, fd, lagrange), names[6:]
+
+
+def _frenet(surf, curve, ss, params, tol):
+    names = ["s", "kappa", "tau", "r_unit", "r_tn", "r_tb", "r_nb", "r_btxn"]
+    fr = geometry.frenet(surf, curve, ss)
+    # n, b and tau are NaN where kappa <= floor: those cells are undefined
+    undefined = fr.kappa <= geometry.CURVATURE_FLOOR
+
+    def where_defined(x):
+        return np.where(undefined, None, x) if undefined.any() else x
+
+    return _columns(names, ss, fr.kappa, None if fr.tau is None else where_defined(fr.tau),
+                    abs(geometry.norm(fr.t) - 1.0),
+                    *(where_defined(x) for x in (
+                        abs(geometry.dot(fr.t, fr.n)), abs(geometry.dot(fr.t, fr.b)),
+                        abs(geometry.dot(fr.n, fr.b)),
+                        geometry.norm(fr.b - geometry.cross(fr.t, fr.n))))), names[3:]
+
+
+def _christoffel_shift(pair, us, vs, params, tol):
+    names = ["u", "v", "zeta", "r111", "r112", "r121", "r122", "r221", "r222"]
+    forms = pair.forms(us, vs)
+    zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
+    return _columns(names, us, vs, zeta, *conformal.christoffel_shift_residual(
+        pair, us, vs, forms=forms, zeta=zeta)), names[3:]
+
+
+def _bracket_shift(pair, curve, ss, params, tol):
+    names = ["s", "b_src", "b_tgt", "theta_bracket", "residual"]
+    bs = conformal.beltrami_bracket_shift(pair, curve, ss)
+    return _columns(names, ss, bs.b_src, bs.b_tgt, bs.theta_bracket, bs.residual), ["residual"]
+
+
+def _geodesic_deviation(pair, curve, ss, params, tol):
+    names = ["s", "zeta", "f", "h", "kg_src_W1", "kg_src_W2", "kg_tgt_W1", "kg_tgt_W2",
+             "r_W1_W1", "r_W1_W2", "r_W2_W1", "r_W2_W2", "oracle_kg"]
+    rep = conformal.geodesic_deviation_report(pair, curve, ss, tol=tol)
+    oracle = (conformal.image_geodesic_curvature(pair, curve, ss)
+              if pair.embedded else None)
+    cols = _columns(names, ss, rep.zeta, rep.f, rep.h,
+                    rep.kappa_g_src["W1"], rep.kappa_g_src["W2"],
+                    rep.kappa_g_tgt["W1"], rep.kappa_g_tgt["W2"],
+                    *(rep.i20_residuals[k] for k in conformal.PAIRINGS), oracle)
+    pinned = params["pinned_pairing"] = _pin_pairing(rep, oracle)
+    return cols, ["r_" + pinned.replace("/", "_")]
+
+
+def _theorem3(pair, curve, profile, ss, params, tol):
+    names = ["s", "zeta", "h", "lhs", "r_as_printed", "r_zeta4_on_h", "r_best"]
+    rep = normalcurve.theorem3_report(pair, curve, *profile, ss)
+    return _columns(names, ss, rep["zeta"], rep["h"], rep["lhs"], rep["as_printed"],
+                    rep["zeta4_on_h"], np.minimum(rep["as_printed"], rep["zeta4_on_h"])), ["r_best"]
+
+
+def _tangential(pair, curve, profile, ss, params, tol):
+    names = ["s", "zeta", "g1", "g2", "r_u", "r_v", "r_T"]
+    rep = normalcurve.tangential_report(pair, curve, *profile, ss)
+    return _columns(names, ss, *(rep[k] for k in names[1:])), names[4:]
+
+
+def _classify(surf, curve, ss, params, tol):
+    verdict = normalcurve.classify_curve(surf, curve, ss, tol=tol)
+    names = ["verdict", "satisfied", "c_t_max", "c_n_max", "c_b_max", "max_offending"]
+    row = [verdict.verdict, "+".join(verdict.satisfied),
+           verdict.component_maxima["c_t"], verdict.component_maxima["c_n"],
+           verdict.component_maxima["c_b"], verdict.max_offending]
+    cols = {c: np.array([x], dtype=object) for c, x in zip(names, row)}
+    expect = params.get("expect")
+    ok = (verdict.verdict == expect) if expect else (verdict.verdict != "undefined")
+    return cols, (verdict.max_offending, ok)
+
+
+def _pushforward(pair, us, vs, params, tol):
+    names = ["u", "v", "zeta", "r_u", "r_v"]
+    # each patch is evaluated once: its jets give the forms and the residual
+    jets = pair.source.jets(us, vs), pair.target.jets(us, vs)
+    forms = tuple(geometry.first_fundamental(m, us, vs, pj=pj)
+                  for m, pj in zip((pair.source, pair.target), jets))
+    zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
+    return _columns(names, us, vs, zeta, *conformal.pushforward_residual(
+        pair, us, vs, jets=jets, zeta=zeta)), names[3:]
+
+
+# A suite is a row: the scenario members its entry names, in the order its
+# body takes them, its default tolerance, its body and its least number of
+# grid points.  A suite that needs a curve runs along an s-grid, and any
+# other over the u, v grid of its surface or of its pair's source.
+# ``body(*members, *grid, params, tol)`` returns the report columns and a list
+# of the residual columns its verdict reads, or its own ``(max_residual, pass_)``.
+Suite = namedtuple("Suite", "needs tolerance body min_points", defaults=(1,))
+SUITES = {
+    "forms": Suite(("surface",), 1e-9, _forms),
+    "frenet": Suite(("surface", "curve"), 1e-9, _frenet),
+    "christoffel-shift": Suite(("pair",), 1e-7, _christoffel_shift),
+    "bracket-shift": Suite(("pair", "curve"), 1e-8, _bracket_shift),
+    "geodesic-deviation": Suite(("pair", "curve"), 1e-6, _geodesic_deviation),
+    "theorem3": Suite(("pair", "curve", "profile"), 1e-8, _theorem3),
+    "tangential": Suite(("pair", "curve", "profile"), 1e-6, _tangential),
+    "classify": Suite(("surface", "curve"), 1e-8, _classify, min_points=64),
+    "pushforward": Suite(("pair",), 1e-8, _pushforward),
+}
+
+SUITE_NAMES = tuple(SUITES)
+DEFAULT_TOLERANCES = {name: suite.tolerance for name, suite in SUITES.items()}
+DEFAULT_TOLERANCES["conformality"] = 1e-8
+
+
 def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> SuiteResult:
     name = entry["suite"]
-    tol = tolerances[name]
+    suite, tol = SUITES[name], tolerances[name]
     params = {k: v for k, v in entry.items() if k != "suite"}
-
-    if name == "forms":
-        surf = sc.surfaces[entry["surface"]]
-        if not isinstance(surf, geometry.SurfacePatch):
-            raise ScenarioError(f"suite 'forms' needs a patch, '{entry['surface']}' is a metric")
-        names = ["u", "v", "E", "F", "G", "W",
-                 "r_uu_u", "r_uu_v", "r_uv_u", "r_uv_v", "r_vv_u", "r_vv_v", "r_lagrange"]
-        us, vs = surface_grid(surf.domain, grids["surface"], rng)
-        # one patch-jet evaluation at the grid feeds the forms, the Lagrange
-        # column and the oracle's left sides; the oracle adds four shifted ones
-        pj = surf.jets(us, vs)
-        m = geometry.first_fundamental(surf, us, vs, pj=pj)
-        cr = geometry.cross(pj.pu, pj.pv)
-        disc = m.E * m.G - m.F * m.F
-        lagrange = abs(geometry.dot(cr, cr) - disc) / np.maximum(1.0, abs(disc))
-        fd = geometry.metric_derivative_identities(surf, us, vs, pj=pj)
-        cols = _columns(names, us, vs, m.E, m.F, m.G, m.W, fd, lagrange)
-        residuals = names[6:]
-
-    elif name == "frenet":
-        surf, curve = sc.surfaces[entry["surface"]], sc.curves[entry["curve"]]
-        names = ["s", "kappa", "tau", "r_unit", "r_tn", "r_tb", "r_nb", "r_btxn"]
-        ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
-        fr = geometry.frenet(surf, curve, ss)
-        # n, b and tau are NaN where kappa <= floor: those cells are undefined
-        undefined = fr.kappa <= geometry.CURVATURE_FLOOR
-
-        def where_defined(x):
-            return np.where(undefined, None, x) if undefined.any() else x
-
-        cols = _columns(names, ss, fr.kappa, None if fr.tau is None else where_defined(fr.tau),
-                        abs(geometry.norm(fr.t) - 1.0),
-                        *(where_defined(x) for x in (
-                            abs(geometry.dot(fr.t, fr.n)), abs(geometry.dot(fr.t, fr.b)),
-                            abs(geometry.dot(fr.n, fr.b)),
-                            geometry.norm(fr.b - geometry.cross(fr.t, fr.n)))))
-        residuals = names[3:]
-
-    elif name == "christoffel-shift":
-        pair = sc.pairs[entry["pair"]]
-        names = ["u", "v", "zeta", "r111", "r112", "r121", "r122", "r221", "r222"]
-        us, vs = surface_grid(pair.source.domain, grids["surface"], rng)
-        forms = pair.forms(us, vs)
-        zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
-        cols = _columns(names, us, vs, zeta, *conformal.christoffel_shift_residual(
-            pair, us, vs, forms=forms, zeta=zeta))
-        residuals = names[3:]
-
-    elif name == "bracket-shift":
-        pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
-        names = ["s", "b_src", "b_tgt", "theta_bracket", "residual"]
-        ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
-        bs = conformal.beltrami_bracket_shift(pair, curve, ss)
-        cols = _columns(names, ss, bs.b_src, bs.b_tgt, bs.theta_bracket, bs.residual)
-        residuals = ["residual"]
-
-    elif name == "geodesic-deviation":
-        pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
-        names = ["s", "zeta", "f", "h", "kg_src_W1", "kg_src_W2", "kg_tgt_W1", "kg_tgt_W2",
-                 "r_W1_W1", "r_W1_W2", "r_W2_W1", "r_W2_W2", "oracle_kg"]
-        ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
-        rep = conformal.geodesic_deviation_report(pair, curve, ss, tol=tol)
-        oracle = (conformal.image_geodesic_curvature(pair, curve, ss)
-                  if pair.embedded else None)
-        cols = _columns(names, ss, rep.zeta, rep.f, rep.h,
-                        rep.kappa_g_src["W1"], rep.kappa_g_src["W2"],
-                        rep.kappa_g_tgt["W1"], rep.kappa_g_tgt["W2"],
-                        *(rep.i20_residuals[k] for k in conformal.PAIRINGS), oracle)
-        pinned = _pin_pairing(rep, oracle)
-        params["pinned_pairing"] = pinned
-        residuals = ["r_" + pinned.replace("/", "_")]
-
-    elif name == "theorem3":
-        pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
-        nu, eta = sc.profiles[entry["profile"]]
-        names = ["s", "zeta", "h", "lhs", "r_as_printed", "r_zeta4_on_h", "r_best"]
-        ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
-        rep = normalcurve.theorem3_report(pair, curve, nu, eta, ss)
-        cols = _columns(names, ss, rep["zeta"], rep["h"], rep["lhs"], rep["as_printed"],
-                        rep["zeta4_on_h"], np.minimum(rep["as_printed"], rep["zeta4_on_h"]))
-        residuals = ["r_best"]
-
-    elif name == "tangential":
-        pair, curve = sc.pairs[entry["pair"]], sc.curves[entry["curve"]]
-        nu, eta = sc.profiles[entry["profile"]]
-        names = ["s", "zeta", "g1", "g2", "r_u", "r_v", "r_T"]
-        ss = curve_grid(sc.curve_ranges[entry["curve"]], grids["curve"], rng)
-        rep = normalcurve.tangential_report(pair, curve, nu, eta, ss)
-        cols = _columns(names, ss, *(rep[k] for k in names[1:]))
-        residuals = ["r_u", "r_v", "r_T"]
-
-    elif name == "classify":
-        surf, curve = sc.surfaces[entry["surface"]], sc.curves[entry["curve"]]
-        grid = curve_grid(sc.curve_ranges[entry["curve"]],
-                          max(grids["curve"], 64), rng)
-        verdict = normalcurve.classify_curve(surf, curve, grid, tol=tol)
-        names = ["verdict", "satisfied", "c_t_max", "c_n_max", "c_b_max", "max_offending"]
-        row = [verdict.verdict, "+".join(verdict.satisfied),
-               verdict.component_maxima["c_t"], verdict.component_maxima["c_n"],
-               verdict.component_maxima["c_b"], verdict.max_offending]
-        cols = {c: np.array([x], dtype=object) for c, x in zip(names, row)}
-        expect = entry.get("expect")
-        ok = (verdict.verdict == expect) if expect else (verdict.verdict != "undefined")
-        return SuiteResult(name, params, tol, cols, max_residual=verdict.max_offending, pass_=ok)
-
-    elif name == "pushforward":
-        pair = sc.pairs[entry["pair"]]
-        names = ["u", "v", "zeta", "r_u", "r_v"]
-        us, vs = surface_grid(pair.source.domain, grids["surface"], rng)
-        # each patch is evaluated once: its jets give the forms and the residual
-        jets = pair.source.jets(us, vs), pair.target.jets(us, vs)
-        forms = tuple(geometry.first_fundamental(m, us, vs, pj=pj)
-                      for m, pj in zip((pair.source, pair.target), jets))
-        zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
-        cols = _columns(names, us, vs, zeta, *conformal.pushforward_residual(
-            pair, us, vs, jets=jets, zeta=zeta))
-        residuals = ["r_u", "r_v"]
-
-    else:  # pragma: no cover - guarded by validation
-        raise ScenarioError(f"unknown suite '{name}'")
-
-    worst, at = _worst(cols, residuals)
+    members = [sc.pools[key][entry[key]] for key in suite.needs]
+    if "curve" in suite.needs:
+        n = max(grids["curve"], suite.min_points)
+        grid = [curve_grid(sc.curve_ranges[entry["curve"]], n, rng)]
+    else:  # a pair's members share one domain
+        surf = members[0] if suite.needs[0] == "surface" else members[0].source
+        grid = surface_grid(surf.domain, grids["surface"], rng)
+    cols, verdict = suite.body(*members, *grid, params, tol)
+    if isinstance(verdict, tuple):
+        return SuiteResult(name, params, tol, cols, *verdict)
+    worst, at = _worst(cols, verdict)
     return SuiteResult(name, params, tol, cols, worst, pass_=worst < tol, worst_at=at)
 
 
@@ -670,15 +657,15 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
         if not selected:
             raise ScenarioError(f"--suite: scenario has no suites among {only}")
 
-    # The suites along a curve walk the same patch, curve, dilation and
-    # profile expressions at the same s-grid, so they share one store of
-    # walks for the run.  The surface suites run outside it: their n*n
-    # grids are where the memory goes, and no other suite walks them.
+    # The suites whose row needs a curve walk the same patch, curve,
+    # dilation and profile expressions at the same s-grid, so they share one
+    # store of walks for the run.  The surface suites run outside it: their
+    # n*n grids are where the memory goes, and no other suite walks them.
     results, walks = [], {}
     try:
         for entry in selected:
             rng = (np.random.default_rng(seed) if grids["mode"] == "random" else None)
-            shared = "curve" in _SUITE_NEEDS[entry["suite"]]
+            shared = "curve" in SUITES[entry["suite"]].needs
             t0 = time.perf_counter()
             try:
                 with walk_store(walks) if shared else contextlib.nullcontext():

@@ -569,16 +569,14 @@ def _walk(e: Expr, order: int):
         name: [x, *seed] for name, x, seed in zip(e.variables, p, tab.seeds)}, tab)
 
 
-def _evaluate(values, walk) -> list:
-    """``walk`` over the grid of ``values``: float64 arrays broadcast to one
-    shape, 0-d at a point.
+def _evaluate(grid, walk) -> list:
+    """``walk`` over ``grid``: float64 arrays of one shape, 0-d at a point.
 
     numpy overflow, invalid and divide-by-zero results raise, so they name
     their node instead of passing inf or NaN on, and an
     :class:`EvalDomainError` names the first grid point where evaluation
     fails.  Constant coefficients of the result are filled out to the grid.
     """
-    grid = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in values))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
             out = walk(grid)
@@ -651,10 +649,10 @@ def _frozen(x: np.ndarray, grid: list) -> np.ndarray:
 def _jet(e: Expr, order: int, values) -> list:
     """The coefficients of ``e`` to ``order`` over the grid of ``values``:
     from the active store of walks, if a caller has entered one."""
+    grid = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in values))
     store = _STORE.get()
     if store is None:
-        return _evaluate(values, _walk(e, order))
-    grid = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in values))
+        return _evaluate(grid, _walk(e, order))
     key = (id(e), order, grid[0].shape, *(a.tobytes() for a in grid))
     kept = store.get(key)
     if kept is None:

@@ -238,13 +238,6 @@ def theorem3_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     }
 
 
-def theorem3_residual(pair: ConformalPair, c, nu: Expr, eta: Expr, s,
-                      correction: str = "as_printed") -> float:
-    if correction not in ("as_printed", "zeta4_on_h"):
-        raise ValueError(f"correction must be 'as_printed' or 'zeta4_on_h', got {correction!r}")
-    return theorem3_report(pair, c, nu, eta, s)[correction]
-
-
 def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s,
                       a=None, b=None) -> dict:
     """Tangential deviation residuals against the exact identities.

@@ -117,6 +117,32 @@ def test_validation_errors_name_offending_key(tmp_path, capsys, mutate, fragment
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, key", [(name, key) for name, row in cli.SUITES.items()
+                                        for key in row.needs])
+def test_each_suite_names_each_member_it_needs(tmp_path, capsys, suite, key):
+    doc = copy.deepcopy(BASE_SCENARIO)
+    entry = next(e for e in doc["suites"] if e["suite"] == suite)
+    del entry[key]
+    doc["suites"] = [entry]
+    path = write_scenario(tmp_path, doc)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert f"suites[0]: suite '{suite}' needs key '{key}'" in err
+    assert "Traceback" not in err
+
+
+def test_forms_on_a_metric_is_a_scenario_error(tmp_path, capsys):
+    doc = copy.deepcopy(BASE_SCENARIO)
+    doc["surfaces"].append({"name": "flat", "kind": "metric", "E": "1", "F": "0", "G": "1",
+                            "domain": [[-1.0, 1.0], [-1.0, 1.0]]})
+    doc["suites"] = [{"suite": "forms", "surface": "flat"}]
+    path = write_scenario(tmp_path, doc)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "suite 'forms' needs a patch, 'flat' is a metric" in err
+    assert "Traceback" not in err
+
+
 def _reparam_curve(t_range):
     return {"name": "raw", "reparameterize": True, "surface": "plane",
             "u": "t", "v": "0", "t_range": t_range}
@@ -293,6 +319,15 @@ def test_demo_reports_match_each_suite_run_alone(tmp_path):
     assert len(names) == 15 and names == sorted(p.name for p in alone.iterdir())
     for name in names:
         assert _without_wall_ms(alone / name) == _without_wall_ms(full / name), name
+
+
+def test_equal_expression_texts_share_one_expr():
+    # the demo's profiles nu_only and eta_only both hold the expression 0
+    sc = cli.load_scenario(DEMO)
+    assert sc.profiles["nu_only"][1] is sc.profiles["eta_only"][0]
+    assert sc.profiles["nu_only"][0] is sc.profiles["generic"][0]
+    # equal text over other variables is another expression
+    assert sc.surfaces["plane"].z is not sc.profiles["nu_only"][1]
 
 
 def test_demo_walks_each_latitude_point_once_per_expression(tmp_path, walks):

@@ -14,7 +14,6 @@ from confgeo.normalcurve import (
     tangential_report,
     tangential_residual,
     theorem3_report,
-    theorem3_residual,
 )
 from conftest import (
     catenoid_helicoid_pair,
@@ -303,13 +302,7 @@ def test_theorem3_stereographic_latitude_image():
 
 def test_theorem3_requires_embedded_pair():
     with pytest.raises(EmbeddingRequiredError):
-        theorem3_residual(flat_exp_pair(), line_curve(), NU_GENERIC, ZERO, 0.2)
-
-
-def test_theorem3_correction_flag_validated():
-    with pytest.raises(ValueError, match="correction"):
-        theorem3_residual(identity_pair(sphere()), latitude_curve(),
-                          NU_GENERIC, ZERO, 0.5, correction="bogus")
+        theorem3_report(flat_exp_pair(), line_curve(), NU_GENERIC, ZERO, 0.2)
 
 
 # -- tangential identities -------------------------------------------------------------------
