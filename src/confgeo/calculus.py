@@ -16,7 +16,6 @@ from .geometry import CurveJets, SurfacePatch, speed_from_form, violation
 
 QUAD_TOL = 1e-10
 ZERO_SPEED_FLOOR = 1e-12
-REPARAM_TOL = 1e-6
 NEWTON_STEPS = 40
 REFINE_ROUNDS = 10
 
@@ -167,7 +166,7 @@ class UnitSpeedCurve:
     fixed-order Gauss-Legendre rule that built the table, and exact
     raw-curve jets are pushed through the inverse chain rule.  The
     unit-speed invariant therefore holds to quadrature accuracy, well
-    inside the 1e-6 reparameterization tolerance.  ``s`` is an s-grid, all
+    inside ``geometry.UNIT_SPEED_TOL`` (1e-6).  ``s`` is an s-grid, all
     points solved at once (a float is a grid of one).  Jets stop at order
     2, so :func:`geometry.frenet` gives no torsion here.
     """
@@ -218,8 +217,7 @@ class UnitSpeedCurve:
         ju, jv = eval_jet3(self.u_raw, t), eval_jet3(self.v_raw, t)
         m = self.patch.first_form(ju.value, jv.value)
         u1, v1, u2, v2 = ju.d1, jv.d1, ju.d2, jv.d2
-        q = m.E * u1 * u1 + 2.0 * m.F * u1 * v1 + m.G * v1 * v1
-        w = np.sqrt(q)
+        w = speed_from_form(m, u1, v1)
         dq = ((m.E_u * u1 + m.E_v * v1) * u1 * u1 + 2.0 * m.E * u1 * u2
               + 2.0 * (m.F_u * u1 + m.F_v * v1) * u1 * v1 + 2.0 * m.F * (u2 * v1 + u1 * v2)
               + (m.G_u * u1 + m.G_v * v1) * v1 * v1 + 2.0 * m.G * v1 * v2)

@@ -466,7 +466,7 @@ SUITES = {
 
 SUITE_NAMES = tuple(SUITES)
 DEFAULT_TOLERANCES = {name: suite.tolerance for name, suite in SUITES.items()}
-DEFAULT_TOLERANCES["conformality"] = 1e-8
+DEFAULT_TOLERANCES["conformality"] = conformal.CONFORMALITY_TOL
 
 
 def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> SuiteResult:

@@ -15,6 +15,7 @@ the two patches' jets as ``jets``) so that each patch is evaluated once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .geometry import (
     SurfacePatch,
     beltrami_bracket,
     beta_jets,
+    bracket_cubic,
     christoffel,
     cross,
     dot,
@@ -182,9 +184,9 @@ def dilation_jet(pair: ConformalPair, u, v,
 # Theta terms and shift residuals
 
 
-@dataclass(frozen=True)
-class ThetaSet:
-    """Conformal Christoffel shift terms; t<i><j><k> holds theta^k_ij."""
+class ThetaSet(NamedTuple):
+    """Conformal Christoffel shift terms; t<i><j><k> holds theta^k_ij, in
+    the slot order of :class:`geometry.ChristoffelSet`."""
 
     t111: float
     t112: float
@@ -222,21 +224,14 @@ def christoffel_shift_residual(pair: ConformalPair, u, v,
     that has run :func:`dilation_field` passes its estimate as ``zeta``."""
     m, mt = pair.forms(u, v) if forms is None else forms
     zj = dilation_jet(pair, u, v, forms=(m, mt), zeta=zeta)
-    g, gt, th = christoffel(m), christoffel(mt), theta_terms(m, zj)
-    return tuple(
-        abs(getattr(gt, slot) - getattr(g, slot) - getattr(th, "t" + slot[1:]))
-        for slot in ("g111", "g112", "g121", "g122", "g221", "g222")
-    )
+    return tuple(abs(gt - g - th) for gt, g, th in
+                 zip(christoffel(mt), christoffel(m), theta_terms(m, zj)))
 
 
 def theta_bracket(th: ThetaSet, cj: CurveJets):
     """Theta analogue of the Beltrami bracket (no u'v'' - u''v' term: it
     cancels in the target-minus-source difference)."""
-    u1, v1 = cj.u1, cj.v1
-    return (th.t112 * u1 ** 3
-            + (2.0 * th.t122 - th.t111) * u1 * u1 * v1
-            + (th.t222 - 2.0 * th.t121) * u1 * v1 * v1
-            - th.t221 * v1 ** 3)
+    return bracket_cubic(th, cj.u1, cj.v1)
 
 
 @dataclass(frozen=True)

@@ -188,31 +188,21 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Node:
-        node = self.additive()
+        node = self.chain()
         kind, text, pos = self.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected '{text}'", pos)
         return node
 
-    def additive(self) -> Node:
-        node = self.multiplicative()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = Binary(text, node, self.multiplicative())
-            else:
-                return node
-
-    def multiplicative(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = Binary(text, node, self.unary())
-            else:
-                return node
+    def chain(self, ops: str = "+-") -> Node:
+        """A left-associative chain of ``ops``: a sum ("+-") of products
+        ("*/") of unaries."""
+        operand = self.unary if ops == "*/" else lambda: self.chain("*/")
+        node = operand()
+        while (tok := self.peek())[0] == "op" and tok[1] in ops:
+            self.advance()
+            node = Binary(tok[1], node, operand())
+        return node
 
     def unary(self) -> Node:
         kind, text, _ = self.peek()
@@ -242,14 +232,14 @@ class _Parser:
                 if text not in FUNCTIONS:
                     raise ExprNameError(f"unknown function '{text}'", pos)
                 self.advance()
-                arg = self.additive()
+                arg = self.chain()
                 self.expect_op(")")
                 return Unary(text, arg)
             if text not in self.variables:
                 raise ExprNameError(f"unknown identifier '{text}'", pos)
             return Var(text)
         if kind == "op" and text == "(":
-            node = self.additive()
+            node = self.chain()
             self.expect_op(")")
             return node
         if kind == "eof":

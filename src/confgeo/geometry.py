@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .exprkit import Expr, eval_jet2, eval_jet3, substitute
 
 REGULARITY_FLOOR = 1e-10
-METRIC_FLOOR = 1e-20
 UNIT_SPEED_TOL = 1e-6
 CURVATURE_FLOOR = 1e-9
 
@@ -150,21 +150,9 @@ class AbstractMetric:
 
     def first_form(self, u, v) -> "FirstForm":
         _require_in_box(self.domain, u, v)
-        je = eval_jet2(self.E, u, v)
-        jf = eval_jet2(self.F, u, v)
-        jg = eval_jet2(self.G, u, v)
-        with np.errstate(over="ignore", invalid="ignore"):
-            disc = je.value * jg.value - jf.value * jf.value
-        _require_finite("first fundamental form", u, v, disc,
-                        *(getattr(j, d) for j in (je, jf, jg) for d in ("value", "du", "dv")))
-        bad = violation((je.value > 0.0) & (jg.value > 0.0), u, v)
-        if bad is not None:
-            raise RegularityError(f"metric needs E > 0 and G > 0 at ({bad[0]}, {bad[1]})")
-        bad = violation(disc > METRIC_FLOOR, u, v, disc)
-        if bad is not None:
-            raise RegularityError(f"EG - F^2 = {bad[2]} below floor at ({bad[0]}, {bad[1]})")
-        return FirstForm(je.value, jf.value, jg.value, np.sqrt(disc),
-                         je.du, je.dv, jf.du, jf.dv, jg.du, jg.dv)
+        je, jf, jg = (eval_jet2(x, u, v) for x in (self.E, self.F, self.G))
+        return _first_form(u, v, je.value, jf.value, jg.value, E_u=je.du, E_v=je.dv,
+                           F_u=jf.du, F_v=jf.dv, G_u=jg.du, G_v=jg.dv)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +186,9 @@ class SecondForm:
     n_vec: np.ndarray
 
 
-@dataclass(frozen=True)
-class ChristoffelSet:
-    """Second-kind symbols; g<i><j><k> holds Gamma^k_ij (g121 = Gamma^1_12)."""
+class ChristoffelSet(NamedTuple):
+    """Second-kind symbols; g<i><j><k> holds Gamma^k_ij (g121 = Gamma^1_12),
+    in the slot order ``conformal.ThetaSet`` shares and :func:`bracket_cubic` reads."""
 
     g111: float
     g112: float
@@ -261,17 +249,30 @@ def _require_finite(what: str, u, v, *values) -> None:
         raise GeometryError(f"{what} is not finite at ({bad[0]}, {bad[1]})")
 
 
+def _first_form(u, v, E, F, G, **partials) -> FirstForm:
+    """The checked first form of a patch or of a metric: every value is
+    finite, E > 0 and EG - F^2 > REGULARITY_FLOOR^2, which together give
+    G > 0.  On a patch EG - F^2 = W^2, so the floor is the one
+    :func:`second_fundamental` puts on W."""
+    # products of large finite values may overflow: checked here, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = E * G - F * F
+    _require_finite("first fundamental form", u, v, E, F, G, disc, *partials.values())
+    bad = violation((E > 0.0) & (disc > REGULARITY_FLOOR ** 2), u, v, E, disc)
+    if bad is not None:
+        raise RegularityError(f"degenerate first form at ({bad[0]}, {bad[1]}): "
+                              f"E = {bad[2]}, EG - F^2 = {bad[3]}")
+    return FirstForm(E, F, G, np.sqrt(disc), **partials)
+
+
 def first_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> FirstForm:
     """First-form coefficients and their first partials from patch jets
     (``pj``, when the caller already holds them at ``u, v``)."""
     pj = p.jets(u, v) if pj is None else pj
-    # products of large finite jets may overflow: checked below, not warned
+    # products of large finite jets may overflow: checked in _first_form
     with np.errstate(over="ignore", invalid="ignore"):
-        E = dot(pj.pu, pj.pu)
-        F = dot(pj.pu, pj.pv)
-        G = dot(pj.pv, pj.pv)
-        disc = E * G - F * F
-        partials = dict(
+        return _first_form(
+            u, v, dot(pj.pu, pj.pu), dot(pj.pu, pj.pv), dot(pj.pv, pj.pv),
             E_u=2.0 * dot(pj.puu, pj.pu),
             E_v=2.0 * dot(pj.puv, pj.pu),
             F_u=dot(pj.puu, pj.pv) + dot(pj.pu, pj.puv),
@@ -279,11 +280,6 @@ def first_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> Fir
             G_u=2.0 * dot(pj.puv, pj.pv),
             G_v=2.0 * dot(pj.pvv, pj.pv),
         )
-    _require_finite("first fundamental form", u, v, E, F, G, disc, *partials.values())
-    bad = violation(disc > REGULARITY_FLOOR ** 2, u, v, disc)
-    if bad is not None:
-        raise RegularityError(f"degenerate patch at ({bad[0]}, {bad[1]}): EG - F^2 = {bad[2]}")
-    return FirstForm(E, F, G, np.sqrt(disc), **partials)
 
 
 def second_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> SecondForm:
@@ -320,20 +316,24 @@ def christoffel(m: FirstForm) -> ChristoffelSet:
     )
 
 
+def bracket_cubic(sym, u1, v1):
+    """The cubic in (u', v') through which six symbols, in
+    :class:`ChristoffelSet`'s slot order, enter a Beltrami bracket: the
+    Christoffel symbols for B, the conformal theta terms for their shift."""
+    s111, s112, s121, s122, s221, s222 = sym
+    return (s112 * u1 ** 3
+            + (2.0 * s122 - s111) * u1 * u1 * v1
+            + (s222 - 2.0 * s121) * u1 * v1 * v1
+            - s221 * v1 ** 3)
+
+
 def beltrami_bracket(g: ChristoffelSet, cj: CurveJets):
     """The Beltrami bracket B: Christoffel cubic terms plus u'v'' - u''v'.
 
     Geodesic curvature of a unit-speed curve is B*W; the bracket itself is
     weight-free and is what the conformal shift identity constrains.
     """
-    u1, v1, u2, v2 = cj.u1, cj.v1, cj.u2, cj.v2
-    return (
-        g.g112 * u1 ** 3
-        + (2.0 * g.g122 - g.g111) * u1 * u1 * v1
-        + (g.g222 - 2.0 * g.g121) * u1 * v1 * v1
-        - g.g221 * v1 ** 3
-        + (u1 * v2 - u2 * v1)
-    )
+    return bracket_cubic(g, cj.u1, cj.v1) + (cj.u1 * cj.v2 - cj.u2 * cj.v1)
 
 
 def normal_curvature_form(sf: SecondForm, u1, v1):

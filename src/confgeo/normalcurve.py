@@ -134,20 +134,23 @@ def _synth(pj: PatchJets, cj: CurveJets, nval, eval_, kappa) -> np.ndarray:
     return (nval / kappa) * bracket_n + (eval_ / kappa) * bracket_b
 
 
-def synth_position(p: SurfacePatch, c, nu: Expr, eta: Expr, s,
-                   kappa=None) -> np.ndarray:
-    """Position vector built from patch jets: (nu/kappa) times the
-    kappa*n expansion plus (eta/kappa) times the kappa*b expansion.
-
-    With ``kappa=None`` the curvature comes from the Frenet frame on this
-    patch (the curve must be unit speed there); passing the source
-    curvature instead builds the synthetic image on a pair's target.
-    """
+def _curved_jets(p: SurfacePatch, c, s) -> tuple[CurveJets, PatchJets, np.ndarray]:
+    """Curve jets, patch jets along the curve and its curvature, from one
+    evaluation of each; the curve must be unit speed and curved on ``p``."""
     cj = c.jets(s)
-    if kappa is None:
-        kappa = frenet(p, c, s, with_torsion=False).kappa
+    pj, beta1, beta2 = beta_jets(p, cj)
+    require_unit_speed(norm(beta1), s)
+    kappa = norm(beta2)
     _require_curved(kappa, s)
-    return _synth(p.jets(cj.u, cj.v), cj, evaluate(nu, s), evaluate(eta, s), kappa)
+    return cj, pj, kappa
+
+
+def synth_position(p: SurfacePatch, c, nu: Expr, eta: Expr, s) -> np.ndarray:
+    """Position vector built from patch jets: (nu/kappa) times the kappa*n
+    expansion plus (eta/kappa) times the kappa*b expansion, with kappa the
+    curve's curvature on ``p`` (a pair's image reads the source's instead)."""
+    cj, pj, kappa = _curved_jets(p, c, s)
+    return _synth(pj, cj, evaluate(nu, s), evaluate(eta, s), kappa)
 
 
 def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr, s):
@@ -158,17 +161,14 @@ def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr, 
     Beltrami bracket: against the unit normal the eta part carries a single
     W (the W^2 variant belongs to the unnormalized normal Psi_u x Psi_v).
     """
-    cj = c.jets(s)
-    kappa = frenet(p, c, s, with_torsion=False).kappa
-    _require_curved(kappa, s)
-    beta = synth_position(p, c, nu, eta, s, kappa=kappa)
-    sf = second_fundamental(p, cj.u, cj.v)
-    m = p.first_form(cj.u, cj.v)
+    cj, pj, kappa = _curved_jets(p, c, s)
+    nval, eval_ = evaluate(nu, s), evaluate(eta, s)
+    sf = second_fundamental(p, cj.u, cj.v, pj=pj)
+    m = first_fundamental(p, cj.u, cj.v, pj=pj)
     kn = normal_curvature_form(sf, cj.u1, cj.v1)
     bracket = beltrami_bracket(christoffel(m), cj)
-    nval, eval_ = evaluate(nu, s), evaluate(eta, s)
     closed = (nval / kappa) * kn + (eval_ / kappa) * m.W * bracket
-    return abs(dot(beta, sf.n_vec) - closed)
+    return abs(dot(_synth(pj, cj, nval, eval_, kappa), sf.n_vec) - closed)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +186,7 @@ def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     """Everything the deviation reports read at s, from one evaluation of
     the curve and of each patch."""
     src, tgt = _require_embedded(pair)
-    cj = c.jets(s)
-    pj, beta1, beta2 = beta_jets(src, cj)
-    require_unit_speed(norm(beta1), s)
-    kappa = norm(beta2)
-    _require_curved(kappa, s)
+    cj, pj, kappa = _curved_jets(src, c, s)
     pjt = tgt.jets(cj.u, cj.v)
     m = first_fundamental(src, cj.u, cj.v, pj=pj)
     mt = first_fundamental(tgt, cj.u, cj.v, pj=pjt)
@@ -238,22 +234,19 @@ def theorem3_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     }
 
 
-def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s,
-                      a=None, b=None) -> dict:
+def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     """Tangential deviation residuals against the exact identities.
 
     The normal-curvature difference enters as W~ kn~ - zeta^2 W kn (the
     combination the unnormalized normal Psi_u x Psi_v produces), with
-    signs +v' on the u-equation and -u' on the v-equation;
-    T = a Psi_u + b Psi_v defaults to the curve tangent (a, b) = (u', v').
+    signs +v' on the u-equation and -u' on the v-equation.  ``r_T`` is
+    along the curve tangent beta' = u' Psi_u + v' Psi_v, where that term
+    cancels; along any other T = a Psi_u + b Psi_v the identity is the
+    a, b combination of the u- and v-equations that ``r_u`` and ``r_v`` check.
     """
     st = _profile_state(pair, c, nu, eta, s)
     cj, z, kappa = st["cj"], st["zeta"], st["kappa"]
     m, mt = st["m"], st["mt"]
-    if a is None:
-        a = cj.u1
-    if b is None:
-        b = cj.v1
     pj, pjt = st["pj"], st["pjt"]
     kn = normal_curvature_form(st["sf"], cj.u1, cj.v1)
     knt = normal_curvature_form(st["sft"], cj.u1, cj.v1)
@@ -265,9 +258,9 @@ def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s,
     lhs_v = dot(st["beta_t"], pjt.pv) - z * z * dot(st["beta"], pj.pv)
     rhs_u = g1 + eta_over_kappa * cj.v1 * delta
     rhs_v = g2 - eta_over_kappa * cj.u1 * delta
-    lhs_T = (dot(st["beta_t"], a * pjt.pu + b * pjt.pv)
-             - z * z * dot(st["beta"], a * pj.pu + b * pj.pv))
-    rhs_T = a * g1 + b * g2 + eta_over_kappa * delta * (a * cj.v1 - b * cj.u1)
+    lhs_T = (dot(st["beta_t"], cj.u1 * pjt.pu + cj.v1 * pjt.pv)
+             - z * z * dot(st["beta"], cj.u1 * pj.pu + cj.v1 * pj.pv))
+    rhs_T = cj.u1 * g1 + cj.v1 * g2
     return {
         "zeta": z,
         "g1": g1,
@@ -280,7 +273,6 @@ def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s,
     }
 
 
-def tangential_residual(pair: ConformalPair, c, nu: Expr, eta: Expr, s,
-                        a=None, b=None) -> tuple:
-    rep = tangential_report(pair, c, nu, eta, s, a, b)
+def tangential_residual(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> tuple:
+    rep = tangential_report(pair, c, nu, eta, s)
     return rep["r_u"], rep["r_v"], rep["r_T"]

@@ -94,6 +94,22 @@ def test_non_conformal_pair_is_math_error(tmp_path, capsys):
     assert "3.0" in err  # the G-ratio residual appears in the diagnostic
 
 
+def test_metric_with_negative_e_is_math_error(tmp_path, capsys):
+    doc = copy.deepcopy(BASE_SCENARIO)
+    box = [[-1.5, 1.5], [-1.5, 1.5]]
+    doc["surfaces"] += [{"name": "neg", "kind": "metric", "E": "-1", "F": "0", "G": "-1",
+                         "domain": box},
+                        {"name": "flat", "kind": "metric", "E": "1", "F": "0", "G": "1",
+                         "domain": box}]
+    doc["pairs"] = [{"name": "bad", "source": "neg", "target": "flat"}]
+    doc["suites"] = [{"suite": "christoffel-shift", "pair": "bad"}]
+    path = write_scenario(tmp_path, doc)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert "suite 'christoffel-shift' (pair='bad')" in err
+    assert "at (-1.35, -1.35): E = -1.0, EG - F^2 = 1.0" in err
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda d: d["surfaces"][0].pop("x"), "surfaces[0]: missing key 'x'"),
     (lambda d: d["surfaces"][0].update(kind="blob"), "surfaces[0].kind"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ def test_first_form_degenerate_patch():
     degenerate = SurfacePatch(e2("u"), e2("u"), e2("0"), PLANE_BOX)
     with pytest.raises(RegularityError):
         first_fundamental(degenerate, 0.1, 0.2)
+
+
+# E, F, G -> the first grid point of (U_BAD, V_BAD) where the metric fails
+@pytest.mark.parametrize("efg, first_bad", [
+    (("-1", "0", "-1"), "(0.3, 0.2)"),   # EG - F^2 = 1 > 0 but E < 0
+    (("1", "1", "1"), "(0.3, 0.2)"),     # EG - F^2 = 0
+    (("u", "0", "1"), "(-0.1, 0.6)"),    # E changes sign on the grid
+])
+def test_metric_first_form_checks_name_the_first_failing_point(efg, first_bad):
+    metric = AbstractMetric(*(e2(t) for t in efg), PLANE_BOX)
+    u, v = np.array([0.3, 0.1, -0.1, -0.3]), np.array([0.2, 0.4, 0.6, 0.8])
+    with pytest.raises(RegularityError, match=re.escape(f"at {first_bad}:")):
+        metric.first_form(u, v)
 
 
 def test_point_outside_domain_rejected():
