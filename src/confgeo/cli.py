@@ -76,6 +76,14 @@ def _name(entry: dict, key: str, where: str) -> str:
     return name
 
 
+def _member(entry: dict, key: str, pool: dict, kind: str, where: str):
+    """The member of ``pool`` that ``entry[key]`` names."""
+    name = _name(entry, key, where)
+    if name not in pool:
+        raise ScenarioError(f"{where}.{key}: unknown {kind} '{name}'")
+    return pool[name]
+
+
 def _finite(raw, where: str) -> float:
     """A JSON number that is finite, as a float."""
     try:
@@ -125,6 +133,11 @@ def _box(raw, where: str):
     return box
 
 
+# The class and the expression keys of each kind of surface
+SURFACE_KINDS = {"patch": (geometry.SurfacePatch, ("x", "y", "z")),
+                 "metric": (geometry.AbstractMetric, ("E", "F", "G"))}
+
+
 def load_scenario(path: Path) -> Scenario:
     try:
         raw_bytes = path.read_bytes()
@@ -140,41 +153,34 @@ def load_scenario(path: Path) -> Scenario:
     sc = Scenario(path=path, digest=hashlib.sha256(raw_bytes).hexdigest())
     parsed: dict = {}  # one Expr per (text, variables), so equal texts share stored walks
 
-    def fresh_name(entry: dict, where: str, pool: dict) -> str:
-        name = _name(entry, "name", where)
-        if name in pool:
-            raise ScenarioError(f"{where}.name: duplicate name '{name}'")
-        return name
+    def entries(section: str, pool: dict):
+        """Each entry of a member section, with its ``where`` and its name,
+        which no earlier entry of the section holds."""
+        for i, entry in enumerate(_section(doc, section, list)):
+            where = f"{section}[{i}]"
+            name = _name(entry, "name", where)
+            if name in pool:
+                raise ScenarioError(f"{where}.name: duplicate name '{name}'")
+            yield entry, where, name
 
-    for i, entry in enumerate(_section(doc, "surfaces", list)):
-        where = f"surfaces[{i}]"
-        name = fresh_name(entry, where, sc.surfaces)
+    def expr(entry: dict, key: str, variables: tuple, where: str):
+        return _parse_field(_need(entry, key, where), variables, f"{where}.{key}", parsed)
+
+    for entry, where, name in entries("surfaces", sc.surfaces):
         kind = entry.get("kind", "patch")
         box = _box(_need(entry, "domain", where), where)
-        if kind == "patch":
-            sc.surfaces[name] = geometry.SurfacePatch(
-                *(_parse_field(_need(entry, k, where), ("u", "v"), f"{where}.{k}", parsed)
-                  for k in ("x", "y", "z")), box)
-        elif kind == "metric":
-            sc.surfaces[name] = geometry.AbstractMetric(
-                *(_parse_field(_need(entry, k, where), ("u", "v"), f"{where}.{k}", parsed)
-                  for k in ("E", "F", "G")), box)
-        else:
+        if not (isinstance(kind, str) and kind in SURFACE_KINDS):
             raise ScenarioError(f"{where}.kind: expected 'patch' or 'metric', got '{kind}'")
+        cls, keys = SURFACE_KINDS[kind]
+        sc.surfaces[name] = cls(*(expr(entry, k, ("u", "v"), where) for k in keys), box)
 
-    for i, entry in enumerate(_section(doc, "curves", list)):
-        where = f"curves[{i}]"
-        name = fresh_name(entry, where, sc.curves)
+    for entry, where, name in entries("curves", sc.curves):
         if entry.get("reparameterize", False):
-            sname = _name(entry, "surface", where)
-            if sname not in sc.surfaces:
-                raise ScenarioError(f"{where}.surface: unknown surface '{sname}'")
-            patch = sc.surfaces[sname]
+            patch = _member(entry, "surface", sc.surfaces, "surface", where)
             if not isinstance(patch, geometry.SurfacePatch):
                 raise ScenarioError(f"{where}.surface: reparameterization needs a patch")
             t0, t1 = _range(entry, "t_range", where)
-            u_raw = _parse_field(_need(entry, "u", where), ("t",), f"{where}.u", parsed)
-            v_raw = _parse_field(_need(entry, "v", where), ("t",), f"{where}.v", parsed)
+            u_raw, v_raw = expr(entry, "u", ("t",), where), expr(entry, "v", ("t",), where)
             samples = entry.get("samples", 32)
             if type(samples) is not int:
                 raise ScenarioError(f"{where}.samples: expected an integer, got {samples!r}")
@@ -186,9 +192,8 @@ def load_scenario(path: Path) -> Scenario:
             sc.curves[name] = curve
             sc.curve_ranges[name] = (0.0, curve.length)
         else:
-            u = _parse_field(_need(entry, "u", where), ("s",), f"{where}.u", parsed)
-            v = _parse_field(_need(entry, "v", where), ("s",), f"{where}.v", parsed)
-            sc.curves[name] = geometry.ParamCurve(u, v)
+            sc.curves[name] = geometry.ParamCurve(expr(entry, "u", ("s",), where),
+                                                  expr(entry, "v", ("s",), where))
             sc.curve_ranges[name] = _range(entry, "s_range", where)
 
     sc.tolerances = dict(DEFAULT_TOLERANCES)
@@ -200,18 +205,10 @@ def load_scenario(path: Path) -> Scenario:
             raise ScenarioError(f"tolerances.{key}: tolerance must be positive, got {val}")
         sc.tolerances[key] = val
 
-    for i, entry in enumerate(_section(doc, "pairs", list)):
-        where = f"pairs[{i}]"
-        name = fresh_name(entry, where, sc.pairs)
-        members = []
-        for key in ("source", "target"):
-            sname = _name(entry, key, where)
-            if sname not in sc.surfaces:
-                raise ScenarioError(f"{where}.{key}: unknown surface '{sname}'")
-            members.append(sc.surfaces[sname])
-        dilation = None
-        if "dilation" in entry:
-            dilation = _parse_field(entry["dilation"], ("u", "v"), f"{where}.dilation", parsed)
+    for entry, where, name in entries("pairs", sc.pairs):
+        members = [_member(entry, key, sc.surfaces, "surface", where)
+                   for key in ("source", "target")]
+        dilation = expr(entry, "dilation", ("u", "v"), where) if "dilation" in entry else None
         ambient = None
         if "ambient_map" in entry:
             comps = entry["ambient_map"]
@@ -226,13 +223,8 @@ def load_scenario(path: Path) -> Scenario:
         except (ValueError, conformal.ConformalError, geometry.GeometryError, ExprError) as err:
             raise ScenarioError(f"{where}: {err}") from None
 
-    for i, entry in enumerate(_section(doc, "profiles", list)):
-        where = f"profiles[{i}]"
-        name = fresh_name(entry, where, sc.profiles)
-        sc.profiles[name] = (
-            _parse_field(_need(entry, "nu", where), ("s",), f"{where}.nu", parsed),
-            _parse_field(_need(entry, "eta", where), ("s",), f"{where}.eta", parsed),
-        )
+    for entry, where, name in entries("profiles", sc.profiles):
+        sc.profiles[name] = (expr(entry, "nu", ("s",), where), expr(entry, "eta", ("s",), where))
 
     suites = _section(doc, "suites", list)
     if not suites:
@@ -243,8 +235,8 @@ def load_scenario(path: Path) -> Scenario:
         if sname not in SUITE_NAMES:
             raise ScenarioError(f"{where}.suite: unknown suite '{sname}'")
         for key, pool in sc.pools.items():
-            if key in entry and _name(entry, key, where) not in pool:
-                raise ScenarioError(f"{where}.{key}: unknown {key} '{entry[key]}'")
+            if key in entry:
+                _member(entry, key, pool, key, where)
         for key in SUITES[sname].needs:
             if key not in entry:
                 raise ScenarioError(f"{where}: suite '{sname}' needs key '{key}'")

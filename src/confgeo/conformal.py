@@ -64,10 +64,6 @@ class AmbientMapError(ConformalError):
     pass
 
 
-def _is_patch(member) -> bool:
-    return isinstance(member, SurfacePatch)
-
-
 def _position(patch: SurfacePatch, u, v) -> np.ndarray:
     return np.array([evaluate(c, u, v) for c in (patch.x, patch.y, patch.z)])
 
@@ -111,7 +107,7 @@ class ConformalPair:
 
     @property
     def embedded(self) -> bool:
-        return _is_patch(self.source) and _is_patch(self.target)
+        return isinstance(self.source, SurfacePatch) and isinstance(self.target, SurfacePatch)
 
     def forms(self, u, v) -> tuple[FirstForm, FirstForm]:
         return self.source.first_form(u, v), self.target.first_form(u, v)
@@ -131,10 +127,7 @@ def dilation_field(pair: ConformalPair, u, v,
     """
     tol = pair.conformality_tol
     m, mt = pair.forms(u, v) if forms is None else forms
-    bad = violation(m.E > 1e-12, u, v, m.E)
-    if bad is not None:
-        raise NonConformalError(
-            f"source E = {bad[2]} below regularity floor at ({bad[0]}, {bad[1]})")
+    # both first forms have E > 0, but their ratio may underflow to 0
     z2 = mt.E / m.E
     bad = violation(z2 > 0.0, u, v, z2)
     if bad is not None:
@@ -159,8 +152,8 @@ def dilation_field(pair: ConformalPair, u, v,
 def dilation_jet(pair: ConformalPair, u, v,
                  forms: tuple[FirstForm, FirstForm] | None = None, zeta=None) -> Jet2:
     """zeta with first partials.  A declared dilation supplies exact jets,
-    and its value is cross-checked here against the metric-ratio estimate
-    (raising :class:`NonConformalError` past ``conformality_tol``); otherwise
+    and its value is checked here: positive, and within ``conformality_tol``
+    of the metric-ratio estimate (else :class:`NonConformalError`); otherwise
     the partials come from differentiating zeta^2 E = E~.  A caller that has
     run :func:`dilation_field` already passes its estimate as ``zeta``."""
     m, mt = pair.forms(u, v) if forms is None else forms
@@ -169,7 +162,7 @@ def dilation_jet(pair: ConformalPair, u, v,
     if pair.dilation is not None:
         zj = eval_jet2(pair.dilation, u, v)
         tol = pair.conformality_tol * np.maximum(1.0, abs(zeta))
-        bad = violation(abs(zj.value - zeta) <= tol, u, v, zj.value, zeta)
+        bad = violation((zj.value > 0.0) & (abs(zj.value - zeta) <= tol), u, v, zj.value, zeta)
         if bad is not None:
             raise NonConformalError(
                 f"declared dilation {bad[2]} disagrees with estimate {bad[3]} "
@@ -200,11 +193,9 @@ def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ThetaSet:
     """The six theta^k_ij of the conformal Christoffel shift.
 
     All vanish identically when zeta_u = zeta_v = 0 (isometry/homothety).
+    ``zeta_jet`` is :func:`dilation_jet`'s, whose value is positive.
     """
     z, zu, zv = zeta_jet.value, zeta_jet.du, zeta_jet.dv
-    bad = violation(z > 0.0, z)
-    if bad is not None:
-        raise ValueError(f"dilation must be positive, got {bad[0]}")
     d = z * m.W * m.W
     E, F, G = m.E, m.F, m.G
     return ThetaSet(
@@ -343,7 +334,7 @@ def image_geodesic_curvature(pair: ConformalPair, c, s):
     the target patch along the same parameter curve; independent of the
     Beltrami route and of any weight convention.
     """
-    if not _is_patch(pair.target):
+    if not isinstance(pair.target, SurfacePatch):
         raise EmbeddingRequiredError("direct image curvature needs an embedded target")
     cj = c.jets(s)
     pj, beta1, beta2 = beta_jets(pair.target, cj)

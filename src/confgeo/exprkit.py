@@ -119,6 +119,7 @@ def variables_of(node: Node) -> set[str]:
 # Tokenizer / parser
 
 _OPS = set("+-*/^()")
+MAX_DEPTH = 100  # the deepest an expression may nest: parsing and walks recurse per level
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -188,41 +189,44 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Node:
-        node = self.chain()
+        node = self.chain(1)
         kind, text, pos = self.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected '{text}'", pos)
         return node
 
-    def chain(self, ops: str = "+-") -> Node:
+    def chain(self, depth: int, ops: str = "+-") -> Node:
         """A left-associative chain of ``ops``: a sum ("+-") of products
-        ("*/") of unaries."""
-        operand = self.unary if ops == "*/" else lambda: self.chain("*/")
+        ("*/") of unaries.  ``depth`` counts the levels down to the chain:
+        each sign, exponent, parenthesis or function call adds one."""
+        operand = (lambda: self.unary(depth)) if ops == "*/" else lambda: self.chain(depth, "*/")
         node = operand()
         while (tok := self.peek())[0] == "op" and tok[1] in ops:
             self.advance()
             node = Binary(tok[1], node, operand())
         return node
 
-    def unary(self) -> Node:
-        kind, text, _ = self.peek()
+    def unary(self, depth: int) -> Node:
+        kind, text, pos = self.peek()
+        if depth > MAX_DEPTH:  # every operand passes here, so the stack never runs out
+            raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", pos)
         if kind == "op" and text == "-":
             self.advance()
-            return Unary("neg", self.unary())
-        return self.power()
+            return Unary("neg", self.unary(depth + 1))
+        return self.power(depth)
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self, depth: int) -> Node:
+        base = self.atom(depth)
         kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            exponent = self.unary()  # right-associative
+            exponent = self.unary(depth + 1)  # right-associative
             if variables_of(exponent):
                 raise ExprSyntaxError("exponent of '^' must be a constant expression", pos)
             return Binary("^", base, exponent)
         return base
 
-    def atom(self) -> Node:
+    def atom(self, depth: int) -> Node:
         kind, text, pos = self.advance()
         if kind == "num":
             return Const(float(text))
@@ -232,14 +236,14 @@ class _Parser:
                 if text not in FUNCTIONS:
                     raise ExprNameError(f"unknown function '{text}'", pos)
                 self.advance()
-                arg = self.chain()
+                arg = self.chain(depth + 1)
                 self.expect_op(")")
                 return Unary(text, arg)
             if text not in self.variables:
                 raise ExprNameError(f"unknown identifier '{text}'", pos)
             return Var(text)
         if kind == "op" and text == "(":
-            node = self.chain()
+            node = self.chain(depth + 1)
             self.expect_op(")")
             return node
         if kind == "eof":
@@ -252,7 +256,7 @@ def parse_scalar_field(text: str, variables) -> Expr:
 
     Grammar: infix with precedence ``^`` > unary ``-`` > ``* /`` > ``+ -``,
     left-associative except ``^`` (right-associative), parentheses and
-    ``f(x)`` function calls.
+    ``f(x)`` function calls.  Deeper than :data:`MAX_DEPTH` levels is a syntax error.
     """
     varnames = tuple(variables)
     if len(set(varnames)) != len(varnames):
@@ -263,6 +267,14 @@ def parse_scalar_field(text: str, variables) -> Expr:
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     root = _Parser(_tokenize(text), varnames).parse()
+    # a long sum or product nests without parser recursion: its tree is
+    # measured level by level (a node's operands are its fields that are nodes)
+    depth, level = 0, [root]
+    while level:
+        depth += 1
+        level = [c for n in level for c in vars(n).values() if isinstance(c, Node)]
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", 0)
     return Expr(root, varnames)
 
 

@@ -301,10 +301,9 @@ def christoffel(m: FirstForm) -> ChristoffelSet:
 
     Closed forms in E, F, G and their first partials; these are the forms
     whose conformal shift is exactly the theta terms of the conformal
-    module (see tests on metrics with F != 0).
+    module (see tests on metrics with F != 0).  ``m`` has W > 0: every
+    first form is built by :func:`_first_form`.
     """
-    if violation(m.W > 0.0) is not None:
-        raise RegularityError("Christoffel symbols need W > 0")
     d = 2.0 * m.W * m.W
     return ChristoffelSet(
         g111=(m.G * m.E_u - 2.0 * m.F * m.F_u + m.F * m.E_v) / d,

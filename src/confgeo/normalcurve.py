@@ -175,17 +175,13 @@ def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr, 
 # Conformal deviation residuals
 
 
-def _require_embedded(pair: ConformalPair) -> tuple[SurfacePatch, SurfacePatch]:
-    if not pair.embedded:
-        raise EmbeddingRequiredError(
-            "normal/tangential deviation checks need embedded patches on both sides")
-    return pair.source, pair.target
-
-
 def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     """Everything the deviation reports read at s, from one evaluation of
     the curve and of each patch."""
-    src, tgt = _require_embedded(pair)
+    if not pair.embedded:
+        raise EmbeddingRequiredError(
+            "normal/tangential deviation checks need embedded patches on both sides")
+    src, tgt = pair.source, pair.target
     cj, pj, kappa = _curved_jets(src, c, s)
     pjt = tgt.jets(cj.u, cj.v)
     m = first_fundamental(src, cj.u, cj.v, pj=pj)

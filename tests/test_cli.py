@@ -110,6 +110,52 @@ def test_metric_with_negative_e_is_math_error(tmp_path, capsys):
     assert "at (-1.35, -1.35): E = -1.0, EG - F^2 = 1.0" in err
 
 
+# cos(8 pi u) is 1 at the nine points a pair samples at load (u = 0, +-0.75)
+# and -0.809 at u = -1.35, the first point of a grid of 4
+WAVY = "cos(25.132741228718345*u)"
+
+
+@pytest.mark.parametrize("source, target, dilation, tolerances", [
+    # zeta = 3e-9: every declared value within 1e-8 of it passes the cross-check
+    ({"E": "1e8", "F": "0", "G": "1e8"}, {"E": "9e-10", "F": "0", "G": "9e-10"},
+     f"3e-9*{WAVY}", {}),
+    ({"E": "1", "F": "0", "G": "1"}, {"E": "1", "F": "0", "G": "1"}, WAVY, {"conformality": 3}),
+], ids=["tiny-zeta", "loose-tolerance"])
+def test_non_positive_declared_dilation_is_math_error(tmp_path, capsys, source, target,
+                                                      dilation, tolerances):
+    doc = copy.deepcopy(BASE_SCENARIO)
+    box = [[-1.5, 1.5], [-1.5, 1.5]]
+    doc["surfaces"] += [dict(name="src", kind="metric", domain=box, **source),
+                        dict(name="tgt", kind="metric", domain=box, **target)]
+    doc["pairs"] = [{"name": "wavy", "source": "src", "target": "tgt", "dilation": dilation}]
+    doc["suites"] = [{"suite": "christoffel-shift", "pair": "wavy"}]
+    doc["tolerances"] = tolerances
+    path = write_scenario(tmp_path, doc)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert "math error in suite 'christoffel-shift' (pair='wavy'): declared dilation -" in err
+    assert "at (-1.35, -1.35)" in err
+    assert "Traceback" not in err
+
+
+def test_regular_pair_with_tiny_e_is_conformal(tmp_path):
+    # E = 1e-13, G = 1e13: W = 1, far inside the first form's floor
+    doc = copy.deepcopy(BASE_SCENARIO)
+    box = [[-1.5, 1.5], [-1.5, 1.5]]
+    doc["surfaces"] += [{"name": "thin", "kind": "metric", "E": "1e-13", "F": "0", "G": "1e13",
+                         "domain": box},
+                        {"name": "thin4", "kind": "metric", "E": "4e-13", "F": "0", "G": "4e13",
+                         "domain": box}]
+    doc["pairs"] = [{"name": "double", "source": "thin", "target": "thin4"}]
+    doc["suites"] = [{"suite": "christoffel-shift", "pair": "double"}]
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "r"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "scn.christoffel-shift.json").read_text())
+    zeta = report["columns"].index("zeta")
+    assert [row[zeta] for row in report["rows"]] == [2.0] * 16
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda d: d["surfaces"][0].pop("x"), "surfaces[0]: missing key 'x'"),
     (lambda d: d["surfaces"][0].update(kind="blob"), "surfaces[0].kind"),
@@ -124,6 +170,16 @@ def test_metric_with_negative_e_is_math_error(tmp_path, capsys):
     (lambda d: d.update(grids={"mode": "chaotic"}), "grids.mode"),
     (lambda d: d.update(suites=[]), "declares no suites"),
     (lambda d: d["surfaces"].append(dict(d["surfaces"][0])), "duplicate name 'plane'"),
+    (lambda d: d["curves"].append(dict(_reparam_curve([0.0, 1.0]), surface="ghost")),
+     "curves[1].surface: unknown surface 'ghost'"),
+    (lambda d: d["suites"][1].update(curve="ghost"), "suites[1].curve: unknown curve 'ghost'"),
+    (lambda d: d["suites"][5].update(profile="ghost"),
+     "suites[5].profile: unknown profile 'ghost'"),
+    (lambda d: d["suites"][2].update(pair="ghost"), "suites[2].pair: unknown pair 'ghost'"),
+    (lambda d: d["curves"].append(dict(d["curves"][0])), "curves[1].name: duplicate name 'circle'"),
+    (lambda d: d["pairs"].append(dict(d["pairs"][0])), "pairs[1].name: duplicate name 'id'"),
+    (lambda d: d["profiles"].append(dict(d["profiles"][0])),
+     "profiles[1].name: duplicate name 'p'"),
 ])
 def test_validation_errors_name_offending_key(tmp_path, capsys, mutate, fragment):
     doc = copy.deepcopy(BASE_SCENARIO)
@@ -190,6 +246,12 @@ def _reparam_curve(t_range):
      "curves[1].samples"),
     (lambda d: d["curves"].append(dict(_reparam_curve([0.0, 1.0]), samples=2.7)), [],
      "curves[1].samples"),
+    # one level past the depth bound, through the parser's recursion and
+    # through a long sum that the parser builds without recursion
+    (lambda d: d["surfaces"][0].update(x="(" * exprkit.MAX_DEPTH + "u" + ")" * exprkit.MAX_DEPTH),
+     [], f"surfaces[0].x: expression deeper than {exprkit.MAX_DEPTH} levels"),
+    (lambda d: d["surfaces"][0].update(x="+".join(["u"] * (exprkit.MAX_DEPTH + 1))), [],
+     f"surfaces[0].x: expression deeper than {exprkit.MAX_DEPTH} levels"),
 ])
 def test_malformed_values_are_scenario_errors(tmp_path, capsys, mutate, argv, fragment):
     doc = copy.deepcopy(BASE_SCENARIO)

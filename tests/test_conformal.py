@@ -158,6 +158,19 @@ def test_declared_dilation_mismatch_detected():
         dilation_jet(bent, 0.2, 0.2)
 
 
+@pytest.mark.parametrize("u, value", [(1.0, "0.0"), (1.4, "-0.3999999999999999")])
+def test_declared_dilation_must_be_positive_where_its_jet_is_taken(u, value):
+    # 1 - u is positive at the nine points the pair samples at load, and at
+    # u = 1 and 1.4 it is within the loose tolerance of the estimate 1
+    box = ((-1.5, 1.5), (-1.5, 1.5))
+    pair = ConformalPair(plane(box), plane(box), dilation=e2("1-u"), conformality_tol=3.0)
+    want = rf"declared dilation {value} disagrees with estimate 1\.0 at \({u}, 0\.0\)"
+    with pytest.raises(NonConformalError, match=want):
+        dilation_jet(pair, u, 0.0)
+    with pytest.raises(NonConformalError, match=want):
+        christoffel_shift_residual(pair, np.array([0.5, u]), np.array([0.0, 0.0]))
+
+
 def test_declared_dilation_is_walked_once_per_grid(monkeypatch):
     pair = stereographic_pair()
     walks = []

@@ -22,6 +22,7 @@ from confgeo.exprkit import (
     to_text,
     walk_store,
 )
+from confgeo.geometry import ParamCurve, SurfacePatch, frenet
 
 UV = ("u", "v")
 S = ("s",)
@@ -84,6 +85,42 @@ def test_overflowing_literal_is_a_syntax_error():
     # every constant is finite, so an inf could only come from an operation
     with pytest.raises(ExprSyntaxError, match=r"number literal '1e400' overflows at offset 2"):
         parse_scalar_field("u*1e400", UV)
+
+
+def _deep(n: int) -> dict[str, str]:
+    """Expressions n levels deep, one of each shape that nests."""
+    return {"calls": "sin(" * (n - 1) + "u" + ")" * (n - 1),
+            "signs": "-" * (n - 1) + "u",
+            "powers": "u" + "^1" * (n - 1),
+            "parentheses": "(" * (n - 1) + "u" + ")" * (n - 1),
+            "sum": "+".join(["u"] * n),
+            "product": "*".join(["1.01"] * (n - 1) + ["u"])}
+
+
+@pytest.mark.parametrize("shape", list(_deep(1)))
+def test_depth_bound_is_a_syntax_error_one_level_past_it(shape):
+    parse_scalar_field(_deep(exprkit.MAX_DEPTH)[shape], UV)
+    with pytest.raises(ExprSyntaxError, match=f"deeper than {exprkit.MAX_DEPTH} levels"):
+        parse_scalar_field(_deep(exprkit.MAX_DEPTH + 1)[shape], UV)
+
+
+def test_expression_at_the_depth_bound_walks_and_composes():
+    n = exprkit.MAX_DEPTH
+    deep = _deep(n)
+    j = eval_jet2(parse_scalar_field(deep["calls"], UV), 0.7, 0.0)
+    value, slope = 0.7, 1.0
+    for _ in range(n - 1):
+        value, slope = math.sin(value), slope * math.cos(value)
+    assert (j.value, j.du) == pytest.approx((value, slope), rel=1e-13)
+    assert eval_jet2(parse_scalar_field(deep["sum"], UV), 0.7, 0.0).du == float(n)
+    # torsion composes the patch with the curve, a tree deeper than the
+    # bound: on the plane z = 1.01^(n-1) u a circle has zero torsion
+    box = ((-2.0, 2.0), (-2.0, 2.0))
+    patch = SurfacePatch(*(parse_scalar_field(t, UV) for t in ("u", "v", deep["product"])), box)
+    c = repr(1.0 / math.hypot(1.0, 1.01 ** (n - 1)))
+    curve = ParamCurve(parse_scalar_field(f"{c}*cos(s)", S), parse_scalar_field("sin(s)", S))
+    fr = frenet(patch, curve, np.linspace(0.1, 6.0, 8))
+    assert np.all(abs(fr.tau) < 1e-9) and np.all(abs(fr.kappa - 1.0) < 1e-9)
 
 
 # -- jets ------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from conftest import (
     flat_exp_pair,
     helix_curve,
     identity_pair,
+    inversion_sphere_pair,
     latitude_curve,
     line_curve,
     offset_circle_curve,
@@ -401,14 +402,11 @@ def _bracket_and_geodesic(pair, curve, s):
     return rel, bs, rep, m
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(r=st.floats(0.1, 0.4), a=st.floats(-0.5, 0.5), b=st.floats(-0.5, 0.5),
-       seed=st.integers(0, 2**32 - 1))
-def test_drawn_circles_on_stereographic_pair(r, a, b, seed):
+def _every_identity(pair, curve, s, seed) -> dict:
+    """The relative residual of each exact identity along ``curve`` on an
+    embedded pair, for random quadratic nu and eta drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     nu, eta = e1(_rand_poly(rng)), e1(_rand_poly(rng))
-    pair = stereographic_pair()
-    curve, s = _circle_grid(r, a, b)
     rel, bs, dev, m = _bracket_and_geodesic(pair, curve, s)
     cj = curve.jets(s)
     kappa = frenet(pair.source, curve, s, with_torsion=False).kappa
@@ -439,7 +437,40 @@ def test_drawn_circles_on_stereographic_pair(r, a, b, seed):
     zj = dilation_jet(pair, cj.u, cj.v)
     along = (nk * z * zj.du * cj.u1, nk * z * zj.dv * cj.v1)
     rel["invariance"] = _rel(abs(tan["lhs_T"] - along[0] - along[1]), bt, tan["lhs_T"], *along)
+    return rel
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(r=st.floats(0.1, 0.4), a=st.floats(-0.5, 0.5), b=st.floats(-0.5, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_drawn_circles_on_stereographic_pair(r, a, b, seed):
+    rel = _every_identity(stereographic_pair(), *_circle_grid(r, a, b), seed)
     assert max(rel.values()) <= 1e-12, rel
+
+
+def _loxodrome_grid(alpha, u0, v0):
+    """The loxodrome at angle ``alpha`` to the meridians through (u0, v0) on
+    the radius-2 sphere of :func:`inversion_sphere_pair`, v = v0 + s cos(alpha)/2,
+    u = u0 + tan(alpha) (log tan(v/2) - log tan(v0/2)), with unit speed, and
+    16 points along it while 0.15 < u < 1.95 and v <= 2.4."""
+    ta, ca, lt0 = math.tan(alpha), math.cos(alpha), math.log(math.tan(v0 / 2.0))
+    v = f"({v0!r}+{ca / 2.0!r}*s)"
+    curve = ParamCurve(e1(f"{u0!r}+{ta!r}*(log(tan({v}/2))-{lt0!r})"), e1(v))
+    room = 1.95 - u0 if alpha > 0.0 else u0 - 0.15
+    v_end = min(2.4, 2.0 * math.atan(math.tan(v0 / 2.0) * math.exp(room / abs(ta))))
+    return curve, np.linspace(0.0, 2.0 * (v_end - v0) / ca, 16, endpoint=False)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.3, 1.2), sign=st.sampled_from((1.0, -1.0)), u0=st.floats(0.6, 1.4),
+       v0=st.floats(0.6, 1.2), seed=st.integers(0, 2**32 - 1))
+def test_drawn_loxodromes_on_inversion_pair(alpha, sign, u0, v0, seed):
+    # zeta = 1/(13 + 12 cos v) varies along a loxodrome (on a latitude it is
+    # constant, and Theta, r_T and the invariance identity vanish)
+    pair, (curve, s) = inversion_sphere_pair(), _loxodrome_grid(sign * alpha, u0, v0)
+    rel = _every_identity(pair, curve, s, seed)
+    assert max(rel.values()) <= 1e-12, rel
+    assert np.min(abs(beltrami_bracket_shift(pair, curve, s).theta_bracket)) > 1e-2
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
