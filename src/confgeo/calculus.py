@@ -7,8 +7,6 @@ what makes them usable as an anti-drift check on the jets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exprkit import Expr, eval_jet3, evaluate
@@ -156,7 +154,6 @@ def _gauss_lengths(patch: SurfacePatch, u_raw: Expr, v_raw: Expr,
     return half * (speed[:-n].reshape(n, -1) * GAUSS_W).sum(axis=1), speed[-n:]
 
 
-@dataclass(eq=False)
 class UnitSpeedCurve:
     """Arc-length reparameterization of a raw-parameter curve on a patch.
 
@@ -171,14 +168,13 @@ class UnitSpeedCurve:
     2, so :func:`geometry.frenet` gives no torsion here.
     """
 
-    patch: SurfacePatch
-    u_raw: Expr
-    v_raw: Expr
-    t0: float
-    t1: float
-    length: float
-    s_samples: np.ndarray
-    t_samples: np.ndarray
+    __slots__ = ("patch", "u_raw", "v_raw", "t0", "t1", "length", "s_samples", "t_samples")
+
+    def __init__(self, patch: SurfacePatch, u_raw: Expr, v_raw: Expr, t0: float, t1: float,
+                 length: float, s_samples: np.ndarray, t_samples: np.ndarray):
+        self.patch, self.u_raw, self.v_raw = patch, u_raw, v_raw
+        self.t0, self.t1, self.length = t0, t1, length
+        self.s_samples, self.t_samples = s_samples, t_samples
 
     def invert(self, s):
         """Solve cumulative-length(t) = s by Newton, on all points at once."""

@@ -21,7 +21,6 @@ import math
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,18 +40,27 @@ class ScenarioError(Exception):
 # Scenario loading
 
 
-@dataclass
 class Scenario:
-    path: Path
-    digest: str
-    surfaces: dict = field(default_factory=dict)
-    curves: dict = field(default_factory=dict)
-    curve_ranges: dict = field(default_factory=dict)
-    pairs: dict = field(default_factory=dict)
-    profiles: dict = field(default_factory=dict)
-    suites: list = field(default_factory=list)
-    tolerances: dict = field(default_factory=dict)
-    grids: dict = field(default_factory=dict)
+    """A loaded scenario: its members by name, its suite entries, tolerances
+    and grids.  A container not passed in is a new empty one per instance."""
+
+    __slots__ = ("path", "digest", "surfaces", "curves", "curve_ranges", "pairs", "profiles",
+                 "suites", "tolerances", "grids")
+
+    def __init__(self, path: Path, digest: str, surfaces: dict | None = None,
+                 curves: dict | None = None, curve_ranges: dict | None = None,
+                 pairs: dict | None = None, profiles: dict | None = None,
+                 suites: list | None = None, tolerances: dict | None = None,
+                 grids: dict | None = None):
+        self.path, self.digest = path, digest
+        self.surfaces = {} if surfaces is None else surfaces
+        self.curves = {} if curves is None else curves
+        self.curve_ranges = {} if curve_ranges is None else curve_ranges
+        self.pairs = {} if pairs is None else pairs
+        self.profiles = {} if profiles is None else profiles
+        self.suites = [] if suites is None else suites
+        self.tolerances = {} if tolerances is None else tolerances
+        self.grids = {} if grids is None else grids
 
     @property
     def pools(self) -> dict:
@@ -286,19 +294,21 @@ def curve_grid(s_range, n: int, rng) -> np.ndarray:
 # Suites
 
 
-@dataclass
 class SuiteResult:
     """One suite's report.  ``columns`` maps each name to a float64 array, or
     an object array where cells are strings or None (undefined).  ``worst_at``
-    is the (column, row) that set ``max_residual``, if any cell is defined."""
-    suite: str
-    params: dict
-    tolerance: float
-    columns: dict[str, np.ndarray]
-    max_residual: float
-    pass_: bool
-    worst_at: tuple[str, int] | None = None
-    wall_ms: float = 0.0
+    is the (column, row) that set ``max_residual``, if any cell is defined.
+    ``wall_ms`` is set once the suite has run."""
+
+    __slots__ = ("suite", "params", "tolerance", "columns", "max_residual", "pass_",
+                 "worst_at", "wall_ms")
+
+    def __init__(self, suite: str, params: dict, tolerance: float,
+                 columns: dict[str, np.ndarray], max_residual: float, pass_: bool,
+                 worst_at: tuple[str, int] | None = None, wall_ms: float = 0.0):
+        self.suite, self.params, self.tolerance, self.columns = suite, params, tolerance, columns
+        self.max_residual, self.pass_, self.worst_at = max_residual, pass_, worst_at
+        self.wall_ms = wall_ms
 
     @property
     def rows(self) -> range:

@@ -14,7 +14,6 @@ the two patches' jets as ``jets``) so that each patch is evaluated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,18 +67,18 @@ def _position(patch: SurfacePatch, u, v) -> np.ndarray:
     return np.array([evaluate(c, u, v) for c in (patch.x, patch.y, patch.z)])
 
 
-@dataclass(frozen=True)
 class ConformalPair:
     """Source and target over one domain box, with optional dilation and
     optional ambient map (three expressions over the ambient variables)."""
 
-    source: SurfacePatch | AbstractMetric
-    target: SurfacePatch | AbstractMetric
-    dilation: Expr | None = None
-    ambient_map: tuple[Expr, Expr, Expr] | None = None
-    conformality_tol: float = CONFORMALITY_TOL
+    __slots__ = ("source", "target", "dilation", "ambient_map", "conformality_tol")
 
-    def __post_init__(self):
+    def __init__(self, source: SurfacePatch | AbstractMetric,
+                 target: SurfacePatch | AbstractMetric, dilation: Expr | None = None,
+                 ambient_map: tuple[Expr, Expr, Expr] | None = None,
+                 conformality_tol: float = CONFORMALITY_TOL):
+        self.source, self.target, self.dilation = source, target, dilation
+        self.ambient_map, self.conformality_tol = ambient_map, conformality_tol
         if self.source.domain != self.target.domain:
             raise ValueError(
                 f"pair members must share a domain box: "
@@ -92,7 +91,7 @@ class ConformalPair:
             z = evaluate(self.dilation, us, vs)
             bad = violation(z > 0.0, z, us, vs)
             if bad is not None:
-                raise ValueError(f"declared dilation must be positive, got {bad[0]} "
+                raise ValueError(f"declared self.dilation must be positive, got {bad[0]} "
                                  f"at ({bad[1]}, {bad[2]})")
         if self.ambient_map is not None:
             if not self.embedded:
@@ -103,7 +102,7 @@ class ConformalPair:
             bad = violation(gap <= 1e-9, gap, us, vs)
             if bad is not None:
                 raise AmbientMapError(
-                    f"ambient map disagrees with target by {bad[0]} at ({bad[1]}, {bad[2]})")
+                    f"ambient map disagrees with self.target by {bad[0]} at ({bad[1]}, {bad[2]})")
 
     @property
     def embedded(self) -> bool:
@@ -120,9 +119,11 @@ class ConformalPair:
 def dilation_field(pair: ConformalPair, u, v,
                    forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
     """Estimate zeta = sqrt(E~/E) and the three conformality residuals
-    |zeta^2 E - E~|, |zeta^2 F - F~|, |zeta^2 G - G~|, each normalized by
-    max(1, |E~|).  Raises :class:`NonConformalError` past the pair's
-    ``conformality_tol``.  A declared dilation is not read here:
+    |zeta^2 E - E~|, |zeta^2 F - F~|, |zeta^2 G - G~|.  Raises
+    :class:`NonConformalError` where one exceeds the pair's
+    ``conformality_tol`` times the size of its own target coefficient,
+    max(1, |E~|), max(1, sqrt|E~ G~|) and max(1, |G~|), so that no verdict
+    hangs on the units of u and v.  A declared dilation is not read here:
     :func:`dilation_jet` checks it against this estimate.
     """
     tol = pair.conformality_tol
@@ -134,14 +135,11 @@ def dilation_field(pair: ConformalPair, u, v,
         raise NonConformalError(
             f"metric ratio E~/E = {bad[2]} not positive at ({bad[0]}, {bad[1]})")
     zeta = np.sqrt(z2)
-    scale = np.maximum(1.0, abs(mt.E))
-    residuals = (
-        abs(z2 * m.E - mt.E) / scale,
-        abs(z2 * m.F - mt.F) / scale,
-        abs(z2 * m.G - mt.G) / scale,
-    )
-    bad = violation((residuals[0] <= tol) & (residuals[1] <= tol) & (residuals[2] <= tol),
-                    u, v, *residuals)
+    residuals = (abs(z2 * m.E - mt.E), abs(z2 * m.F - mt.F), abs(z2 * m.G - mt.G))
+    ok = ((residuals[0] <= tol * np.maximum(1.0, abs(mt.E)))
+          & (residuals[1] <= tol * np.maximum(1.0, np.sqrt(abs(mt.E * mt.G))))
+          & (residuals[2] <= tol * np.maximum(1.0, abs(mt.G))))
+    bad = violation(ok, u, v, *residuals)
     if bad is not None:
         raise NonConformalError(
             f"pair is not conformal at ({bad[0]}, {bad[1]}): metric ratio residuals "
@@ -225,8 +223,7 @@ def theta_bracket(th: ThetaSet, cj: CurveJets):
     return bracket_cubic(th, cj.u1, cj.v1)
 
 
-@dataclass(frozen=True)
-class BracketShift:
+class BracketShift(NamedTuple):
     b_src: float
     b_tgt: float
     theta_bracket: float
@@ -285,8 +282,7 @@ def g_functions(m: FirstForm, zeta_jet: Jet2, cj: CurveJets,
 # Geodesic-curvature deviation report
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """Record of the geodesic-curvature deviation identity over an s-grid
     (each number is an array, 0-d at one s).
 

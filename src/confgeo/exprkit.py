@@ -30,7 +30,6 @@ import functools
 import itertools
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -69,36 +68,32 @@ class EvalDomainError(ExprError):
 # AST
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # 'neg' or a function name
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
 
 
-Node = Union[Const, Var, Unary, Binary]
+Node = Union[Const, Var, Unary, Binary]  # for annotations; isinstance reads _NODES
+_NODES = (Const, Var, Unary, Binary)
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh")
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(NamedTuple):
     """A parsed scalar field: immutable node tree plus its declared variables."""
 
     root: Node
@@ -272,7 +267,7 @@ def parse_scalar_field(text: str, variables) -> Expr:
     depth, level = 0, [root]
     while level:
         depth += 1
-        level = [c for n in level for c in vars(n).values() if isinstance(c, Node)]
+        level = [c for n in level for c in n if isinstance(c, _NODES)]
     if depth > MAX_DEPTH:
         raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", 0)
     return Expr(root, varnames)
@@ -542,23 +537,27 @@ def _eval_jet(node: Node, env: dict, tab: _Table) -> list:
         return [np.float64(node.value), *tab.zeros]
     if isinstance(node, Var):
         return env[node.name]
+    # an operator node is unpacked once: reading a NamedTuple field by name
+    # costs a descriptor call each time
     try:
         if isinstance(node, Unary):
-            a = _eval_jet(node.arg, env, tab)
-            if node.op == "neg":
+            op, arg = node
+            a = _eval_jet(arg, env, tab)
+            if op == "neg":
                 return [-x for x in a]
-            return _chain(list(itertools.islice(_fn_coeffs(node.op, a[0]), tab.order + 1)),
+            return _chain(list(itertools.islice(_fn_coeffs(op, a[0]), tab.order + 1)),
                           a, tab)
-        left = _eval_jet(node.left, env, tab)
-        if node.op == "^":
-            p = float(_eval_jet(node.right, {}, _table(0, 0))[0])
+        op, lnode, rnode = node
+        left = _eval_jet(lnode, env, tab)
+        if op == "^":
+            p = float(_eval_jet(rnode, {}, _table(0, 0))[0])
             return _chain(_pow_coeffs(left[0], p, tab.order), left, tab)
-        right = _eval_jet(node.right, env, tab)
-        if node.op == "+":
+        right = _eval_jet(rnode, env, tab)
+        if op == "+":
             return [x + y for x, y in zip(left, right)]
-        if node.op == "-":
+        if op == "-":
             return [x - y for x, y in zip(left, right)]
-        return (_mul if node.op == "*" else _div)(left, right, tab)
+        return (_mul if op == "*" else _div)(left, right, tab)
     except _OP_ERRORS as err:
         raise _domain_error(err, node) from None
 

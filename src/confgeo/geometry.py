@@ -19,7 +19,6 @@ the first offending grid point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -106,8 +105,7 @@ def norm(a: np.ndarray):
 # Surface descriptions
 
 
-@dataclass
-class PatchJets:
+class PatchJets(NamedTuple):
     """Position and partial derivatives of an embedded patch: (3, n) arrays
     over a grid, 3-vectors at a point."""
 
@@ -119,8 +117,7 @@ class PatchJets:
     pvv: np.ndarray
 
 
-@dataclass(frozen=True)
-class SurfacePatch:
+class SurfacePatch(NamedTuple):
     """Embedded patch Psi(u, v) in E^3 with a rectangular parameter domain."""
 
     x: Expr
@@ -139,8 +136,7 @@ class SurfacePatch:
         return first_fundamental(self, u, v)
 
 
-@dataclass(frozen=True)
-class AbstractMetric:
+class AbstractMetric(NamedTuple):
     """First fundamental form given directly as E, F, G expressions."""
 
     E: Expr
@@ -159,8 +155,7 @@ class AbstractMetric:
 # Value types
 
 
-@dataclass(frozen=True)
-class FirstForm:
+class FirstForm(NamedTuple):
     """E, F, G with their first partials and W = sqrt(EG - F^2), each over
     the grid (0-d at a point)."""
 
@@ -176,8 +171,7 @@ class FirstForm:
     G_v: float
 
 
-@dataclass(frozen=True)
-class SecondForm:
+class SecondForm(NamedTuple):
     """L, M, N against the unit normal Psi_u x Psi_v / W."""
 
     L: float
@@ -198,8 +192,7 @@ class ChristoffelSet(NamedTuple):
     g222: float
 
 
-@dataclass(frozen=True)
-class CurveJets:
+class CurveJets(NamedTuple):
     """Parameter values and s-derivatives of a surface curve, each over the
     s-grid (0-d at a point)."""
 
@@ -211,8 +204,7 @@ class CurveJets:
     v2: float
 
 
-@dataclass(frozen=True)
-class ParamCurve:
+class ParamCurve(NamedTuple):
     """Unit-speed curve (u(s), v(s)) given analytically."""
 
     u: Expr
@@ -224,8 +216,7 @@ class ParamCurve:
         return CurveJets(ju.value, jv.value, ju.d1, jv.d1, ju.d2, jv.d2)
 
 
-@dataclass(frozen=True)
-class FrameData:
+class FrameData(NamedTuple):
     """Frenet data; n, b, tau are NaN at the points where they are undefined
     (kappa ~ 0); tau is None when not computed (on request, or for a
     reparameterized curve, whose jets stop at order 2)."""

@@ -9,7 +9,7 @@ which is what makes the deviation residuals well-posed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ CLASSIFY_TOL = 1e-8
 CLASS_COMPONENT = {"normal": "c_t", "osculating": "c_b", "rectifying": "c_n"}
 
 
-@dataclass(frozen=True)
-class FrameDecomposition:
+class FrameDecomposition(NamedTuple):
     """Components of the position vector in the Frenet frame;
     nu = beta.n and eta = beta.b are the normal-curve coefficients."""
 
@@ -59,8 +58,7 @@ class FrameDecomposition:
     eta: float
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     """Classification verdict over an s-grid.
 
     ``satisfied`` lists every class whose defining component stays below

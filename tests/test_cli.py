@@ -156,6 +156,25 @@ def test_regular_pair_with_tiny_e_is_conformal(tmp_path):
     assert [row[zeta] for row in report["rows"]] == [2.0] * 16
 
 
+def test_conformality_residuals_scale_with_their_own_coefficient(tmp_path):
+    # 3e-13 / 1e-13 is not exactly 3, and 1e13 times its last bit leaves a
+    # G residual of 0.0039: small against G~ = 3e13, not against E~ = 3e-13
+    doc = copy.deepcopy(BASE_SCENARIO)
+    box = [[-1.5, 1.5], [-1.5, 1.5]]
+    doc["surfaces"] += [{"name": "thin", "kind": "metric", "E": "1e-13", "F": "0", "G": "1e13",
+                         "domain": box},
+                        {"name": "thin3", "kind": "metric", "E": "3e-13", "F": "0", "G": "3e13",
+                         "domain": box}]
+    doc["pairs"] = [{"name": "triple", "source": "thin", "target": "thin3"}]
+    doc["suites"] = [{"suite": "christoffel-shift", "pair": "triple"}]
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "r"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "scn.christoffel-shift.json").read_text())
+    zeta = report["columns"].index("zeta")
+    assert [row[zeta] for row in report["rows"]] == pytest.approx([3.0 ** 0.5] * 16, rel=1e-15)
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda d: d["surfaces"][0].pop("x"), "surfaces[0]: missing key 'x'"),
     (lambda d: d["surfaces"][0].update(kind="blob"), "surfaces[0].kind"),
@@ -374,6 +393,28 @@ def test_module_invocation_smoke(identity_scenario, tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_cli_import_builds_no_dataclasses():
+    # confgeo's record types are NamedTuples or slotted classes: building a
+    # dataclass costs about a millisecond on every cold start
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy; before = set(sys.modules); "
+            "import confgeo.cli; print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True).stdout.split()
+    assert "confgeo.cli" in added
+    assert "dataclasses" not in added
+
+
+def test_scenarios_do_not_share_containers():
+    a, b = cli.Scenario(Path("a.json"), "a"), cli.Scenario(Path("b.json"), "b")
+    for key in ("surfaces", "curves", "curve_ranges", "pairs", "profiles", "suites",
+                "tolerances", "grids"):
+        assert getattr(a, key) is not getattr(b, key), key
+    a.surfaces["s"] = object()
+    a.suites.append({"suite": "forms"})
+    assert b.surfaces == {} and b.suites == []
 
 
 # -- the run's store of walks ----------------------------------------------------

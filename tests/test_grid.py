@@ -504,8 +504,7 @@ def test_metric_derivative_identities_right_sides_ignore_the_jets_passed_in():
     surf = catenoid()
     us, vs = cli.surface_grid(surf.domain, 12, np.random.default_rng(7))
     pj = surf.jets(us, vs)
-    planted = copy.copy(pj)
-    planted.puu = pj.puu + 1e-6 * np.array([1.0, 0.0, 0.0])[:, None]
+    planted = pj._replace(puu=pj.puu + 1e-6 * np.array([1.0, 0.0, 0.0])[:, None])
     clean = geometry.metric_derivative_identities(surf, us, vs, pj=pj)
     moved = geometry.metric_derivative_identities(surf, us, vs, pj=planted)
     # only the two left sides that read Psi_uu move, each by about 1e-6 Psi_u.e1
