@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calculus, conformal, geometry, normalcurve
-from .exprkit import ExprError, parse_scalar_field, walk_store
+from .exprkit import ExprError, evaluate, parse_scalar_field, walk_store
 
 MATH_ERRORS = (ExprError, geometry.GeometryError, calculus.CalculusError,
                conformal.ConformalError)
@@ -438,11 +438,14 @@ def _classify(surf, curve, ss, params, tol):
 
 def _pushforward(pair, us, vs, params, tol):
     names = ["u", "v", "zeta", "r_u", "r_v"]
-    # each patch is evaluated once: its jets give the forms and the residual
-    jets = pair.source.jets(us, vs), pair.target.jets(us, vs)
+    # each patch is evaluated once, to order 1: its jets give E, F, G and
+    # the residual
+    jets = pair.source.jets(us, vs, 1), pair.target.jets(us, vs, 1)
     forms = tuple(geometry.first_fundamental(m, us, vs, pj=pj)
                   for m, pj in zip((pair.source, pair.target), jets))
     zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
+    if pair.dilation is not None:  # the residual reads none, but it must hold
+        conformal.check_declared_dilation(pair, us, vs, evaluate(pair.dilation, us, vs), zeta)
     return _columns(names, us, vs, zeta, *conformal.pushforward_residual(
         pair, us, vs, jets=jets, zeta=zeta)), names[3:]
 

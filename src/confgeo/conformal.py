@@ -147,24 +147,31 @@ def dilation_field(pair: ConformalPair, u, v,
     return zeta, residuals
 
 
+def check_declared_dilation(pair: ConformalPair, u, v, declared, zeta) -> None:
+    """Raise :class:`NonConformalError` at the first grid point where the
+    ``declared`` dilation's value is not positive or not within
+    ``conformality_tol`` of the metric-ratio estimate ``zeta``."""
+    tol = pair.conformality_tol * np.maximum(1.0, abs(zeta))
+    bad = violation((declared > 0.0) & (abs(declared - zeta) <= tol), u, v, declared, zeta)
+    if bad is not None:
+        raise NonConformalError(
+            f"declared dilation {bad[2]} disagrees with estimate {bad[3]} "
+            f"at ({bad[0]}, {bad[1]})")
+
+
 def dilation_jet(pair: ConformalPair, u, v,
                  forms: tuple[FirstForm, FirstForm] | None = None, zeta=None) -> Jet2:
-    """zeta with first partials.  A declared dilation supplies exact jets,
-    and its value is checked here: positive, and within ``conformality_tol``
-    of the metric-ratio estimate (else :class:`NonConformalError`); otherwise
-    the partials come from differentiating zeta^2 E = E~.  A caller that has
-    run :func:`dilation_field` already passes its estimate as ``zeta``."""
+    """zeta with first partials.  A declared dilation supplies exact jets
+    of order 1, and its value is checked here by
+    :func:`check_declared_dilation`; otherwise the partials come from
+    differentiating zeta^2 E = E~.  A caller that has run
+    :func:`dilation_field` already passes its estimate as ``zeta``."""
     m, mt = pair.forms(u, v) if forms is None else forms
     if zeta is None:
         zeta, _ = dilation_field(pair, u, v, forms=(m, mt))
     if pair.dilation is not None:
-        zj = eval_jet2(pair.dilation, u, v)
-        tol = pair.conformality_tol * np.maximum(1.0, abs(zeta))
-        bad = violation((zj.value > 0.0) & (abs(zj.value - zeta) <= tol), u, v, zj.value, zeta)
-        if bad is not None:
-            raise NonConformalError(
-                f"declared dilation {bad[2]} disagrees with estimate {bad[3]} "
-                f"at ({bad[0]}, {bad[1]})")
+        zj = eval_jet2(pair.dilation, u, v, 1)
+        check_declared_dilation(pair, u, v, zj.value, zeta)
         return zj
     zu = (mt.E_u - zeta * zeta * m.E_u) / (2.0 * zeta * m.E)
     zv = (mt.E_v - zeta * zeta * m.E_v) / (2.0 * zeta * m.E)
@@ -362,12 +369,13 @@ def pushforward_residual(pair: ConformalPair, u, v,
     length-preserving part; J* here is that part (Jacobian / zeta), so the
     residual compares target patch jets against the dilation-times-isometry
     pushforward of the source jets.  A caller that holds the source and
-    target patch jets at ``u, v`` passes them as ``jets``, and one that has
-    run :func:`dilation_field` passes its estimate as ``zeta``.
+    target patch jets at ``u, v`` (of order 1 or more) passes them as
+    ``jets``, and one that has run :func:`dilation_field` passes its
+    estimate as ``zeta``.
     """
     if pair.ambient_map is None:
         raise AmbientMapError("pair has no ambient map")
-    pj, pjt = (pair.source.jets(u, v), pair.target.jets(u, v)) if jets is None else jets
+    pj, pjt = (pair.source.jets(u, v, 1), pair.target.jets(u, v, 1)) if jets is None else jets
     if zeta is None:
         zeta, _ = dilation_field(pair, u, v, forms=(first_fundamental(pair.source, u, v, pj=pj),
                                                     first_fundamental(pair.target, u, v, pj=pjt)))

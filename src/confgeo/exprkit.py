@@ -11,7 +11,9 @@ two variables), ``eval_jet3`` (order 3 in one), ``eval_grad3`` (order 1 in
 three) and ``evaluate`` (order 0, the plain value) differ only in the
 table they read, and return the namedtuples ``Jet2``, ``Jet3``, ``Grad3``
 and the value.  A coefficient gets the same bits at every order that
-computes it.  All four take float64 arrays (a grid of points, evaluated in
+computes it, so a walk stops at the order its reader needs: ``eval_jet2``
+and ``eval_jet3`` take that order, and the coefficients past it are None.
+All four take float64 arrays (a grid of points, evaluated in
 one tree walk, as in vector forward mode).  There is one numeric path,
 numpy's: a point is a grid of one (floats enter as 0-d arrays), and
 constants are ``np.float64`` scalars that broadcast, so numpy's
@@ -323,11 +325,15 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # their (number of variables, order) (Griewank & Walther, Evaluating
 # Derivatives, 2nd ed., 2008, ch. 13).
 
-Jet2 = namedtuple("Jet2", "value du dv duu duv dvv", defaults=(0.0,) * 5)
-Jet3 = namedtuple("Jet3", "value d1 d2 d3", defaults=(0.0,) * 3)
+# a coefficient past the order of its walk is None, so that a reader that
+# needs it fails rather than reads a zero
+Jet2 = namedtuple("Jet2", "value du dv duu duv dvv", defaults=(None,) * 5)
+Jet3 = namedtuple("Jet3", "value d1 d2 d3", defaults=(None,) * 3)
 Grad3 = namedtuple("Grad3", "value gx gy gz", defaults=(0.0,) * 3)
-Jet2.__doc__ = "Value and exact partials to order 2 in two variables (grid arrays)."
-Jet3.__doc__ = "Value and exact derivatives to order 3 in one variable (grid arrays)."
+Jet2.__doc__ = ("Value and exact partials to order 2 in two variables (grid arrays); "
+                "None past the order of the walk.")
+Jet3.__doc__ = ("Value and exact derivatives to order 3 in one variable (grid arrays); "
+                "None past the order of the walk.")
 Grad3.__doc__ = "Value and exact first partials in three variables (grid arrays)."
 
 
@@ -662,24 +668,26 @@ def _jet(e: Expr, order: int, values) -> list:
     return kept[1]
 
 
-def eval_jet2(e: Expr, u, v) -> Jet2:
-    """Evaluate a two-variable expression with exact partials to order 2
-    over a grid (arrays, or floats for a grid of one).
+def eval_jet2(e: Expr, u, v, order: int = 2) -> Jet2:
+    """Evaluate a two-variable expression with exact partials to ``order``
+    (at most 2) over a grid (arrays, or floats for a grid of one); the
+    partials past ``order`` are None.
 
     The first declared variable is seeded as the 'u' direction and the
     second as 'v'; no truncation error beyond floating point.
     """
     if len(e.variables) != 2:
         raise ExprError(f"eval_jet2 needs a two-variable expression, got {e.variables}")
-    return Jet2(*_jet(e, 2, (u, v)))
+    return Jet2(*_jet(e, order, (u, v)))
 
 
-def eval_jet3(e: Expr, s) -> Jet3:
-    """Evaluate a one-variable expression with exact derivatives to order 3
-    over a grid (an array, or a float for a grid of one)."""
+def eval_jet3(e: Expr, s, order: int = 3) -> Jet3:
+    """Evaluate a one-variable expression with exact derivatives to
+    ``order`` (at most 3) over a grid (an array, or a float for a grid of
+    one); the derivatives past ``order`` are None."""
     if len(e.variables) != 1:
         raise ExprError(f"eval_jet3 needs a one-variable expression, got {e.variables}")
-    return Jet3(*_jet(e, 3, (s,)))
+    return Jet3(*_jet(e, order, (s,)))
 
 
 def eval_grad3(e: Expr, x, y, z) -> Grad3:

@@ -107,14 +107,15 @@ def norm(a: np.ndarray):
 
 class PatchJets(NamedTuple):
     """Position and partial derivatives of an embedded patch: (3, n) arrays
-    over a grid, 3-vectors at a point."""
+    over a grid, 3-vectors at a point.  The second partials are None in
+    jets of order 1."""
 
     p: np.ndarray
     pu: np.ndarray
     pv: np.ndarray
-    puu: np.ndarray
-    puv: np.ndarray
-    pvv: np.ndarray
+    puu: np.ndarray | None = None
+    puv: np.ndarray | None = None
+    pvv: np.ndarray | None = None
 
 
 class SurfacePatch(NamedTuple):
@@ -125,15 +126,16 @@ class SurfacePatch(NamedTuple):
     z: Expr
     domain: Box
 
-    def jets(self, u, v) -> PatchJets:
+    def jets(self, u, v, order: int = 2) -> PatchJets:
+        """Position and partials to ``order`` (1 or 2)."""
         _require_in_box(self.domain, u, v)
-        js = [eval_jet2(c, u, v) for c in (self.x, self.y, self.z)]
-        pick = lambda attr: np.array([getattr(j, attr) for j in js])
-        return PatchJets(pick("value"), pick("du"), pick("dv"),
-                         pick("duu"), pick("duv"), pick("dvv"))
+        js = [eval_jet2(c, u, v, order) for c in (self.x, self.y, self.z)]
+        return PatchJets(*(np.array(k) for k in zip(*js) if k[0] is not None))
 
-    def first_form(self, u: float, v: float) -> "FirstForm":
-        return first_fundamental(self, u, v)
+    def first_form(self, u, v, order: int = 2) -> "FirstForm":
+        """The first form from patch jets of ``order``: at order 1 without
+        its partials."""
+        return first_fundamental(self, u, v, pj=self.jets(u, v, order))
 
 
 class AbstractMetric(NamedTuple):
@@ -146,7 +148,7 @@ class AbstractMetric(NamedTuple):
 
     def first_form(self, u, v) -> "FirstForm":
         _require_in_box(self.domain, u, v)
-        je, jf, jg = (eval_jet2(x, u, v) for x in (self.E, self.F, self.G))
+        je, jf, jg = (eval_jet2(x, u, v, 1) for x in (self.E, self.F, self.G))
         return _first_form(u, v, je.value, jf.value, jg.value, E_u=je.du, E_v=je.dv,
                            F_u=jf.du, F_v=jf.dv, G_u=jg.du, G_v=jg.dv)
 
@@ -157,18 +159,19 @@ class AbstractMetric(NamedTuple):
 
 class FirstForm(NamedTuple):
     """E, F, G with their first partials and W = sqrt(EG - F^2), each over
-    the grid (0-d at a point)."""
+    the grid (0-d at a point).  The partials are None in a form built from
+    patch jets of order 1."""
 
     E: float
     F: float
     G: float
     W: float
-    E_u: float
-    E_v: float
-    F_u: float
-    F_v: float
-    G_u: float
-    G_v: float
+    E_u: float | None = None
+    E_v: float | None = None
+    F_u: float | None = None
+    F_v: float | None = None
+    G_u: float | None = None
+    G_v: float | None = None
 
 
 class SecondForm(NamedTuple):
@@ -211,8 +214,8 @@ class ParamCurve(NamedTuple):
     v: Expr
 
     def jets(self, s) -> CurveJets:
-        ju = eval_jet3(self.u, s)
-        jv = eval_jet3(self.v, s)
+        ju = eval_jet3(self.u, s, 2)
+        jv = eval_jet3(self.v, s, 2)
         return CurveJets(ju.value, jv.value, ju.d1, jv.d1, ju.d2, jv.d2)
 
 
@@ -258,12 +261,12 @@ def _first_form(u, v, E, F, G, **partials) -> FirstForm:
 
 def first_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> FirstForm:
     """First-form coefficients and their first partials from patch jets
-    (``pj``, when the caller already holds them at ``u, v``)."""
+    (``pj``, when the caller already holds them at ``u, v``); from jets of
+    order 1, the coefficients alone."""
     pj = p.jets(u, v) if pj is None else pj
     # products of large finite jets may overflow: checked in _first_form
     with np.errstate(over="ignore", invalid="ignore"):
-        return _first_form(
-            u, v, dot(pj.pu, pj.pu), dot(pj.pu, pj.pv), dot(pj.pv, pj.pv),
+        partials = {} if pj.puu is None else dict(
             E_u=2.0 * dot(pj.puu, pj.pu),
             E_v=2.0 * dot(pj.puv, pj.pu),
             F_u=dot(pj.puu, pj.pv) + dot(pj.pu, pj.puv),
@@ -271,6 +274,8 @@ def first_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> Fir
             G_u=2.0 * dot(pj.puv, pj.pv),
             G_v=2.0 * dot(pj.pvv, pj.pv),
         )
+        return _first_form(u, v, dot(pj.pu, pj.pu), dot(pj.pu, pj.pv), dot(pj.pv, pj.pv),
+                           **partials)
 
 
 def second_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> SecondForm:
@@ -419,7 +424,7 @@ def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets | None = N
     """
     pj = p.jets(u, v) if pj is None else pj
     h = 1e-5
-    shifted = [p.jets(uu, vv) for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h))]
+    shifted = [p.jets(uu, vv, 1) for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h))]
     # products of large finite jets may overflow: checked below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.array([[dot(q.pu, q.pu), dot(q.pu, q.pv), dot(q.pv, q.pv)] for q in shifted])

@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +463,57 @@ def test_demo_walks_each_latitude_point_once_per_expression(tmp_path, walks):
     expected = [getattr(sc.surfaces[name], c) for name in ("sphere", "sphere3") for c in "xyz"]
     expected.append(sc.pairs["spheres"].dilation)
     assert sorted(map(exprkit.to_text, at_latitude)) == sorted(map(exprkit.to_text, expected))
+
+
+@pytest.fixture()
+def orders(monkeypatch):
+    """Every walk asked for, in order, as (expression, order)."""
+    seen, jet = [], exprkit._jet
+    monkeypatch.setattr(exprkit, "_jet",
+                        lambda e, order, values: seen.append((e, order)) or jet(e, order, values))
+    return seen
+
+
+def test_each_walk_stops_at_the_order_its_reader_needs(orders):
+    def walked(*exprs) -> Counter:
+        return Counter(order for e, order in orders if any(e is x for x in exprs))
+
+    def run(suite, **members):
+        orders.clear()
+        [entry] = [e for e in sc.suites if e["suite"] == suite
+                   and all(e[k] == name for k, name in members.items())]
+        cli.run_suite(sc, entry, sc.grids, sc.tolerances, None)
+
+    sc = cli.load_scenario(DEMO)
+    cat = sc.surfaces["catenoid"]
+    xy = cat.x, cat.y  # its z, v, is the plane's y too
+    raw = sc.curves["cat_waist"].u_raw, sc.curves["cat_waist"].v_raw
+    # the arc-length table reads the speed: first derivatives of the raw
+    # curve and of the patch
+    assert walked(*raw).keys() == walked(*xy).keys() == {1}
+    # forms: second partials at the grid, first partials at the four
+    # shifted grids of the oracle
+    run("forms", surface="catenoid")
+    assert orders == [(e, 2) for e in cat[:3]] + [(e, 1) for e in cat[:3]] * 4
+    # pushforward: first partials of both patches and of the ambient map,
+    # and the declared dilation's value
+    run("pushforward", pair="stereo")
+    pair = sc.pairs["stereo"]
+    assert walked(*pair.source[:3], *pair.target[:3]) == {1: 6}
+    assert walked(*pair.ambient_map) == {1: 3} and walked(pair.dilation) == {0: 1}
+    # a bare metric's first form and a declared dilation's jet: order 1
+    run("christoffel-shift", pair="flat_exp")
+    assert Counter(order for _, order in orders) == {1: 7}
+    # frenet along cat_waist: the Newton steps of the arc-length inverse
+    # read the speed; the curve jets read the raw curve to order 2 and the
+    # patch's first form with its partials; beta'' reads second partials
+    run("frenet", curve="cat_waist")
+    assert max(order for _, order in orders) == 2
+    assert walked(*raw)[2] == 2 and walked(*xy)[2] == 4
+    assert walked(*raw).keys() == walked(*xy).keys() == {1, 2}
+    # frenet along latitude: an analytic curve's jets stop at order 2 too
+    run("frenet", curve="latitude")
+    assert walked(*sc.curves["latitude"]) == {2: 2}
 
 
 @pytest.fixture()

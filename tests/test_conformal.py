@@ -203,7 +203,7 @@ def test_dilation_consistency_across_coefficients():
 
 def test_theta_zero_for_unit_dilation_exactly():
     m = first_fundamental(sphere(), 0.9, 1.1)
-    th = theta_terms(m, Jet2(1.0))
+    th = theta_terms(m, Jet2(1.0, 0.0, 0.0))
     assert (th.t111, th.t112, th.t121, th.t122, th.t221, th.t222) == (0.0,) * 6
 
 
@@ -215,14 +215,14 @@ def test_theta_zero_for_constant_dilation_property():
             continue
         m = FirstForm(E, F, G, math.sqrt(E * G - F * F),
                       *RNG.uniform(-1, 1, 6))
-        th = theta_terms(m, Jet2(float(RNG.uniform(0.5, 4.0))))
+        th = theta_terms(m, Jet2(float(RNG.uniform(0.5, 4.0)), 0.0, 0.0))
         assert (th.t111, th.t112, th.t121, th.t122, th.t221, th.t222) == (0.0,) * 6
 
 
 def test_theta_exponential_dilation_closed_form():
     # flat metric, zeta = e^u at (0,0): theta^1_11 = theta^2_12 = 1,
     # theta^1_22 = -1, others 0
-    th = theta_terms(FLAT_FORM, Jet2(1.0, du=1.0))
+    th = theta_terms(FLAT_FORM, Jet2(1.0, du=1.0, dv=0.0))
     assert th.t111 == 1.0
     assert th.t122 == 1.0
     assert th.t221 == -1.0
@@ -343,9 +343,9 @@ def test_bracket_shift_requires_unit_speed():
 
 def test_h_function_cases():
     from confgeo.geometry import CurveJets
-    th0 = theta_terms(FLAT_FORM, Jet2(1.0))
+    th0 = theta_terms(FLAT_FORM, Jet2(1.0, 0.0, 0.0))
     assert h_function(FLAT_FORM, th0, CurveJets(0, 0, 1.0, 0.0, 0, 0)) == 0.0
-    th = theta_terms(FLAT_FORM, Jet2(1.0, du=1.0))
+    th = theta_terms(FLAT_FORM, Jet2(1.0, du=1.0, dv=0.0))
     # u' = 0, v' = 1: h = -theta^1_22 W^2 = 1
     assert h_function(FLAT_FORM, th, CurveJets(0, 0, 0.0, 1.0, 0, 0)) == 1.0
     # u' = 1, v' = 0: h = theta^2_11 W^2 = 0
@@ -355,9 +355,9 @@ def test_h_function_cases():
 def test_g_functions_cases():
     from confgeo.geometry import CurveJets
     cj = CurveJets(0, 0, 1.0, 0.0, 0, 0)
-    assert g_functions(FLAT_FORM, Jet2(2.5), cj, 1.0) == (0.0, 0.0)       # homothety
-    assert g_functions(FLAT_FORM, Jet2(1.0, du=1.0), cj, 0.0) == (0.0, 0.0)  # nu/kappa = 0
-    g1, g2 = g_functions(FLAT_FORM, Jet2(1.0, du=1.0), cj, 1.0)
+    assert g_functions(FLAT_FORM, Jet2(2.5, 0.0, 0.0), cj, 1.0) == (0.0, 0.0)       # homothety
+    assert g_functions(FLAT_FORM, Jet2(1.0, du=1.0, dv=0.0), cj, 0.0) == (0.0, 0.0)  # nu/kappa = 0
+    g1, g2 = g_functions(FLAT_FORM, Jet2(1.0, du=1.0, dv=0.0), cj, 1.0)
     assert (g1, g2) == (1.0, 0.0)
 
 

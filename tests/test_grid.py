@@ -56,7 +56,7 @@ from conftest import (
     stereographic_pair,
     stereographic_target,
 )
-from test_cli import BASE_SCENARIO, write_scenario
+from test_cli import BASE_SCENARIO, DEMO, write_scenario
 
 AGREE = 1e-13
 
@@ -204,6 +204,81 @@ def test_every_order_gives_the_same_bits(text, seed):
             # the higher order met a derivative that fails first: at its
             # point, its sub-expression evaluates to the lower order
             _u_coefficients(hi.node_text, order, np.array([hi.point[0]]))
+
+
+# -- walks to a lower order ---------------------------------------------------
+
+
+def _check_orders_agree(text, names, values):
+    """Each lower-order walk of ``text`` over ``values`` against the
+    full-order walk: the same bits in every coefficient both compute, and
+    None past the lower order.  A lower order may pass where the full order
+    fails, never the other way round."""
+    e = parse_scalar_field(text, names)
+    walk, full = {1: (eval_jet3, 3), 2: (eval_jet2, 2)}[len(names)]
+    try:
+        top = walk(e, *values)
+    except EvalDomainError:
+        return
+    for order in range(full):
+        jet = walk(e, *values, order)
+        n = math.comb(len(names) + order, order)  # the coefficients to that order
+        assert [np.asarray(c).tobytes() for c in jet[:n]] == \
+               [c.tobytes() for c in top[:n]], (text, order)
+        assert all(c is None for c in jet[n:]), (text, order)
+
+
+def _demo_fields() -> list:
+    """Every expression of the demo scenario with its variables, but the
+    ambient maps: ``eval_grad3`` walks them at its one order."""
+    doc = json.loads(DEMO.read_text())
+    fields = [(surf[k], ("u", "v")) for surf in doc["surfaces"]
+              for k in ("x", "y", "z", "E", "F", "G") if k in surf]
+    fields += [(c[k], ("t",) if c.get("reparameterize") else ("s",))
+               for c in doc["curves"] for k in ("u", "v")]
+    fields += [(p["dilation"], ("u", "v")) for p in doc["pairs"] if "dilation" in p]
+    fields += [(prof[k], ("s",)) for prof in doc["profiles"] for k in ("nu", "eta")]
+    return sorted(set(fields))
+
+
+@pytest.mark.parametrize("text, names", _demo_fields())
+def test_demo_walks_agree_across_orders(text, names):
+    rng = np.random.default_rng(5)
+    values = [rng.uniform(-1.0, 1.0, 16) for _ in names]
+    _check_orders_agree(text, names, values)
+    for point in zip(*(x.tolist() for x in values)):
+        _check_orders_agree(text, names, point)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=_exprs(["u", "v"], 3), seed=st.integers(0, 2**32 - 1))
+def test_eval_jet2_orders_agree(text, seed):
+    rng = np.random.default_rng(seed)
+    values = [rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 8)]
+    _check_orders_agree(text, ("u", "v"), values)
+    _check_orders_agree(text, ("u", "v"), [float(x[0]) for x in values])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=_exprs(["s"], 3), seed=st.integers(0, 2**32 - 1))
+def test_eval_jet3_orders_agree(text, seed):
+    values = [np.random.default_rng(seed).uniform(-2, 2, 8)]
+    _check_orders_agree(text, ("s",), values)
+    _check_orders_agree(text, ("s",), [float(values[0][0])])
+
+
+@pytest.mark.parametrize("surf", [catenoid(), sphere(), stereographic_target()])
+def test_order_one_patch_jets_and_first_form(surf):
+    # the order-1 patch jets and first form hold the bits of the full ones,
+    # and None where they stop
+    u, v = cli.surface_grid(surf.domain, 4, np.random.default_rng(2))
+    for args in ((u, v), (float(u[0]), float(v[0]))):
+        pj1, pj = surf.jets(*args, order=1), surf.jets(*args)
+        assert [x.tobytes() for x in pj1[:3]] == [x.tobytes() for x in pj[:3]]
+        assert pj1[3:] == (None, None, None)
+        m1, m = surf.first_form(*args, order=1), surf.first_form(*args)
+        assert [np.asarray(x).tobytes() for x in m1[:4]] == [x.tobytes() for x in m[:4]]
+        assert m1[4:] == (None,) * 6
 
 
 @pytest.mark.parametrize("text, names, kind, point, want", [
@@ -400,20 +475,22 @@ def test_cli_non_conformal_names_first_grid_point(tmp_path, capsys):
 
 
 def test_cli_wrong_declared_dilation_names_first_grid_point(tmp_path, capsys):
-    # the suites that read the declared dilation's jet check it; the
-    # pushforward suite reads none
+    # the suites that read the declared dilation's jet check it, and so does
+    # the pushforward suite, which reads none
     doc = copy.deepcopy(BASE_SCENARIO)
     doc["pairs"] = [{"name": "bad", "source": "plane", "target": "plane", "dilation": "2",
                      "ambient_map": ["x", "y", "z"]}]
     doc["suites"] = [{"suite": "pushforward", "pair": "bad"},
                      {"suite": "christoffel-shift", "pair": "bad"}]
     path = write_scenario(tmp_path, doc)
-    assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 3
-    out, err = capsys.readouterr()
-    assert out.startswith("PASS pushforward")
     u0, v0 = (float(a[0]) for a in cli.surface_grid(((-1.5, 1.5), (-1.5, 1.5)), 4, None))
-    assert (f"math error in suite 'christoffel-shift' (pair='bad'): declared dilation 2.0 "
-            f"disagrees with estimate 1.0 at ({u0!r}, {v0!r})") in err
+    for suite in ("pushforward", "christoffel-shift"):
+        assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r"),
+                         "--suite", suite]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"math error in suite '{suite}' (pair='bad'): declared dilation 2.0 "
+                       f"disagrees with estimate 1.0 at ({u0!r}, {v0!r})\n")
 
 
 # -- suites against the per-point functions ------------------------------------------
