@@ -136,7 +136,7 @@ def adaptive_simpson(f, a, b, tol: float = QUAD_TOL) -> np.ndarray:
 
 def _curve_speed(patch: SurfacePatch, u_raw: Expr, v_raw: Expr, t):
     # the speed reads first derivatives only: of the curve and of the patch
-    ju, jv = eval_jet3(u_raw, t, 1), eval_jet3(v_raw, t, 1)
+    ju, jv = eval_jet3((u_raw, v_raw), t, 1)
     w = speed_from_form(patch.first_form(ju.value, jv.value, 1), ju.d1, jv.d1)
     bad = violation(w >= ZERO_SPEED_FLOOR, t)
     if bad is not None:
@@ -211,7 +211,7 @@ class UnitSpeedCurve:
 
     def jets(self, s) -> CurveJets:
         t = self.invert(s)
-        ju, jv = eval_jet3(self.u_raw, t, 2), eval_jet3(self.v_raw, t, 2)
+        ju, jv = eval_jet3((self.u_raw, self.v_raw), t, 2)
         m = self.patch.first_form(ju.value, jv.value)
         u1, v1, u2, v2 = ju.d1, jv.d1, ju.d2, jv.d2
         w = speed_from_form(m, u1, v1)

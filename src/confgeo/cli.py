@@ -13,7 +13,6 @@ scenario element and the point).
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import json
@@ -118,15 +117,13 @@ def _range(entry: dict, key: str, where: str) -> tuple[float, float]:
     return _finite(raw[0], f"{where}.{key}[0]"), _finite(raw[1], f"{where}.{key}[1]")
 
 
-def _parse_field(text, variables, where: str, parsed: dict):
+def _parse_field(text, variables, where: str, nodes: dict):
     if not isinstance(text, str):
         raise ScenarioError(f"{where}: expected an expression string, got {text!r}")
-    if (text, variables) not in parsed:
-        try:
-            parsed[text, variables] = parse_scalar_field(text, variables)
-        except ExprError as err:
-            raise ScenarioError(f"{where}: {err}") from None
-    return parsed[text, variables]
+    try:
+        return parse_scalar_field(text, variables, nodes)
+    except ExprError as err:
+        raise ScenarioError(f"{where}: {err}") from None
 
 
 def _box(raw, where: str):
@@ -159,7 +156,7 @@ def load_scenario(path: Path) -> Scenario:
         raise ScenarioError(f"'{path}': top level must be an object")
 
     sc = Scenario(path=path, digest=hashlib.sha256(raw_bytes).hexdigest())
-    parsed: dict = {}  # one Expr per (text, variables), so equal texts share stored walks
+    nodes: dict = {}  # the load's one node table: equal subtrees are one node
 
     def entries(section: str, pool: dict):
         """Each entry of a member section, with its ``where`` and its name,
@@ -172,7 +169,7 @@ def load_scenario(path: Path) -> Scenario:
             yield entry, where, name
 
     def expr(entry: dict, key: str, variables: tuple, where: str):
-        return _parse_field(_need(entry, key, where), variables, f"{where}.{key}", parsed)
+        return _parse_field(_need(entry, key, where), variables, f"{where}.{key}", nodes)
 
     for entry, where, name in entries("surfaces", sc.surfaces):
         kind = entry.get("kind", "patch")
@@ -223,7 +220,7 @@ def load_scenario(path: Path) -> Scenario:
             if not (isinstance(comps, list) and len(comps) == 3):
                 raise ScenarioError(f"{where}.ambient_map: expected three expressions")
             ambient = tuple(_parse_field(c, ("x", "y", "z"), f"{where}.ambient_map[{j}]",
-                                         parsed) for j, c in enumerate(comps))
+                                         nodes) for j, c in enumerate(comps))
         try:
             sc.pairs[name] = conformal.ConformalPair(
                 members[0], members[1], dilation=dilation, ambient_map=ambient,
@@ -694,6 +691,8 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # here, not at the top: a cold import of the module skips it
+
     parser = argparse.ArgumentParser(
         prog="confgeo",
         description="Run differential-geometry verification suites over a scenario file.")

@@ -63,10 +63,6 @@ class AmbientMapError(ConformalError):
     pass
 
 
-def _position(patch: SurfacePatch, u, v) -> np.ndarray:
-    return np.array([evaluate(c, u, v) for c in (patch.x, patch.y, patch.z)])
-
-
 class ConformalPair:
     """Source and target over one domain box, with optional dilation and
     optional ambient map (three expressions over the ambient variables)."""
@@ -96,9 +92,9 @@ class ConformalPair:
         if self.ambient_map is not None:
             if not self.embedded:
                 raise AmbientMapError("ambient map requires embedded patches on both sides")
-            p = _position(self.source, us, vs)
-            image = np.array([evaluate(c, *p) for c in self.ambient_map])
-            gap = norm(image - _position(self.target, us, vs))
+            p = np.array(evaluate(self.source[:3], us, vs))  # x, y, z in one walk
+            image = np.array(evaluate(self.ambient_map, *p))
+            gap = norm(image - np.array(evaluate(self.target[:3], us, vs)))
             bad = violation(gap <= 1e-9, gap, us, vs)
             if bad is not None:
                 raise AmbientMapError(
@@ -353,11 +349,7 @@ def image_geodesic_curvature(pair: ConformalPair, c, s):
 def ambient_jacobian(map3: tuple[Expr, Expr, Expr], p) -> np.ndarray:
     """3x3 Jacobian of an ambient map at the point p, by forward-mode jets;
     (3, 3, n) at the points of a (3, n) array p."""
-    rows = []
-    for comp in map3:
-        g = eval_grad3(comp, p[0], p[1], p[2])
-        rows.append([g.gx, g.gy, g.gz])
-    return np.array(rows)
+    return np.array([[g.gx, g.gy, g.gz] for g in eval_grad3(map3, *p)])
 
 
 def pushforward_residual(pair: ConformalPair, u, v,

@@ -3,8 +3,10 @@
 The expression language is deliberately small: real constants, declared
 variables, the unary functions sin/cos/tan/exp/log/sqrt/sinh/cosh/tanh,
 unary minus, and the binary operators + - * / ^ (exponent restricted to
-constant sub-expressions).  Trees are immutable after parse and evaluation
-is pure, so expressions can be shared freely across threads.
+constant sub-expressions).  Nodes are immutable after parse and evaluation
+is pure, so expressions can be shared freely across threads.  A parse
+interns into a table of nodes (a scenario load keeps one), so equal
+subtrees are one node (hash-consing, Filliatre & Conchon, 2006).
 
 There is one jet arithmetic, driven by tables: ``eval_jet2`` (order 2 in
 two variables), ``eval_jet3`` (order 3 in one), ``eval_grad3`` (order 1 in
@@ -13,11 +15,13 @@ table they read, and return the namedtuples ``Jet2``, ``Jet3``, ``Grad3``
 and the value.  A coefficient gets the same bits at every order that
 computes it, so a walk stops at the order its reader needs: ``eval_jet2``
 and ``eval_jet3`` take that order, and the coefficients past it are None.
-All four take float64 arrays (a grid of points, evaluated in
-one tree walk, as in vector forward mode).  There is one numeric path,
-numpy's: a point is a grid of one (floats enter as 0-d arrays), and
-constants are ``np.float64`` scalars that broadcast, so numpy's
-floating-point checks see every operation.
+All four take float64 arrays (a grid of points, evaluated in one walk, as
+in vector forward mode), and a tuple of expressions, walked at once into a
+tuple of results: a patch's x, y, z, a metric's E, F, G or an ambient map
+is one walk, in which a node the roots share is evaluated once.  There is
+one numeric path, numpy's: a point is a grid of one (floats enter as 0-d
+arrays), and constants are ``np.float64`` scalars that broadcast, so
+numpy's floating-point checks see every operation.
 
 A caller that walks the same expressions at the same grids again enters a
 store of walks (:func:`walk_store`).  It is held in a context variable, so
@@ -96,7 +100,7 @@ FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh")
 
 
 class Expr(NamedTuple):
-    """A parsed scalar field: immutable node tree plus its declared variables."""
+    """A parsed scalar field: immutable root node plus its declared variables."""
 
     root: Node
     variables: tuple[str, ...]
@@ -166,10 +170,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], variables: tuple[str, ...]):
+    def __init__(self, tokens: list[tuple[str, str, int]], variables: tuple[str, ...],
+                 nodes: dict):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.nodes = nodes
+
+    def node(self, cls, op, *operands) -> Node:
+        # the one node of ``nodes`` with these fields (``op`` is a leaf's
+        # value or name); its operands are interned already, so keyed by identity
+        key = (cls, op, *map(id, operands))
+        found = self.nodes.get(key)
+        if found is None:
+            found = self.nodes[key] = cls(op, *operands)
+        return found
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -200,7 +215,7 @@ class _Parser:
         node = operand()
         while (tok := self.peek())[0] == "op" and tok[1] in ops:
             self.advance()
-            node = Binary(tok[1], node, operand())
+            node = self.node(Binary, tok[1], node, operand())
         return node
 
     def unary(self, depth: int) -> Node:
@@ -209,7 +224,7 @@ class _Parser:
             raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", pos)
         if kind == "op" and text == "-":
             self.advance()
-            return Unary("neg", self.unary(depth + 1))
+            return self.node(Unary, "neg", self.unary(depth + 1))
         return self.power(depth)
 
     def power(self, depth: int) -> Node:
@@ -220,13 +235,13 @@ class _Parser:
             exponent = self.unary(depth + 1)  # right-associative
             if variables_of(exponent):
                 raise ExprSyntaxError("exponent of '^' must be a constant expression", pos)
-            return Binary("^", base, exponent)
+            return self.node(Binary, "^", base, exponent)
         return base
 
     def atom(self, depth: int) -> Node:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Const(float(text))
+            return self.node(Const, float(text))
         if kind == "name":
             nk, nt, _ = self.peek()
             if nk == "op" and nt == "(":
@@ -235,10 +250,10 @@ class _Parser:
                 self.advance()
                 arg = self.chain(depth + 1)
                 self.expect_op(")")
-                return Unary(text, arg)
+                return self.node(Unary, text, arg)
             if text not in self.variables:
                 raise ExprNameError(f"unknown identifier '{text}'", pos)
-            return Var(text)
+            return self.node(Var, text)
         if kind == "op" and text == "(":
             node = self.chain(depth + 1)
             self.expect_op(")")
@@ -248,12 +263,15 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected '{text}'", pos)
 
 
-def parse_scalar_field(text: str, variables) -> Expr:
+def parse_scalar_field(text: str, variables, nodes: dict | None = None) -> Expr:
     """Parse ``text`` into an :class:`Expr` over the declared variables.
 
     Grammar: infix with precedence ``^`` > unary ``-`` > ``* /`` > ``+ -``,
     left-associative except ``^`` (right-associative), parentheses and
     ``f(x)`` function calls.  Deeper than :data:`MAX_DEPTH` levels is a syntax error.
+
+    Equal subtrees parsed into one table ``nodes`` are one node, and equal
+    texts over equal variables one :class:`Expr`.
     """
     varnames = tuple(variables)
     if len(set(varnames)) != len(varnames):
@@ -263,16 +281,20 @@ def parse_scalar_field(text: str, variables) -> Expr:
             raise ValueError(f"variable name '{name}' shadows a function")
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    root = _Parser(_tokenize(text), varnames).parse()
-    # a long sum or product nests without parser recursion: its tree is
-    # measured level by level (a node's operands are its fields that are nodes)
-    depth, level = 0, [root]
-    while level:
-        depth += 1
-        level = [c for n in level for c in n if isinstance(c, _NODES)]
-    if depth > MAX_DEPTH:
-        raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", 0)
-    return Expr(root, varnames)
+    nodes = {} if nodes is None else nodes
+    if (text, varnames) not in nodes:
+        parser = _Parser(_tokenize(text), varnames, nodes)
+        root = parser.parse()
+        # a long sum or product nests without parser recursion: its tree is
+        # measured level by level (a node's operands are its fields that are nodes)
+        depth, level = 0, [root]
+        while level:
+            depth += 1
+            level = [c for n in level for c in n if isinstance(c, _NODES)]
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", 0)
+        nodes[text, varnames] = Expr(root, varnames)
+    return nodes[text, varnames]
 
 
 def to_text(e: Expr | Node) -> str:
@@ -539,10 +561,18 @@ def _domain_error(err: Exception, node: Node) -> EvalDomainError:
 
 
 def _eval_jet(node: Node, env: dict, tab: _Table) -> list:
+    # ``env`` holds the walk's seeded variables by name and its operator
+    # nodes' jets by identity: a node shared by two roots is walked once
     if isinstance(node, Const):
         return [np.float64(node.value), *tab.zeros]
     if isinstance(node, Var):
         return env[node.name]
+    if id(node) not in env:
+        env[id(node)] = _eval_op(node, env, tab)
+    return env[id(node)]
+
+
+def _eval_op(node: Unary | Binary, env: dict, tab: _Table) -> list:
     # an operator node is unpacked once: reading a NamedTuple field by name
     # costs a descriptor call each time
     try:
@@ -556,6 +586,7 @@ def _eval_jet(node: Node, env: dict, tab: _Table) -> list:
         op, lnode, rnode = node
         left = _eval_jet(lnode, env, tab)
         if op == "^":
+            # a walk of its own: an interned constant may be an operand too
             p = float(_eval_jet(rnode, {}, _table(0, 0))[0])
             return _chain(_pow_coeffs(left[0], p, tab.order), left, tab)
         right = _eval_jet(rnode, env, tab)
@@ -568,32 +599,43 @@ def _eval_jet(node: Node, env: dict, tab: _Table) -> list:
         raise _domain_error(err, node) from None
 
 
-def _walk(e: Expr, order: int):
-    """The grid walk of ``e`` to ``order``: each declared variable is
-    seeded as its own direction."""
-    tab = _table(len(e.variables), order)
-    return lambda p: _eval_jet(e.root, {
-        name: [x, *seed] for name, x, seed in zip(e.variables, p, tab.seeds)}, tab)
+def _walk(exprs: tuple, order: int):
+    """The grid walk of ``exprs`` to ``order``, yielding each one's jet in
+    turn: each declared variable is seeded as its own direction."""
+    tab = _table(len(exprs[0].variables), order)
+
+    def walk(p):
+        envs = {}  # one per tuple of variables: a node's jet depends on their seeds
+        for e in exprs:
+            yield _eval_jet(e.root, envs.setdefault(e.variables, {
+                name: [x, *seed] for name, x, seed in zip(e.variables, p, tab.seeds)}), tab)
+    return walk
 
 
 def _evaluate(grid, walk) -> list:
-    """``walk`` over ``grid``: float64 arrays of one shape, 0-d at a point.
+    """Each root's coefficients, by ``walk`` over ``grid``: float64 arrays
+    of one shape, 0-d at a point.
 
     numpy overflow, invalid and divide-by-zero results raise, so they name
     their node instead of passing inf or NaN on, and an
     :class:`EvalDomainError` names the first grid point where evaluation
     fails.  Constant coefficients of the result are filled out to the grid.
     """
+    out = []
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            out = walk(grid)
+            for jet in walk(grid):
+                out.append(jet)
         except EvalDomainError as err:
-            raise _locate(err, grid, walk) from None
+            # the walk up to the root that failed: the roots before it pass
+            # on every part of the grid
+            failing = len(out) + 1
+            raise _locate(err, grid, lambda p: list(itertools.islice(walk(p), failing))) from None
     # constant coefficients are filled out to the grid; at a point every
     # one becomes a 0-d array, whose ``**`` rounds as the array power does
     # (a numpy scalar's may not)
     shape = grid[0].shape
-    return [x if shape and np.shape(x) == shape else np.full(shape, x) for x in out]
+    return [[x if shape and np.shape(x) == shape else np.full(shape, x) for x in j] for j in out]
 
 
 def _locate(err: EvalDomainError, grid: list, walk) -> EvalDomainError:
@@ -629,13 +671,13 @@ def walk_store(store: dict):
     """Keep the walks of the block in ``store`` and reuse them.
 
     While the block runs, ``eval_jet2``, ``eval_jet3``, ``eval_grad3`` and
-    ``evaluate`` look a walk up by the expression's identity, the order and
-    the grid's shape and bits (so ``-0.0`` and ``0.0``, NaN payloads and a
-    0-d point stay apart).  On a miss they walk as without a store and keep
-    the coefficients as read-only arrays, with the expression, so that its
-    identity is not reused.  A failed walk is never kept: its error is
-    raised again on the next call.  The caller owns ``store``, may enter it
-    again, and empties it when the walks are no longer needed.
+    ``evaluate`` look a walk up by its expressions' identities, the order
+    and the grid's shape and bits (so ``-0.0`` and ``0.0``, NaN payloads
+    and a 0-d point stay apart).  On a miss they walk as without a store
+    and keep the coefficients as read-only arrays, with the expressions,
+    so that their identities are not reused.  A failed walk is never kept:
+    its error is raised again on the next call.  The caller owns ``store``,
+    may enter it again, and empties it when the walks are no longer needed.
     """
     token = _STORE.set(store)
     try:
@@ -653,54 +695,58 @@ def _frozen(x: np.ndarray, grid: list) -> np.ndarray:
     return kept
 
 
-def _jet(e: Expr, order: int, values) -> list:
-    """The coefficients of ``e`` to ``order`` over the grid of ``values``:
-    from the active store of walks, if a caller has entered one."""
+def _jet(exprs: tuple, order: int, values) -> list:
+    """Each of ``exprs``'s coefficients to ``order`` over the grid of
+    ``values``: from the active store of walks, if a caller entered one."""
     grid = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in values))
     store = _STORE.get()
     if store is None:
-        return _evaluate(grid, _walk(e, order))
-    key = (id(e), order, grid[0].shape, *(a.tobytes() for a in grid))
+        return _evaluate(grid, _walk(exprs, order))
+    key = (tuple(map(id, exprs)), order, grid[0].shape, *(a.tobytes() for a in grid))
     kept = store.get(key)
     if kept is None:
-        out = _evaluate(grid, _walk(e, order))
-        kept = store[key] = (e, [_frozen(x, grid) for x in out])
+        out = _evaluate(grid, _walk(exprs, order))
+        kept = store[key] = (exprs, [[_frozen(x, grid) for x in jet] for jet in out])
     return kept[1]
 
 
-def eval_jet2(e: Expr, u, v, order: int = 2) -> Jet2:
+def _jets(name: str, e, values, order: int, top: int, kind):
+    # ``kind`` of the coefficients of ``e``, or a tuple of them for a tuple walked at once
+    if order not in range(top + 1):
+        raise ExprError(f"{name} takes an order from 0 to {top}, got {order!r}")
+    exprs = (e,) if isinstance(e, Expr) else tuple(e)
+    if any(len(x.variables) != len(values) for x in exprs):
+        raise ExprError(f"{name} needs expressions in {len(values)} variable(s), "
+                        f"got {[x.variables for x in exprs]}")
+    jets = [kind(*c) for c in _jet(exprs, order, values)]
+    return jets[0] if isinstance(e, Expr) else tuple(jets)
+
+
+def eval_jet2(e: Expr | tuple[Expr, ...], u, v, order: int = 2) -> Jet2 | tuple[Jet2, ...]:
     """Evaluate a two-variable expression with exact partials to ``order``
-    (at most 2) over a grid (arrays, or floats for a grid of one); the
+    (0 to 2) over a grid (arrays, or floats for a grid of one); the
     partials past ``order`` are None.
 
     The first declared variable is seeded as the 'u' direction and the
     second as 'v'; no truncation error beyond floating point.
     """
-    if len(e.variables) != 2:
-        raise ExprError(f"eval_jet2 needs a two-variable expression, got {e.variables}")
-    return Jet2(*_jet(e, order, (u, v)))
+    return _jets("eval_jet2", e, (u, v), order, 2, Jet2)
 
 
-def eval_jet3(e: Expr, s, order: int = 3) -> Jet3:
+def eval_jet3(e: Expr | tuple[Expr, ...], s, order: int = 3) -> Jet3 | tuple[Jet3, ...]:
     """Evaluate a one-variable expression with exact derivatives to
-    ``order`` (at most 3) over a grid (an array, or a float for a grid of
+    ``order`` (0 to 3) over a grid (an array, or a float for a grid of
     one); the derivatives past ``order`` are None."""
-    if len(e.variables) != 1:
-        raise ExprError(f"eval_jet3 needs a one-variable expression, got {e.variables}")
-    return Jet3(*_jet(e, order, (s,)))
+    return _jets("eval_jet3", e, (s,), order, 3, Jet3)
 
 
-def eval_grad3(e: Expr, x, y, z) -> Grad3:
+def eval_grad3(e: Expr | tuple[Expr, ...], x, y, z) -> Grad3 | tuple[Grad3, ...]:
     """Evaluate a three-variable expression with exact first partials over
     a grid (arrays, or floats for a grid of one)."""
-    if len(e.variables) != 3:
-        raise ExprError(f"eval_grad3 needs a three-variable expression, got {e.variables}")
-    return Grad3(*_jet(e, 1, (x, y, z)))
+    return _jets("eval_grad3", e, (x, y, z), 1, 1, Grad3)
 
 
-def evaluate(e: Expr, *values):
+def evaluate(e: Expr | tuple[Expr, ...], *values):
     """Plain evaluation (a jet of order 0), binding declared variables
     positionally, over a grid (arrays, or floats for a grid of one)."""
-    if len(values) != len(e.variables):
-        raise ExprError(f"expected {len(e.variables)} values for {e.variables}")
-    return _jet(e, 0, values)[0]
+    return _jets("evaluate", e, values, 0, 0, lambda value: value)

@@ -129,7 +129,7 @@ class SurfacePatch(NamedTuple):
     def jets(self, u, v, order: int = 2) -> PatchJets:
         """Position and partials to ``order`` (1 or 2)."""
         _require_in_box(self.domain, u, v)
-        js = [eval_jet2(c, u, v, order) for c in (self.x, self.y, self.z)]
+        js = eval_jet2((self.x, self.y, self.z), u, v, order)
         return PatchJets(*(np.array(k) for k in zip(*js) if k[0] is not None))
 
     def first_form(self, u, v, order: int = 2) -> "FirstForm":
@@ -148,7 +148,7 @@ class AbstractMetric(NamedTuple):
 
     def first_form(self, u, v) -> "FirstForm":
         _require_in_box(self.domain, u, v)
-        je, jf, jg = (eval_jet2(x, u, v, 1) for x in (self.E, self.F, self.G))
+        je, jf, jg = eval_jet2((self.E, self.F, self.G), u, v, 1)
         return _first_form(u, v, je.value, jf.value, jg.value, E_u=je.du, E_v=je.dv,
                            F_u=jf.du, F_v=jf.dv, G_u=jg.du, G_v=jg.dv)
 
@@ -214,8 +214,7 @@ class ParamCurve(NamedTuple):
     v: Expr
 
     def jets(self, s) -> CurveJets:
-        ju = eval_jet3(self.u, s, 2)
-        jv = eval_jet3(self.v, s, 2)
+        ju, jv = eval_jet3((self.u, self.v), s, 2)
         return CurveJets(ju.value, jv.value, ju.d1, jv.d1, ju.d2, jv.d2)
 
 
@@ -375,7 +374,7 @@ def frenet(p: SurfacePatch, c, s, with_torsion: bool = True) -> FrameData:
 
     tau = None
     if with_torsion and isinstance(c, ParamCurve):
-        beta3 = np.array([eval_jet3(comp, s).d3 for comp in _composed_components(p, c)])
+        beta3 = np.array([j.d3 for j in eval_jet3(_composed_components(p, c), s)])
         tau = dot(cross(beta1, beta2), beta3) / (k * k)
     return FrameData(pj.p, beta1, kappa, n, b, tau)
 

@@ -148,7 +148,7 @@ def synth_position(p: SurfacePatch, c, nu: Expr, eta: Expr, s) -> np.ndarray:
     expansion plus (eta/kappa) times the kappa*b expansion, with kappa the
     curve's curvature on ``p`` (a pair's image reads the source's instead)."""
     cj, pj, kappa = _curved_jets(p, c, s)
-    return _synth(pj, cj, evaluate(nu, s), evaluate(eta, s), kappa)
+    return _synth(pj, cj, *evaluate((nu, eta), s), kappa)
 
 
 def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr, s):
@@ -160,7 +160,7 @@ def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr, 
     W (the W^2 variant belongs to the unnormalized normal Psi_u x Psi_v).
     """
     cj, pj, kappa = _curved_jets(p, c, s)
-    nval, eval_ = evaluate(nu, s), evaluate(eta, s)
+    nval, eval_ = evaluate((nu, eta), s)
     sf = second_fundamental(p, cj.u, cj.v, pj=pj)
     m = first_fundamental(p, cj.u, cj.v, pj=pj)
     kn = normal_curvature_form(sf, cj.u1, cj.v1)
@@ -185,7 +185,7 @@ def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     m = first_fundamental(src, cj.u, cj.v, pj=pj)
     mt = first_fundamental(tgt, cj.u, cj.v, pj=pjt)
     zj = dilation_jet(pair, cj.u, cj.v, forms=(m, mt))
-    nval, eval_ = evaluate(nu, s), evaluate(eta, s)
+    nval, eval_ = evaluate((nu, eta), s)
     return {
         "cj": cj,
         "kappa": kappa,

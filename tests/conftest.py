@@ -181,14 +181,15 @@ def sheared_stereographic_pair(shear: float = 0.3) -> ConformalPair:
 
 @pytest.fixture()
 def walks(monkeypatch):
-    """Every expression walk, in order, as (expression, grid values)."""
+    """Every expression walked, in order, as (expression, grid values): a
+    walk of several expressions gives one entry per expression, in order."""
     walked, walk_of, evaluate_of = [], exprkit._walk, exprkit._evaluate
 
     def counting(values, tagged):
-        e, walk = tagged
-        walked.append((e, values))
+        exprs, walk = tagged
+        walked.extend((e, values) for e in exprs)
         return evaluate_of(values, walk)
 
-    monkeypatch.setattr(exprkit, "_walk", lambda e, order: (e, walk_of(e, order)))
+    monkeypatch.setattr(exprkit, "_walk", lambda exprs, order: (exprs, walk_of(exprs, order)))
     monkeypatch.setattr(exprkit, "_evaluate", counting)
     return walked

@@ -408,6 +408,17 @@ def test_cli_import_builds_no_dataclasses():
     assert "dataclasses" not in added
 
 
+def test_cli_import_leaves_argparse_to_main():
+    # numpy alone does not import argparse, and a caller that never runs
+    # main does not need it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy; import confgeo.cli; "
+            "print('argparse' in sys.modules)")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert loaded == ["False"]
+
+
 def test_scenarios_do_not_share_containers():
     a, b = cli.Scenario(Path("a.json"), "a"), cli.Scenario(Path("b.json"), "b")
     for key in ("surfaces", "curves", "curve_ranges", "pairs", "profiles", "suites",
@@ -450,6 +461,16 @@ def test_equal_expression_texts_share_one_expr():
     assert sc.surfaces["plane"].z is not sc.profiles["nu_only"][1]
 
 
+def test_demo_load_holds_each_shared_subtree_once():
+    sc = cli.load_scenario(DEMO)
+    x, y, z = sc.surfaces["stereo_sphere"][:3]  # (2*u)/d, (2*v)/d and (u^2+v^2-1)/d
+    assert exprkit.to_text(x.root.right) == "((1.0+(u^2.0))+(v^2.0))"
+    assert x.root.right is y.root.right is z.root.right
+    mx, my, mz = sc.pairs["stereo"].ambient_map  # (2*x)/d, (2*y)/d and 1+(2*(z-1))/d
+    assert exprkit.to_text(mx.root.right) == "(((x^2.0)+(y^2.0))+((z-1.0)^2.0))"
+    assert mx.root.right is my.root.right is mz.root.right.right
+
+
 def test_demo_walks_each_latitude_point_once_per_expression(tmp_path, walks):
     # frenet, bracket-shift, theorem3 and tangential all run along latitude on
     # the spheres: without the store its (u, v) points were walked 24 times
@@ -467,10 +488,11 @@ def test_demo_walks_each_latitude_point_once_per_expression(tmp_path, walks):
 
 @pytest.fixture()
 def orders(monkeypatch):
-    """Every walk asked for, in order, as (expression, order)."""
+    """Every walk asked for, in order, as (expression, order): a walk of
+    several expressions gives one entry per expression, in order."""
     seen, jet = [], exprkit._jet
-    monkeypatch.setattr(exprkit, "_jet",
-                        lambda e, order, values: seen.append((e, order)) or jet(e, order, values))
+    monkeypatch.setattr(exprkit, "_jet", lambda exprs, order, values: seen.extend(
+        (e, order) for e in exprs) or jet(exprs, order, values))
     return seen
 
 

@@ -10,6 +10,7 @@ from confgeo import exprkit
 from confgeo.exprkit import (
     Binary,
     EvalDomainError,
+    ExprError,
     ExprNameError,
     ExprSyntaxError,
     Unary,
@@ -172,6 +173,58 @@ def test_domain_errors_name_the_node():
         evaluate(parse_scalar_field("u^-1", UV), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("walk, order", [(eval_jet2, -1), (eval_jet2, 3), (eval_jet3, -1),
+                                          (eval_jet3, 4)])
+def test_an_order_past_the_table_is_an_expression_error(walk, order):
+    e = parse_scalar_field("u*v", UV) if walk is eval_jet2 else parse_scalar_field("s*s", S)
+    top = 2 if walk is eval_jet2 else 3
+    with pytest.raises(ExprError, match=rf"{walk.__name__} takes an order from 0 to {top}, "
+                                        rf"got {order}$"):
+        walk(e, *[0.5] * len(e.variables), order)
+
+
+def test_a_walk_of_two_roots_names_the_first_failing_root_at_its_own_first_point():
+    # each root alone: log(u) fails first at (-1, 1), log(v) at (1, -1).  A
+    # search over both roots at once would find the earlier point of log(v)
+    x, y = parse_scalar_field("log(u)", UV), parse_scalar_field("log(v)", UV)
+    u, v = np.array([1.0, 1.0, -1.0]), np.array([1.0, -1.0, 1.0])
+    with pytest.raises(EvalDomainError) as both:
+        eval_jet2((x, y), u, v)
+    assert str(both.value) == ("log of a non-positive value in sub-expression 'log(u)' "
+                               "at (-1.0, 1.0)")
+    assert both.value.node_text == "log(u)" and both.value.point == (-1.0, 1.0)
+    # a root that passes does not move the error of the one after it
+    with pytest.raises(EvalDomainError) as second:
+        eval_jet2((parse_scalar_field("u", UV), y), u, v)
+    assert second.value.node_text == "log(v)" and second.value.point == (1.0, -1.0)
+
+
+def test_expressions_of_one_node_table_share_subtrees_and_walk_to_the_same_bits():
+    nodes = {}
+    shared = tuple(parse_scalar_field(t, UV, nodes) for t in ("u^2+2*v", "2*v+u^2"))
+    apart = tuple(parse_scalar_field(t, UV) for t in ("u^2+2*v", "2*v+u^2"))
+    assert shared[0].root.left is shared[1].root.right  # one u^2
+    assert apart[0].root.left is not apart[1].root.right
+    u, v = np.random.default_rng(3).uniform(-2.0, 2.0, (2, 16))
+    for order in (0, 1, 2):
+        for at in [(u, v)] + [(float(a), float(b)) for a, b in zip(u, v)]:
+            together = eval_jet2(shared, *at, order)
+            for jet, alone in zip(together, (eval_jet2(e, *at, order) for e in apart)):
+                for x, y in zip(jet, alone):
+                    assert (x is None) == (y is None)
+                    if x is not None:
+                        assert np.array_equal(np.asarray(x).view(np.uint64),
+                                              np.asarray(y).view(np.uint64))
+
+
+def test_an_exponent_shared_with_an_operand_is_walked_apart_from_it():
+    # (1+1) is one node: the exponent of u^(1+1), walked as a constant, and
+    # a factor of (1+1)*v, walked to order 2
+    e = parse_scalar_field("u^(1+1)+(1+1)*v", UV)
+    assert e.root.left.right is e.root.right.left
+    assert tuple(eval_jet2(e, 3.0, 5.0)) == (19.0, 6.0, 2.0, 2.0, 0.0, 0.0)
+
+
 def test_fractional_power_at_zero_names_the_derivative():
     e = parse_scalar_field("u^0.5", UV)
     assert evaluate(e, 0.0, 1.0) == 0.0
@@ -272,6 +325,18 @@ def test_store_walks_once_per_expression_order_and_grid(walks):
     assert len(walks) == 6
     for x, y in zip(plain, first):
         assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_store_keys_a_walk_by_all_its_roots_in_order(walks):
+    a, b = parse_scalar_field("sin(u)", UV), parse_scalar_field("u*v", UV)
+    u, v = np.linspace(0.0, 1.0, 5), np.linspace(1.0, 2.0, 5)
+    with walk_store({}) as store:
+        first = eval_jet2((a, b), u, v)
+        assert all(x is y for j, k in zip(first, eval_jet2((a, b), u, v)) for x, y in zip(j, k))
+        eval_jet2((b, a), u, v)
+        eval_jet2(a, u, v)
+        assert len(store) == 3
+    assert [e for e, _ in walks] == [a, b, b, a, a]
 
 
 def test_store_keys_the_grid_by_its_bits():
