@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calculus, conformal, geometry, normalcurve
-from .exprkit import ExprError, evaluate, parse_scalar_field, walk_store
+from .exprkit import ExprError, parse_scalar_field, walk_store
 
 MATH_ERRORS = (ExprError, geometry.GeometryError, calculus.CalculusError,
                conformal.ConformalError)
@@ -150,7 +150,7 @@ def load_scenario(path: Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file '{path}': {err}") from None
     try:
         doc = json.loads(raw_bytes)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad syntax, bad encoding, deep nesting
         raise ScenarioError(f"'{path}' is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"'{path}': top level must be an object")
@@ -382,10 +382,7 @@ def _frenet(surf, curve, ss, params, tol):
 
 def _christoffel_shift(pair, us, vs, params, tol):
     names = ["u", "v", "zeta", "r111", "r112", "r121", "r122", "r221", "r222"]
-    forms = pair.forms(us, vs)
-    zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
-    return _columns(names, us, vs, zeta, *conformal.christoffel_shift_residual(
-        pair, us, vs, forms=forms, zeta=zeta)), names[3:]
+    return _columns(names, us, vs, *conformal.christoffel_shift_report(pair, us, vs)), names[3:]
 
 
 def _bracket_shift(pair, curve, ss, params, tol):
@@ -435,16 +432,7 @@ def _classify(surf, curve, ss, params, tol):
 
 def _pushforward(pair, us, vs, params, tol):
     names = ["u", "v", "zeta", "r_u", "r_v"]
-    # each patch is evaluated once, to order 1: its jets give E, F, G and
-    # the residual
-    jets = pair.source.jets(us, vs, 1), pair.target.jets(us, vs, 1)
-    forms = tuple(geometry.first_fundamental(m, us, vs, pj=pj)
-                  for m, pj in zip((pair.source, pair.target), jets))
-    zeta, _ = conformal.dilation_field(pair, us, vs, forms=forms)
-    if pair.dilation is not None:  # the residual reads none, but it must hold
-        conformal.check_declared_dilation(pair, us, vs, evaluate(pair.dilation, us, vs), zeta)
-    return _columns(names, us, vs, zeta, *conformal.pushforward_residual(
-        pair, us, vs, jets=jets, zeta=zeta)), names[3:]
+    return _columns(names, us, vs, *conformal.pushforward_report(pair, us, vs)), names[3:]
 
 
 # A suite is a row: the scenario members its entry names, in the order its
@@ -658,6 +646,10 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
             raise ScenarioError(f"--suite: unknown suite name(s) {sorted(unknown)}")
         if not selected:
             raise ScenarioError(f"--suite: scenario has no suites among {only}")
+    try:  # before any suite runs, so that an unusable --out costs no work
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ScenarioError(f"--out: cannot make report directory '{out_dir}': {err}") from None
 
     # The suites whose row needs a curve walk the same patch, curve,
     # dilation and profile expressions at the same s-grid, so they share one
@@ -717,6 +709,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioError("--grid must be a positive integer")
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
             raise ScenarioError("--tol must be a finite positive number")
+        if args.seed < 0:
+            raise ScenarioError("--seed must be a non-negative integer")
         return run_scenario(sc, Path(args.out), args.format, args.suite,
                             args.grid, args.tol, args.seed)
     except ScenarioError as err:

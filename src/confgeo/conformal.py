@@ -7,9 +7,11 @@ and is cross-checked against the estimate where its jet is taken.
 
 The dilation, the Christoffel shift and the pushforward take ``u, v`` as
 arrays (a grid of points, evaluated at once; floats are a grid of one),
-and the curve residuals take ``s`` the same way.  A caller that already
-holds ``pair.forms(u, v)`` passes it as ``forms`` (the pushforward takes
-the two patches' jets as ``jets``) so that each patch is evaluated once.
+and the curve residuals take ``s`` the same way.  Each surface suite reads
+one report, :func:`christoffel_shift_report` or :func:`pushforward_report`,
+which evaluates each patch once and returns zeta beside the residuals; the
+dilation functions take the ``forms`` (and ``zeta``) their caller already
+holds, so that no patch is evaluated twice.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .geometry import (
     AbstractMetric,
     CurveJets,
     FirstForm,
-    PatchJets,
     SurfacePatch,
     beltrami_bracket,
     beta_jets,
@@ -87,7 +88,7 @@ class ConformalPair:
             z = evaluate(self.dilation, us, vs)
             bad = violation(z > 0.0, z, us, vs)
             if bad is not None:
-                raise ValueError(f"declared self.dilation must be positive, got {bad[0]} "
+                raise ValueError(f"declared dilation must be positive, got {bad[0]} "
                                  f"at ({bad[1]}, {bad[2]})")
         if self.ambient_map is not None:
             if not self.embedded:
@@ -98,7 +99,7 @@ class ConformalPair:
             bad = violation(gap <= 1e-9, gap, us, vs)
             if bad is not None:
                 raise AmbientMapError(
-                    f"ambient map disagrees with self.target by {bad[0]} at ({bad[1]}, {bad[2]})")
+                    f"ambient map disagrees with target by {bad[0]} at ({bad[1]}, {bad[2]})")
 
     @property
     def embedded(self) -> bool:
@@ -143,7 +144,7 @@ def dilation_field(pair: ConformalPair, u, v,
     return zeta, residuals
 
 
-def check_declared_dilation(pair: ConformalPair, u, v, declared, zeta) -> None:
+def _check_declared_dilation(pair: ConformalPair, u, v, declared, zeta) -> None:
     """Raise :class:`NonConformalError` at the first grid point where the
     ``declared`` dilation's value is not positive or not within
     ``conformality_tol`` of the metric-ratio estimate ``zeta``."""
@@ -159,7 +160,7 @@ def dilation_jet(pair: ConformalPair, u, v,
                  forms: tuple[FirstForm, FirstForm] | None = None, zeta=None) -> Jet2:
     """zeta with first partials.  A declared dilation supplies exact jets
     of order 1, and its value is checked here by
-    :func:`check_declared_dilation`; otherwise the partials come from
+    :func:`_check_declared_dilation`; otherwise the partials come from
     differentiating zeta^2 E = E~.  A caller that has run
     :func:`dilation_field` already passes its estimate as ``zeta``."""
     m, mt = pair.forms(u, v) if forms is None else forms
@@ -167,7 +168,7 @@ def dilation_jet(pair: ConformalPair, u, v,
         zeta, _ = dilation_field(pair, u, v, forms=(m, mt))
     if pair.dilation is not None:
         zj = eval_jet2(pair.dilation, u, v, 1)
-        check_declared_dilation(pair, u, v, zj.value, zeta)
+        _check_declared_dilation(pair, u, v, zj.value, zeta)
         return zj
     zu = (mt.E_u - zeta * zeta * m.E_u) / (2.0 * zeta * m.E)
     zv = (mt.E_v - zeta * zeta * m.E_v) / (2.0 * zeta * m.E)
@@ -209,15 +210,19 @@ def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ThetaSet:
     )
 
 
-def christoffel_shift_residual(pair: ConformalPair, u, v,
-                               forms: tuple[FirstForm, FirstForm] | None = None,
-                               zeta=None) -> tuple:
-    """|Gamma~^k_ij - Gamma^k_ij - theta^k_ij| for the six slots.  A caller
-    that has run :func:`dilation_field` passes its estimate as ``zeta``."""
-    m, mt = pair.forms(u, v) if forms is None else forms
-    zj = dilation_jet(pair, u, v, forms=(m, mt), zeta=zeta)
-    return tuple(abs(gt - g - th) for gt, g, th in
-                 zip(christoffel(mt), christoffel(m), theta_terms(m, zj)))
+def christoffel_shift_report(pair: ConformalPair, u, v) -> tuple:
+    """zeta and |Gamma~^k_ij - Gamma^k_ij - theta^k_ij| for the six slots,
+    all read from one evaluation of the two first forms."""
+    forms = m, mt = pair.forms(u, v)
+    zeta, _ = dilation_field(pair, u, v, forms=forms)
+    zj = dilation_jet(pair, u, v, forms=forms, zeta=zeta)
+    return (zeta, *(abs(gt - g - th) for gt, g, th in
+                    zip(christoffel(mt), christoffel(m), theta_terms(m, zj))))
+
+
+def christoffel_shift_residual(pair: ConformalPair, u, v) -> tuple:
+    """The six residuals of :func:`christoffel_shift_report`."""
+    return christoffel_shift_report(pair, u, v)[1:]
 
 
 def theta_bracket(th: ThetaSet, cj: CurveJets):
@@ -352,25 +357,22 @@ def ambient_jacobian(map3: tuple[Expr, Expr, Expr], p) -> np.ndarray:
     return np.array([[g.gx, g.gy, g.gz] for g in eval_grad3(map3, *p)])
 
 
-def pushforward_residual(pair: ConformalPair, u, v,
-                         jets: tuple[PatchJets, PatchJets] | None = None,
-                         zeta=None) -> tuple:
-    """|Psi~_u - zeta (J* Psi_u)| and |Psi~_v - zeta (J* Psi_v)|.
+def pushforward_report(pair: ConformalPair, u, v) -> tuple:
+    """zeta, |Psi~_u - zeta (J* Psi_u)| and |Psi~_v - zeta (J* Psi_v)|.
 
     For an ambient-conformal map the Jacobian factors as zeta times a
     length-preserving part; J* here is that part (Jacobian / zeta), so the
     residual compares target patch jets against the dilation-times-isometry
-    pushforward of the source jets.  A caller that holds the source and
-    target patch jets at ``u, v`` (of order 1 or more) passes them as
-    ``jets``, and one that has run :func:`dilation_field` passes its
-    estimate as ``zeta``.
+    pushforward of the source jets.  Each patch is walked once, to order 1:
+    its jets give the first forms, and so zeta, and the residual.
     """
     if pair.ambient_map is None:
         raise AmbientMapError("pair has no ambient map")
-    pj, pjt = (pair.source.jets(u, v, 1), pair.target.jets(u, v, 1)) if jets is None else jets
-    if zeta is None:
-        zeta, _ = dilation_field(pair, u, v, forms=(first_fundamental(pair.source, u, v, pj=pj),
-                                                    first_fundamental(pair.target, u, v, pj=pjt)))
+    pj, pjt = pair.source.jets(u, v, 1), pair.target.jets(u, v, 1)
+    zeta, _ = dilation_field(pair, u, v, forms=(first_fundamental(pair.source, u, v, pj=pj),
+                                                first_fundamental(pair.target, u, v, pj=pjt)))
+    if pair.dilation is not None:  # the residual reads none, but it must hold
+        _check_declared_dilation(pair, u, v, evaluate(pair.dilation, u, v), zeta)
     jac_star = ambient_jacobian(pair.ambient_map, pj.p) / zeta
 
     def push(x):
@@ -378,4 +380,9 @@ def pushforward_residual(pair: ConformalPair, u, v,
         # bits (einsum of one point calls BLAS, which rounds apart)
         return jac_star[:, 0] * x[0] + jac_star[:, 1] * x[1] + jac_star[:, 2] * x[2]
 
-    return norm(pjt.pu - zeta * push(pj.pu)), norm(pjt.pv - zeta * push(pj.pv))
+    return zeta, norm(pjt.pu - zeta * push(pj.pu)), norm(pjt.pv - zeta * push(pj.pv))
+
+
+def pushforward_residual(pair: ConformalPair, u, v) -> tuple:
+    """The two residuals of :func:`pushforward_report`."""
+    return pushforward_report(pair, u, v)[1:]

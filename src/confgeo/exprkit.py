@@ -600,15 +600,16 @@ def _eval_op(node: Unary | Binary, env: dict, tab: _Table) -> list:
 
 
 def _walk(exprs: tuple, order: int):
-    """The grid walk of ``exprs`` to ``order``, yielding each one's jet in
-    turn: each declared variable is seeded as its own direction."""
-    tab = _table(len(exprs[0].variables), order)
+    """The grid walk of ``exprs``, all over one tuple of variables, to
+    ``order``, yielding each one's jet in turn: each declared variable is
+    seeded as its own direction."""
+    variables = exprs[0].variables
+    tab = _table(len(variables), order)
 
     def walk(p):
-        envs = {}  # one per tuple of variables: a node's jet depends on their seeds
+        env = {name: [x, *seed] for name, x, seed in zip(variables, p, tab.seeds)}
         for e in exprs:
-            yield _eval_jet(e.root, envs.setdefault(e.variables, {
-                name: [x, *seed] for name, x, seed in zip(e.variables, p, tab.seeds)}), tab)
+            yield _eval_jet(e.root, env, tab)
     return walk
 
 
@@ -715,9 +716,9 @@ def _jets(name: str, e, values, order: int, top: int, kind):
     if order not in range(top + 1):
         raise ExprError(f"{name} takes an order from 0 to {top}, got {order!r}")
     exprs = (e,) if isinstance(e, Expr) else tuple(e)
-    if any(len(x.variables) != len(values) for x in exprs):
-        raise ExprError(f"{name} needs expressions in {len(values)} variable(s), "
-                        f"got {[x.variables for x in exprs]}")
+    if len({x.variables for x in exprs}) != 1 or len(exprs[0].variables) != len(values):
+        raise ExprError(f"{name} needs expressions over one tuple of {len(values)} "
+                        f"variable(s), got {[x.variables for x in exprs]}")
     jets = [kind(*c) for c in _jet(exprs, order, values)]
     return jets[0] if isinstance(e, Expr) else tuple(jets)
 

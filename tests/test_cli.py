@@ -577,3 +577,60 @@ def test_store_ends_with_a_math_error(tmp_path, capsys, stores):
     assert "not conformal" in capsys.readouterr().err
     [(_, store, _)] = stores
     assert store == {} and exprkit._STORE.get() is None
+
+
+# -- outside input ends in an exit code, never a traceback ------------------------
+
+
+def _demo_with(tmp_path, mutate):
+    doc = json.loads(DEMO.read_text())
+    mutate(doc)
+    return write_scenario(tmp_path, doc, "demo.json")
+
+
+@pytest.mark.parametrize("mutate, line", [
+    (lambda d: d["pairs"][0].update(dilation="-1"),
+     "scenario error: pairs[0]: declared dilation must be positive, got -1.0 at (-0.5, -0.5)"),
+    (lambda d: d["pairs"][0].update(ambient_map=["x", "y", "z"]),
+     "scenario error: pairs[0]: ambient map disagrees with target by 0.40824829046386296 "
+     "at (-0.5, -0.5)"),
+], ids=["dilation", "ambient_map"])
+def test_load_time_pair_checks_name_the_pair(tmp_path, capsys, mutate, line):
+    path = _demo_with(tmp_path, mutate)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_pushforward_on_a_bare_metric_pair_is_a_math_error(tmp_path, capsys):
+    # the ambient map is checked before either member is walked
+    path = _demo_with(tmp_path, lambda d: d.update(suites=[{"suite": "pushforward",
+                                                            "pair": "flat_exp"}]))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().err == ("math error in suite 'pushforward' (pair='flat_exp'): "
+                                       "pair has no ambient map\n")
+
+
+def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
+    path = _demo_with(tmp_path, lambda d: d["grids"].update(mode="random"))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "r"), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "scenario error: --seed must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+def test_unusable_out_is_a_scenario_error_before_any_suite(identity_scenario, tmp_path, capsys,
+                                                           under):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / under if under else taken
+    assert main(["--scenario", str(identity_scenario), "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"scenario error: --out: cannot make report directory '{out}'")
+    assert printed.out == ""
+
+
+@pytest.mark.parametrize("raw", [b"[" * 200_000, b"\xff\xfe{"], ids=["deep", "utf16"])
+def test_undecodable_scenario_is_not_valid_json(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"scenario error: '{path}' is not valid JSON: ")

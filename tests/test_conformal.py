@@ -42,7 +42,9 @@ from conftest import (
     sheared_stereographic_pair,
     sphere,
     sphere_homothety_pair,
+    stereographic_ambient,
     stereographic_pair,
+    stereographic_target,
 )
 
 RNG = np.random.default_rng(991)
@@ -150,7 +152,9 @@ def test_declared_dilation_mismatch_detected():
         dilation_jet(pair, 0.2, 0.2)
     zeta, _ = dilation_field(pair, 0.2, 0.2)
     with pytest.raises(NonConformalError, match=want):
-        christoffel_shift_residual(pair, 0.2, 0.2, zeta=zeta)
+        dilation_jet(pair, 0.2, 0.2, zeta=zeta)
+    with pytest.raises(NonConformalError, match=want):
+        christoffel_shift_residual(pair, 0.2, 0.2)
     # a pair that is not conformal says so first
     bent = ConformalPair(plane(STEREO_BOX), SurfacePatch(e2("u"), e2("2*v"), e2("0"), STEREO_BOX),
                          dilation=e2("2"))
@@ -179,9 +183,21 @@ def test_declared_dilation_is_walked_once_per_grid(monkeypatch):
         monkeypatch.setattr(conformal, name,
                             lambda e, *a, fn=fn: walks.append(e) or fn(e, *a))
     u, v = np.array([0.1, 0.4, -0.3]), np.array([0.2, -0.5, 0.6])
-    zeta, _ = dilation_field(pair, u, v)
-    christoffel_shift_residual(pair, u, v, zeta=zeta)
+    christoffel_shift_residual(pair, u, v)
     assert sum(e is pair.dilation for e in walks) == 1
+    walks.clear()
+    pushforward_residual(pair, u, v)
+    assert sum(e is pair.dilation for e in walks) == 1
+
+
+@pytest.mark.parametrize("residual", [christoffel_shift_residual, pushforward_residual])
+def test_each_surface_residual_checks_a_declared_dilation(residual):
+    # the pushforward reads no declared dilation, but the value must hold
+    pair = ConformalPair(plane(STEREO_BOX), stereographic_target(), dilation=e2("3"),
+                         ambient_map=stereographic_ambient())
+    with pytest.raises(NonConformalError, match=r"^declared dilation 3\.0 disagrees with "
+                                                r"estimate 1\.7699115044247786 at \(0\.2, 0\.3\)$"):
+        residual(pair, 0.2, 0.3)
 
 
 def test_dilation_consistency_across_coefficients():

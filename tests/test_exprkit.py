@@ -183,6 +183,16 @@ def test_an_order_past_the_table_is_an_expression_error(walk, order):
         walk(e, *[0.5] * len(e.variables), order)
 
 
+@pytest.mark.parametrize("exprs", [(), (parse_scalar_field("u", UV),
+                                       parse_scalar_field("x", ("x", "y")))])
+def test_a_walk_is_over_one_tuple_of_variables(exprs):
+    # no roots, or roots over two tuples of variables, would seed the walk
+    # from nothing or from the first root's names alone
+    with pytest.raises(ExprError, match=r"^eval_jet2 needs expressions over one tuple of "
+                                        r"2 variable\(s\), got "):
+        eval_jet2(exprs, 0.5, 0.25)
+
+
 def test_a_walk_of_two_roots_names_the_first_failing_root_at_its_own_first_point():
     # each root alone: log(u) fails first at (-1, 1), log(v) at (1, -1).  A
     # search over both roots at once would find the earlier point of log(v)

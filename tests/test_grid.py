@@ -832,13 +832,13 @@ def test_nan_residual_is_the_worst():
 
 
 def test_nan_residual_fails_the_suite(identity_scenario, tmp_path, capsys, monkeypatch):
-    real = conformal.christoffel_shift_residual
+    real = conformal.christoffel_shift_report
 
     def with_nan(*args, **kwargs):
-        res = real(*args, **kwargs)
-        return (np.where(np.arange(res[0].size) == 3, math.nan, res[0]),) + res[1:]
+        zeta, r111, *rest = real(*args, **kwargs)
+        return (zeta, np.where(np.arange(r111.size) == 3, math.nan, r111), *rest)
 
-    monkeypatch.setattr(conformal, "christoffel_shift_residual", with_nan)
+    monkeypatch.setattr(conformal, "christoffel_shift_report", with_nan)
     code = cli.main(["--scenario", str(identity_scenario), "--out", str(tmp_path / "r"),
                      "--suite", "christoffel-shift"])
     assert code == 1
@@ -847,9 +847,9 @@ def test_nan_residual_fails_the_suite(identity_scenario, tmp_path, capsys, monke
 
 def test_summary_line_names_the_worst_cell(identity_scenario, tmp_path, capsys, monkeypatch):
     # the identity pair's residuals are exactly zero; plant 1e-3 in r121 at
-    # row 5, and NaN in r111 at row 9 for the second run
-    real = conformal.christoffel_shift_residual
-    planted = {2: (5, 1e-3)}
+    # row 5, and NaN in r111 at row 9 for the second run (slot 0 is zeta)
+    real = conformal.christoffel_shift_report
+    planted = {3: (5, 1e-3)}
 
     def with_planted(*args, **kwargs):
         res = list(real(*args, **kwargs))
@@ -857,14 +857,14 @@ def test_summary_line_names_the_worst_cell(identity_scenario, tmp_path, capsys, 
             res[slot] = np.where(np.arange(res[slot].size) == row, x, res[slot])
         return tuple(res)
 
-    monkeypatch.setattr(conformal, "christoffel_shift_residual", with_planted)
+    monkeypatch.setattr(conformal, "christoffel_shift_report", with_planted)
     us, vs = (a.tolist() for a in cli.surface_grid(((-1.5, 1.5), (-1.5, 1.5)), 4, None))
     argv = ["--scenario", str(identity_scenario), "--out", str(tmp_path / "r"),
             "--suite", "christoffel-shift"]
     assert cli.main(argv) == 1
     assert (f"FAIL christoffel-shift (pair='id'): max residual 1.000e-03 in r121 "
             f"at u={us[5]!r}, v={vs[5]!r} vs tol") in capsys.readouterr().out
-    planted[0] = (9, math.nan)
+    planted[1] = (9, math.nan)
     assert cli.main(argv) == 1
     assert (f"max residual nan in r111 at u={us[9]!r}, v={vs[9]!r} "
             in capsys.readouterr().out)
