@@ -110,11 +110,20 @@ def _section(doc: dict, key: str, kind: type):
     return raw
 
 
+def _span(lo: float, hi: float, where: str) -> tuple[float, float]:
+    """``(lo, hi)``, whose span must be finite too: the grids are placed
+    by ``hi - lo``, so an infinite span would make non-finite points."""
+    if not math.isfinite(hi - lo):
+        raise ScenarioError(f"{where}: span of [{lo!r}, {hi!r}] overflows")
+    return lo, hi
+
+
 def _range(entry: dict, key: str, where: str) -> tuple[float, float]:
     raw = _need(entry, key, where)
     if not (isinstance(raw, list) and len(raw) == 2):
         raise ScenarioError(f"{where}.{key}: expected [lo, hi], got {raw!r}")
-    return _finite(raw[0], f"{where}.{key}[0]"), _finite(raw[1], f"{where}.{key}[1]")
+    return _span(_finite(raw[0], f"{where}.{key}[0]"), _finite(raw[1], f"{where}.{key}[1]"),
+                 f"{where}.{key}")
 
 
 def _parse_field(text, variables, where: str, nodes: dict):
@@ -131,7 +140,8 @@ def _box(raw, where: str):
         (u0, u1), (v0, v1) = raw
     except (TypeError, ValueError):
         raise ScenarioError(f"{where}: domain must be [[u0,u1],[v0,v1]]") from None
-    box = tuple((_finite(lo, f"{where}.domain"), _finite(hi, f"{where}.domain"))
+    box = tuple(_span(_finite(lo, f"{where}.domain"), _finite(hi, f"{where}.domain"),
+                      f"{where}.domain")
                 for lo, hi in ((u0, u1), (v0, v1)))
     if not (box[0][0] < box[0][1] and box[1][0] < box[1][1]):
         raise ScenarioError(f"{where}: degenerate domain box {box}")

@@ -23,6 +23,17 @@ one numeric path, numpy's: a point is a grid of one (floats enter as 0-d
 arrays), and constants are ``np.float64`` scalars that broadcast, so
 numpy's floating-point checks see every operation.
 
+Jets are sparse.  A partial of a constant or of a seeded variable is the
+Python float 0.0 or 1.0, and a coefficient that is zero or one by structure
+stays a Python float, never an array, until the fill at the end of a
+walk: a product with a structural zero is 0.0 and forms no array, a sum
+with one is the other operand, and a factor of 1.0 is not applied.
+Skipping a term changes no nonzero coefficient's bits; a structural zero
+is +0.0, where the skipped product could be -0.0.  A coefficient may be
+another coefficient or a grid array itself, so none is ever written in
+place.  A walk that does arithmetic refuses a non-finite grid value, which
+numpy's checks would let through (inf + 1 raises nothing).
+
 A caller that walks the same expressions at the same grids again enters a
 store of walks (:func:`walk_store`).  It is held in a context variable, so
 another thread or task does not see it.
@@ -416,12 +427,46 @@ def _table(nvars: int, order: int) -> _Table:
     return _Table(order, (0.0,) * (len(index) - 1), seeds, tuple(leibniz), tuple(faa[1:]))
 
 
+def _zero(x) -> bool:
+    # a structural zero: a Python float 0.0 of either sign (np.float64
+    # subclasses float, so a constant's zero is not one)
+    return type(x) is float and x == 0.0
+
+
+def _times(x, y):
+    # x * y, sparse: a structural zero gives 0.0, and a Python-float factor
+    # of 1.0 gives the other operand itself, so no array is formed for either
+    if type(x) is float:
+        if x == 0.0:
+            return 0.0
+        if x == 1.0:
+            return y
+    if type(y) is float:
+        if y == 0.0:
+            return 0.0
+        if y == 1.0:
+            return x
+    return x * y
+
+
+def _plus(x, y):
+    # x + y, sparse: a sum with a structural zero is the other operand
+    if _zero(x):
+        return y
+    return x if _zero(y) else x + y
+
+
+def _minus(x, y):
+    # x - y, sparse: less a structural zero is x itself
+    return x if _zero(y) else x - y
+
+
 def _mul(f: list, g: list, tab: _Table) -> list:
     out, g0 = [], g[0]
     for fa, rest in zip(f, tab.leibniz):
-        x = fa * g0
+        x = _times(fa, g0)
         for c, i, j in rest:
-            x += (f[i] if c == 1.0 else c * f[i]) * g[j]  # in place: x is no input
+            x = _plus(x, _times(f[i] if c == 1.0 else _times(c, f[i]), g[j]))
         out.append(x)
     return out
 
@@ -430,13 +475,13 @@ def _div(f: list, g: list, tab: _Table) -> list:
     # the quotient recurrence: q[a] = (f[a] - the other Leibniz terms of
     # (q g)[a]) / g[0]
     g0 = g[0]
-    if np.any(g0 == 0.0):
+    if np.count_nonzero(g0 == 0.0):
         raise _JetDomain("division by zero")
     q = []
     for x, rest in zip(f, tab.leibniz):
         for c, i, j in rest:
-            x = x - (q[i] if c == 1.0 else c * q[i]) * g[j]
-        q.append(x / g0)
+            x = _minus(x, _times(q[i] if c == 1.0 else _times(c, q[i]), g[j]))
+        q.append(0.0 if _zero(x) else x / g0)
     return q
 
 
@@ -444,15 +489,12 @@ def _chain(c: list, g: list, tab: _Table) -> list:
     # the jet of f(g) from c = (f, f', ...) at g's value
     out = [c[0]]
     for terms in tab.faa:
-        x = None
+        x = 0.0
         for n, k, blocks in terms:
-            t = c[k] if n == 1.0 else n * c[k]
+            t = c[k] if n == 1.0 else _times(n, c[k])
             for b in blocks:
-                t = t * g[b]
-            if x is None:
-                x = t
-            else:
-                x += t  # in place: x is no input
+                t = _times(t, g[b])
+            x = _plus(x, t)
         out.append(x)
     return out
 
@@ -461,9 +503,9 @@ def _powf(base, expo: float):
     # base**expo with Taylor-friendly conventions: 0^0 == 1.
     if expo == 0.0:
         return 1.0
-    if expo < 0.0 and np.any(base == 0.0):
+    if expo < 0.0 and np.count_nonzero(base == 0.0):
         raise _JetDomain("zero base raised to a negative power")
-    if expo != round(expo) and np.any(base < 0.0):
+    if expo != round(expo) and np.count_nonzero(base < 0.0):
         raise _JetDomain("negative base raised to a non-integer power")
     return np.power(base, expo)
 
@@ -477,7 +519,7 @@ def _pow_coeffs(v, p: float, order: int) -> list:
     for k in range(order + 1):
         if coef == 0.0:
             out.append(0.0)
-        elif k and p - k < 0.0 and np.any(v == 0.0):
+        elif k and p - k < 0.0 and np.count_nonzero(v == 0.0):
             raise _JetDomain(f"derivative of order {k} is infinite at a zero base")
         else:
             out.append(coef * _powf(v, p - k))
@@ -510,18 +552,18 @@ def _fn_coeffs(name: str, v):
         ev = np.exp(v)
         yield from (ev, ev, ev, ev)
     elif name == "log":
-        if np.any(v <= 0.0):
+        if np.count_nonzero(v <= 0.0):
             raise _JetDomain("log of a non-positive value")
         yield np.log(v)
         yield 1.0 / v
         yield -1.0 / (v * v)
         yield 2.0 / (v * v * v)
     elif name == "sqrt":
-        if np.any(v < 0.0):
+        if np.count_nonzero(v < 0.0):
             raise _JetDomain("sqrt of a negative value")
         r = np.sqrt(v)
         yield r
-        if np.any(v == 0.0):
+        if np.count_nonzero(v == 0.0):
             raise _JetDomain("derivative of sqrt is infinite at zero")
         yield 0.5 / r
         yield -0.25 / (r * v)
@@ -591,9 +633,9 @@ def _eval_op(node: Unary | Binary, env: dict, tab: _Table) -> list:
             return _chain(_pow_coeffs(left[0], p, tab.order), left, tab)
         right = _eval_jet(rnode, env, tab)
         if op == "+":
-            return [x + y for x, y in zip(left, right)]
+            return list(map(_plus, left, right))
         if op == "-":
-            return [x - y for x, y in zip(left, right)]
+            return list(map(_minus, left, right))
         return (_mul if op == "*" else _div)(left, right, tab)
     except _OP_ERRORS as err:
         raise _domain_error(err, node) from None
@@ -605,8 +647,15 @@ def _walk(exprs: tuple, order: int):
     seeded as its own direction."""
     variables = exprs[0].variables
     tab = _table(len(variables), order)
+    # a walk that does arithmetic refuses a non-finite input: numpy passes
+    # an inf on, and a structural zero never meets it
+    arithmetic = not all(isinstance(e.root, (Const, Var)) for e in exprs)
 
     def walk(p):
+        if arithmetic:
+            for name, x in zip(variables, p):
+                if np.count_nonzero(np.isfinite(x)) != x.size:
+                    raise EvalDomainError("non-finite value", name)
         env = {name: [x, *seed] for name, x, seed in zip(variables, p, tab.seeds)}
         for e in exprs:
             yield _eval_jet(e.root, env, tab)

@@ -55,7 +55,7 @@ def violation(ok, *values) -> tuple[float, ...] | None:
     """None when the check ``ok`` holds at every grid point; otherwise
     ``values`` as Python floats at the first point where it fails, for the
     error message (numpy 2 would spell a scalar ``np.float64(0.5)``)."""
-    if np.all(ok):
+    if np.count_nonzero(ok) == np.size(ok):
         return None
     i = int(np.argmin(ok))
     return tuple(float(x[i]) if np.ndim(x) else float(x) for x in values)

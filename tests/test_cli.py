@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -634,3 +635,21 @@ def test_undecodable_scenario_is_not_valid_json(tmp_path, capsys, raw):
     path.write_bytes(raw)
     assert main(["--scenario", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"scenario error: '{path}' is not valid JSON: ")
+
+
+@pytest.mark.parametrize("mutate, line", [
+    (lambda d: d["surfaces"][0].update(domain=[[-1e308, 1e308], [-1.5, 1.5]]),
+     "scenario error: surfaces[0].domain: span of [-1e+308, 1e+308] overflows"),
+    (lambda d: d["curves"][0].update(s_range=[-1e308, 1e308]),
+     "scenario error: curves[0].s_range: span of [-1e+308, 1e+308] overflows"),
+], ids=["domain", "s_range"])
+def test_a_span_that_overflows_is_a_scenario_error(tmp_path, capsys, mutate, line):
+    # finite ends with an infinite span would place non-finite grid points
+    doc = copy.deepcopy(BASE_SCENARIO)
+    mutate(doc)
+    path = write_scenario(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import operator
 import threading
 
 import numpy as np
@@ -396,3 +398,144 @@ def test_store_is_not_seen_by_another_thread():
         assert exprkit._STORE.get() is store
     assert not worker.is_alive() and seen == [None]
     assert exprkit._STORE.get() is None
+
+
+# -- sparse jets -----------------------------------------------------------------
+#
+# The dense arithmetic that sparse jets replaced forms every term, a
+# structural zero or unit factor included: the reference for every
+# coefficient.
+
+
+def _dense_mul(f, g, tab):
+    out, g0 = [], g[0]
+    for fa, rest in zip(f, tab.leibniz):
+        x = fa * g0
+        for c, i, j in rest:
+            x = x + (f[i] if c == 1.0 else c * f[i]) * g[j]
+        out.append(x)
+    return out
+
+
+def _dense_div(f, g, tab):
+    g0 = g[0]
+    if np.any(g0 == 0.0):
+        raise exprkit._JetDomain("division by zero")
+    q = []
+    for x, rest in zip(f, tab.leibniz):
+        for c, i, j in rest:
+            x = x - (q[i] if c == 1.0 else c * q[i]) * g[j]
+        q.append(x / g0)
+    return q
+
+
+def _dense_chain(c, g, tab):
+    out = [c[0]]
+    for terms in tab.faa:
+        x = None
+        for n, k, blocks in terms:
+            t = c[k] if n == 1.0 else n * c[k]
+            for b in blocks:
+                t = t * g[b]
+            x = t if x is None else x + t
+        out.append(x)
+    return out
+
+
+@contextlib.contextmanager
+def _dense():
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in (("_mul", _dense_mul), ("_div", _dense_div), ("_chain", _dense_chain),
+                         ("_plus", operator.add), ("_minus", operator.sub)):
+            mp.setattr(exprkit, name, fn)
+        yield
+
+
+def _sparse_exprs(depth: int):
+    # constants 0 and 1 and a constant call, so that structural zeros and
+    # units meet np.float64 constants of the same values
+    leaf = st.sampled_from(["u", "v", "0", "1", "2", "0.5", "sin(2)"])
+    if depth == 0:
+        return leaf
+    sub = _sparse_exprs(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-*/"), sub, sub).map(lambda t: f"({t[1]}{t[0]}{t[2]})"),
+        st.tuples(st.sampled_from(exprkit.FUNCTIONS + ("-",)), sub)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(sub, st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "2.5"]))
+        .map(lambda t: f"({t[0]})^{t[1]}"),
+    )
+
+
+_SIGNED_GRID = st.lists(st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.5, 1.25, 2.0]),
+                        min_size=3, max_size=3).map(np.array)
+
+
+def _jet_or_error(e, u, v, order):
+    try:
+        return eval_jet2(e, u, v, order)
+    except EvalDomainError as err:
+        return err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_sparse_exprs(3), u=_SIGNED_GRID, v=_SIGNED_GRID, order=st.integers(0, 2))
+def test_sparse_jets_equal_the_dense_arithmetic(text, u, v, order):
+    e = parse_scalar_field(text, UV)
+    got = _jet_or_error(e, u, v, order)
+    with _dense():
+        want = _jet_or_error(e, u, v, order)
+    # both raise the same error or neither does; a coefficient may differ
+    # only in the sign of a zero
+    assert isinstance(got, EvalDomainError) == isinstance(want, EvalDomainError)
+    if isinstance(got, EvalDomainError):
+        assert str(got) == str(want)
+    else:
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_a_structural_zero_is_a_float_until_the_fill():
+    e = parse_scalar_field("cosh(v)", UV)
+    u, v = np.array([0.5, 1.0]), np.array([-0.5, -2.0])
+    (jet,) = exprkit._walk((e,), 2)([u, v])
+    assert type(jet[1]) is float and jet[1] == 0.0  # du: sinh(v) * 0.0 is never formed
+    du = eval_jet2(e, u, v).du
+    assert du.shape == (2,) and np.array_equal(du, [0.0, 0.0]) and not np.signbit(du).any()
+    with _dense():  # the dense product of a negative sinh(v) and 0.0 is -0.0
+        assert np.signbit(eval_jet2(e, u, v).du).all()
+
+
+def test_walks_leave_the_callers_grid_unchanged():
+    u, v = np.array([-1.0, -0.0, 0.5]), np.array([2.0, 0.0, -3.0])
+    was = u.tobytes(), v.tobytes()
+    exprs = [parse_scalar_field(t, UV) for t in ("u*v + u", "exp(u)", "u")]
+    for e in exprs:
+        eval_jet2(e, u, v)
+    with walk_store({}):
+        for e in exprs:
+            eval_jet2(e, u, v)
+        du = eval_jet2(parse_scalar_field("u*v", UV), u, v).du  # d(uv)/du is the grid's v
+    assert (u.tobytes(), v.tobytes()) == was and u.flags.writeable and v.flags.writeable
+    # the store keeps a grid array as a read-only copy of its own
+    assert np.array_equal(du, v) and not du.flags.writeable and not np.shares_memory(du, v)
+
+
+@pytest.mark.parametrize("text", ["2*u", "u*v", "sin(2)+u"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_walk_refuses_a_non_finite_point(text, bad):
+    with pytest.raises(EvalDomainError) as err:
+        eval_jet2(parse_scalar_field(text, UV), bad, 1.0)
+    assert str(err.value) == f"non-finite value in sub-expression 'u' at ({bad!r}, 1.0)"
+
+
+def test_a_walk_names_the_first_non_finite_grid_point():
+    e = parse_scalar_field("u*v", UV)
+    u, v = np.array([0.5, 0.7, math.inf, 0.9]), np.array([1.0, -math.inf, 1.0, math.nan])
+    for store in (None, {}):
+        with walk_store(store) if store is not None else contextlib.nullcontext():
+            with pytest.raises(EvalDomainError) as err:
+                eval_jet2(e, u, v)
+        assert err.value.point == (0.7, -math.inf)
+        assert str(err.value).startswith("non-finite value in sub-expression 'v'")
