@@ -363,7 +363,8 @@ def _forms(surf, us, vs, params, tol):
     names = ["u", "v", "E", "F", "G", "W",
              "r_uu_u", "r_uu_v", "r_uv_u", "r_uv_v", "r_vv_u", "r_vv_v", "r_lagrange"]
     # one patch-jet evaluation at the grid feeds the forms, the Lagrange
-    # column and the oracle's left sides; the oracle adds four shifted ones
+    # column and the oracle's left sides; the oracle adds one walk of its
+    # four shifted grids
     pj = surf.jets(us, vs)
     m = geometry.first_fundamental(surf, us, vs, pj=pj)
     cr = geometry.cross(pj.pu, pj.pv)
@@ -573,15 +574,17 @@ def write_reports(sc: Scenario, results: list[SuiteResult], out_dir: Path,
     distinct on random grids, and 2 % on a uniform grid of 128.  So each
     distinct double of the whole call is formatted once, with one
     ``float.__repr__``, and a float column's cells are looked up by their
-    bits.  Object columns (strings, None) are formatted cell by cell."""
+    bits.  Object columns (strings, None) are formatted cell by cell, an
+    undefined (None) cell from one spelling made per call."""
     out_dir.mkdir(parents=True, exist_ok=True)
     bits, spelled = _float_text(results, fmt)
     spell = json.dumps if fmt == "obj" else _fmt
+    undefined = spell(None)
 
     def cells(col: np.ndarray) -> list[str]:
         if col.dtype == np.float64:
             return spelled[np.searchsorted(bits, col.view(np.uint64))].tolist()
-        return list(map(spell, col.tolist()))
+        return [undefined if x is None else spell(x) for x in col.tolist()]
 
     stem = sc.path.stem
     digest = {

@@ -31,8 +31,9 @@ with one is the other operand, and a factor of 1.0 is not applied.
 Skipping a term changes no nonzero coefficient's bits; a structural zero
 is +0.0, where the skipped product could be -0.0.  A coefficient may be
 another coefficient or a grid array itself, so none is ever written in
-place.  A walk that does arithmetic refuses a non-finite grid value, which
-numpy's checks would let through (inf + 1 raises nothing).
+place.  A walk that does arithmetic refuses a non-finite value of a
+variable its roots read, which numpy's checks would let through (inf + 1
+raises nothing); an expression holds the set of the variables it reads.
 
 A caller that walks the same expressions at the same grids again enters a
 store of walks (:func:`walk_store`).  It is held in a context variable, so
@@ -111,10 +112,12 @@ FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh")
 
 
 class Expr(NamedTuple):
-    """A parsed scalar field: immutable root node plus its declared variables."""
+    """A parsed scalar field: immutable root node plus its declared
+    variables, and the ones the root reads (set once, when it is made)."""
 
     root: Node
     variables: tuple[str, ...]
+    reads: frozenset[str]
 
 
 def variables_of(node: Node) -> set[str]:
@@ -304,7 +307,7 @@ def parse_scalar_field(text: str, variables, nodes: dict | None = None) -> Expr:
             level = [c for n in level for c in n if isinstance(c, _NODES)]
         if depth > MAX_DEPTH:
             raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", 0)
-        nodes[text, varnames] = Expr(root, varnames)
+        nodes[text, varnames] = Expr(root, varnames, frozenset(variables_of(root)))
     return nodes[text, varnames]
 
 
@@ -343,7 +346,8 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
                     new_vars.append(inner)
         elif name not in new_vars:
             new_vars.append(name)
-    return Expr(rec(e.root), tuple(new_vars))
+    reads = frozenset().union(*(mapping[n].reads if n in mapping else {n} for n in e.reads))
+    return Expr(rec(e.root), tuple(new_vars), reads)
 
 
 # ---------------------------------------------------------------------------
@@ -647,15 +651,15 @@ def _walk(exprs: tuple, order: int):
     seeded as its own direction."""
     variables = exprs[0].variables
     tab = _table(len(variables), order)
-    # a walk that does arithmetic refuses a non-finite input: numpy passes
-    # an inf on, and a structural zero never meets it
-    arithmetic = not all(isinstance(e.root, (Const, Var)) for e in exprs)
+    # a walk that does arithmetic refuses a non-finite value of a variable its
+    # roots read: numpy passes an inf on, and a structural zero never meets it
+    checked = [] if all(isinstance(e.root, (Const, Var)) for e in exprs) else [
+        (i, name) for i, name in enumerate(variables) if any(name in e.reads for e in exprs)]
 
     def walk(p):
-        if arithmetic:
-            for name, x in zip(variables, p):
-                if np.count_nonzero(np.isfinite(x)) != x.size:
-                    raise EvalDomainError("non-finite value", name)
+        for i, name in checked:
+            if np.count_nonzero(np.isfinite(p[i])) != p[i].size:
+                raise EvalDomainError("non-finite value", name)
         env = {name: [x, *seed] for name, x, seed in zip(variables, p, tab.seeds)}
         for e in exprs:
             yield _eval_jet(e.root, env, tab)
@@ -685,7 +689,8 @@ def _evaluate(grid, walk) -> list:
     # one becomes a 0-d array, whose ``**`` rounds as the array power does
     # (a numpy scalar's may not)
     shape = grid[0].shape
-    return [[x if shape and np.shape(x) == shape else np.full(shape, x) for x in j] for j in out]
+    return [[x if type(x) is np.ndarray and x.shape == shape else np.full(shape, x) for x in j]
+            for j in out]
 
 
 def _locate(err: EvalDomainError, grid: list, walk) -> EvalDomainError:
@@ -748,7 +753,9 @@ def _frozen(x: np.ndarray, grid: list) -> np.ndarray:
 def _jet(exprs: tuple, order: int, values) -> list:
     """Each of ``exprs``'s coefficients to ``order`` over the grid of
     ``values``: from the active store of walks, if a caller entered one."""
-    grid = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in values))
+    grid = [np.asarray(x, dtype=np.float64) for x in values]
+    if len({a.shape for a in grid}) > 1:  # numpy would return equal shapes as they are
+        grid = np.broadcast_arrays(*grid)
     store = _STORE.get()
     if store is None:
         return _evaluate(grid, _walk(exprs, order))

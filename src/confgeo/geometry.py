@@ -412,23 +412,28 @@ def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets | None = N
     Left sides are second-order patch jets (``pj`` as in
     :func:`first_fundamental`) dotted into first-order ones; right sides
     rebuild the same quantities from central differences of E, F, G, which
-    read only first-order jets at the four shifted grids, so the two routes
-    are independent:
+    read only first-order jets at the shifted points, so the two routes are
+    independent:
 
         Psi_uu.Psi_u = E_u/2        Psi_uu.Psi_v = F_u - E_v/2
         Psi_uv.Psi_u = E_v/2        Psi_uv.Psi_v = G_u/2
         Psi_vv.Psi_u = F_v - G_u/2  Psi_vv.Psi_v = G_v/2
 
-    A point is a grid of one, so it gets the bits it gets in a grid.
+    The shifted grids (u+h, v), (u-h, v), (u, v+h), (u, v-h) are one walk,
+    in that order, so each point and the first failing one are as in four
+    walks.  A point is a grid of one, so it gets the bits it gets in a grid.
     """
     pj = p.jets(u, v) if pj is None else pj
     h = 1e-5
-    shifted = [p.jets(uu, vv, 1) for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h))]
+    su, sv = (np.ravel(x) for x in np.broadcast_arrays(u, v))
+    q = p.jets(np.concatenate([su + h, su - h, su, su]),
+               np.concatenate([sv, sv, sv + h, sv - h]), 1)
     # products of large finite jets may overflow: checked below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        m = np.array([[dot(q.pu, q.pu), dot(q.pu, q.pv), dot(q.pv, q.pv)] for q in shifted])
-        E_u, F_u, G_u = (m[0] - m[1]) / (2.0 * h)
-        E_v, F_v, G_v = (m[2] - m[3]) / (2.0 * h)
+        m = np.array([dot(q.pu, q.pu), dot(q.pu, q.pv), dot(q.pv, q.pv)]).reshape(3, 4, -1)
+        del q  # four grids' jets, freed before the left sides: a lower peak RSS
+        E_u, F_u, G_u = (m[:, 0] - m[:, 1]) / (2.0 * h)
+        E_v, F_v, G_v = (m[:, 2] - m[:, 3]) / (2.0 * h)
         lhs = [dot(a, b) for a in (pj.puu, pj.puv, pj.pvv) for b in (pj.pu, pj.pv)]
         rhs = [E_u / 2.0, F_u - E_v / 2.0, E_v / 2.0, G_u / 2.0, F_v - G_u / 2.0, G_v / 2.0]
         res = abs(np.column_stack(lhs) - np.column_stack(rhs))

@@ -514,10 +514,10 @@ def test_each_walk_stops_at_the_order_its_reader_needs(orders):
     # the arc-length table reads the speed: first derivatives of the raw
     # curve and of the patch
     assert walked(*raw).keys() == walked(*xy).keys() == {1}
-    # forms: second partials at the grid, first partials at the four
-    # shifted grids of the oracle
+    # forms: second partials at the grid, first partials at the oracle's
+    # shifted points (its four shifted grids are one walk)
     run("forms", surface="catenoid")
-    assert orders == [(e, 2) for e in cat[:3]] + [(e, 1) for e in cat[:3]] * 4
+    assert orders == [(e, 2) for e in cat[:3]] + [(e, 1) for e in cat[:3]]
     # pushforward: first partials of both patches and of the ambient map,
     # and the declared dilation's value
     run("pushforward", pair="stereo")

@@ -539,3 +539,48 @@ def test_a_walk_names_the_first_non_finite_grid_point():
                 eval_jet2(e, u, v)
         assert err.value.point == (0.7, -math.inf)
         assert str(err.value).startswith("non-finite value in sub-expression 'v'")
+
+
+def test_a_walk_checks_only_the_variables_its_roots_read():
+    # v is declared but 2*u never reads it: a NaN there is no error, and
+    # the jet is the one any finite v gives
+    j = eval_jet2(parse_scalar_field("2*u", UV), 1.0, math.nan)
+    assert [float(x) for x in j] == [2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+    assert all(type(x) is np.ndarray and x.shape == () for x in j)
+
+
+@pytest.mark.parametrize("text, point, name", [("u*v", (math.nan, 1.0), "u"),
+                                               ("u + 0*v", (1.0, math.inf), "v")])
+def test_a_walk_refuses_a_non_finite_value_it_reads(text, point, name):
+    with pytest.raises(EvalDomainError) as err:
+        eval_jet2(parse_scalar_field(text, UV), *point)
+    assert str(err.value) == f"non-finite value in sub-expression '{name}' at {point!r}"
+
+
+def test_the_variables_read_are_set_when_the_expression_is_made(monkeypatch):
+    e = parse_scalar_field("2*u", UV)
+    composed = exprkit.substitute(e, {"u": parse_scalar_field("s^2", S),
+                                      "v": parse_scalar_field("t", ("t",))})
+    assert e.reads == {"u"} and composed.variables == ("s", "t") and composed.reads == {"s"}
+    # a walk reads those sets and traverses no tree for them
+    monkeypatch.setattr(exprkit, "variables_of", None)
+    assert float(evaluate(composed, 3.0, math.inf)) == 18.0
+
+
+ENTRY_POINTS = [(eval_jet2, "u*exp(v) + v^2", UV), (evaluate, "u*exp(v) + v^2", UV),
+                (eval_grad3, "x*y - sin(z)", ("x", "y", "z"))]
+
+
+@pytest.mark.parametrize("entry, text, variables", ENTRY_POINTS,
+                         ids=[f[0].__name__ for f in ENTRY_POINTS])
+def test_a_float_and_an_array_walk_as_arrays(entry, text, variables):
+    e = parse_scalar_field(text, variables)
+    grid = np.array([0.25, -0.5, 1.5])
+    for i in range(len(variables)):
+        # one variable given as a grid, the others as floats
+        mixed = [grid if j == i else 0.5 for j in range(len(variables))]
+        want = entry(e, *[grid if j == i else np.full_like(grid, 0.5)
+                          for j in range(len(variables))])
+        got = entry(e, *mixed)
+        assert np.shape(got) == np.shape(want) and np.shape(got)[-1] == 3
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))

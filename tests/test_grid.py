@@ -593,6 +593,66 @@ def test_metric_derivative_identities_right_sides_ignore_the_jets_passed_in():
     assert np.array_equal(moved[:, 2:], clean[:, 2:])
 
 
+def _per_shift_oracle(surf, u, v):
+    """The residuals of ``metric_derivative_identities`` with one walk per
+    shifted grid: the reference the one walk of all four is held to."""
+    pj, h, dot = surf.jets(u, v), 1e-5, geometry.dot
+    shifted = [surf.jets(uu, vv, 1) for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.array([[dot(q.pu, q.pu), dot(q.pu, q.pv), dot(q.pv, q.pv)] for q in shifted])
+        E_u, F_u, G_u = (m[0] - m[1]) / (2.0 * h)
+        E_v, F_v, G_v = (m[2] - m[3]) / (2.0 * h)
+        lhs = [dot(a, b) for a in (pj.puu, pj.puv, pj.pvv) for b in (pj.pu, pj.pv)]
+        rhs = [E_u / 2.0, F_u - E_v / 2.0, E_v / 2.0, G_u / 2.0, F_v - G_u / 2.0, G_v / 2.0]
+        return abs(np.column_stack(lhs) - np.column_stack(rhs))
+
+
+DEMO_PATCHES = {name: cli.load_scenario(DEMO).surfaces[name]
+                for name in ("catenoid", "stereo_sphere")}
+
+
+@st.composite
+def _patch_points(draw):
+    """A demo patch and 1 to 12 points of its box, edges included."""
+    name = draw(st.sampled_from(sorted(DEMO_PATCHES)))
+    (u0, u1), (v0, v1) = DEMO_PATCHES[name].domain
+    pts = draw(st.lists(st.tuples(st.floats(u0, u1), st.floats(v0, v1)), min_size=1, max_size=12))
+    return name, np.array([u for u, _ in pts]), np.array([v for _, v in pts])
+
+
+def _same_residuals(surf, u, v):
+    # the one walk of the four shifted grids against four walks: every
+    # residual bit for bit, or the same error
+    try:
+        want = _per_shift_oracle(surf, u, v)
+    except geometry.GeometryError as err:
+        with pytest.raises(geometry.GeometryError) as got:
+            geometry.metric_derivative_identities(surf, u, v)
+        assert str(got.value) == str(err)
+        return
+    got = np.array(geometry.metric_derivative_identities(surf, u, v)).reshape(want.shape)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn=_patch_points())
+def test_stacked_oracle_is_the_per_shift_oracle_bit_for_bit(drawn):
+    name, us, vs = drawn
+    surf = DEMO_PATCHES[name]
+    _same_residuals(surf, us, vs)
+    # a grid of one and a single point
+    _same_residuals(surf, us[:1], vs[:1])
+    _same_residuals(surf, float(us[0]), float(vs[0]))
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_PATCHES))
+def test_stacked_oracle_on_the_suite_grid(name):
+    surf = DEMO_PATCHES[name]
+    for grid in (cli.surface_grid(surf.domain, 12, np.random.default_rng(7)),
+                 cli.surface_grid(surf.domain, 12, None)):
+        _same_residuals(surf, *grid)
+
+
 # E = 1 + exp(u)/4 overflows between U_HOT and U_HOT + h, the oracle's step:
 # the center is finite, the stencil point (u + h, v) is not
 U_HOT = 711.169002
