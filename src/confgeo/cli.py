@@ -366,11 +366,11 @@ def _forms(surf, us, vs, params, tol):
     # column and the oracle's left sides; the oracle adds one walk of its
     # four shifted grids
     pj = surf.jets(us, vs)
-    m = geometry.first_fundamental(surf, us, vs, pj=pj)
+    m = geometry.first_fundamental(pj, us, vs)
     cr = geometry.cross(pj.pu, pj.pv)
     disc = m.E * m.G - m.F * m.F
     lagrange = abs(geometry.dot(cr, cr) - disc) / np.maximum(1.0, abs(disc))
-    fd = geometry.metric_derivative_identities(surf, us, vs, pj=pj)
+    fd = geometry.metric_derivative_identities(surf, us, vs, pj)
     return _columns(names, us, vs, m.E, m.F, m.G, m.W, fd, lagrange), names[6:]
 
 
@@ -405,7 +405,7 @@ def _bracket_shift(pair, curve, ss, params, tol):
 def _geodesic_deviation(pair, curve, ss, params, tol):
     names = ["s", "zeta", "f", "h", "kg_src_W1", "kg_src_W2", "kg_tgt_W1", "kg_tgt_W2",
              "r_W1_W1", "r_W1_W2", "r_W2_W1", "r_W2_W2", "oracle_kg"]
-    rep = conformal.geodesic_deviation_report(pair, curve, ss, tol=tol)
+    rep = conformal.geodesic_deviation_report(pair, curve, ss)
     oracle = (conformal.image_geodesic_curvature(pair, curve, ss)
               if pair.embedded else None)
     cols = _columns(names, ss, rep.zeta, rep.f, rep.h,

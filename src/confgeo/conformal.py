@@ -10,8 +10,8 @@ arrays (a grid of points, evaluated at once; floats are a grid of one),
 and the curve residuals take ``s`` the same way.  Each surface suite reads
 one report, :func:`christoffel_shift_report` or :func:`pushforward_report`,
 which evaluates each patch once and returns zeta beside the residuals; the
-dilation functions take the ``forms`` (and ``zeta``) their caller already
-holds, so that no patch is evaluated twice.
+dilation functions take the two first forms their caller holds, so that no
+patch is evaluated twice.
 """
 
 from __future__ import annotations
@@ -113,18 +113,17 @@ class ConformalPair:
 # Dilation
 
 
-def dilation_field(pair: ConformalPair, u, v,
-                   forms: tuple[FirstForm, FirstForm] | None = None) -> tuple:
+def dilation_field(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]) -> tuple:
     """Estimate zeta = sqrt(E~/E) and the three conformality residuals
-    |zeta^2 E - E~|, |zeta^2 F - F~|, |zeta^2 G - G~|.  Raises
-    :class:`NonConformalError` where one exceeds the pair's
-    ``conformality_tol`` times the size of its own target coefficient,
-    max(1, |E~|), max(1, sqrt|E~ G~|) and max(1, |G~|), so that no verdict
-    hangs on the units of u and v.  A declared dilation is not read here:
-    :func:`dilation_jet` checks it against this estimate.
+    |zeta^2 E - E~|, |zeta^2 F - F~|, |zeta^2 G - G~| from ``forms``, the
+    two first forms at ``u, v``.  Raises :class:`NonConformalError` where
+    one exceeds the pair's ``conformality_tol`` times the size of its own
+    target coefficient, max(1, |E~|), max(1, sqrt|E~ G~|) and max(1, |G~|),
+    so that no verdict hangs on the units of u and v.  A declared dilation
+    is not read here: :func:`dilation_jet` checks it against this estimate.
     """
     tol = pair.conformality_tol
-    m, mt = pair.forms(u, v) if forms is None else forms
+    m, mt = forms
     # both first forms have E > 0, but their ratio may underflow to 0
     z2 = mt.E / m.E
     bad = violation(z2 > 0.0, u, v, z2)
@@ -156,23 +155,21 @@ def _check_declared_dilation(pair: ConformalPair, u, v, declared, zeta) -> None:
             f"at ({bad[0]}, {bad[1]})")
 
 
-def dilation_jet(pair: ConformalPair, u, v,
-                 forms: tuple[FirstForm, FirstForm] | None = None, zeta=None) -> Jet2:
-    """zeta with first partials.  A declared dilation supplies exact jets
-    of order 1, and its value is checked here by
+def dilation_jet(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]) -> tuple:
+    """``(zeta, jet)``: the estimate of :func:`dilation_field` from
+    ``forms`` (as there), and zeta with first partials.  A declared dilation
+    supplies exact jets of order 1, and its value is checked here by
     :func:`_check_declared_dilation`; otherwise the partials come from
-    differentiating zeta^2 E = E~.  A caller that has run
-    :func:`dilation_field` already passes its estimate as ``zeta``."""
-    m, mt = pair.forms(u, v) if forms is None else forms
-    if zeta is None:
-        zeta, _ = dilation_field(pair, u, v, forms=(m, mt))
+    differentiating zeta^2 E = E~."""
+    m, mt = forms
+    zeta, _ = dilation_field(pair, u, v, forms)
     if pair.dilation is not None:
         zj = eval_jet2(pair.dilation, u, v, 1)
         _check_declared_dilation(pair, u, v, zj.value, zeta)
-        return zj
+        return zeta, zj
     zu = (mt.E_u - zeta * zeta * m.E_u) / (2.0 * zeta * m.E)
     zv = (mt.E_v - zeta * zeta * m.E_v) / (2.0 * zeta * m.E)
-    return Jet2(zeta, du=zu, dv=zv)
+    return zeta, Jet2(zeta, du=zu, dv=zv)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +192,7 @@ def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ThetaSet:
     """The six theta^k_ij of the conformal Christoffel shift.
 
     All vanish identically when zeta_u = zeta_v = 0 (isometry/homothety).
-    ``zeta_jet`` is :func:`dilation_jet`'s, whose value is positive.
+    ``zeta_jet`` is the jet of :func:`dilation_jet`, whose value is positive.
     """
     z, zu, zv = zeta_jet.value, zeta_jet.du, zeta_jet.dv
     d = z * m.W * m.W
@@ -214,8 +211,7 @@ def christoffel_shift_report(pair: ConformalPair, u, v) -> tuple:
     """zeta and |Gamma~^k_ij - Gamma^k_ij - theta^k_ij| for the six slots,
     all read from one evaluation of the two first forms."""
     forms = m, mt = pair.forms(u, v)
-    zeta, _ = dilation_field(pair, u, v, forms=forms)
-    zj = dilation_jet(pair, u, v, forms=forms, zeta=zeta)
+    zeta, zj = dilation_jet(pair, u, v, forms)
     return (zeta, *(abs(gt - g - th) for gt, g, th in
                     zip(christoffel(mt), christoffel(m), theta_terms(m, zj))))
 
@@ -242,8 +238,8 @@ def beltrami_bracket_shift(pair: ConformalPair, c, s) -> BracketShift:
     """Convention-free core of the geodesic-curvature shift:
     B_tgt - B_src = Theta, with B the Beltrami bracket on each side."""
     cj = c.jets(s)
-    m, mt = pair.forms(cj.u, cj.v)
-    zj = dilation_jet(pair, cj.u, cj.v, forms=(m, mt))
+    forms = m, mt = pair.forms(cj.u, cj.v)
+    _, zj = dilation_jet(pair, cj.u, cj.v, forms)
     require_unit_speed(speed_from_form(m, cj.u1, cj.v1), s)
     b_src = beltrami_bracket(christoffel(m), cj)
     b_tgt = beltrami_bracket(christoffel(mt), cj)
@@ -295,8 +291,7 @@ class DeviationReport(NamedTuple):
     (each number is an array, 0-d at one s).
 
     ``i20_residuals`` holds |kg~(i) - zeta^2 kg(j) - f| keyed by
-    "<target weight>/<source weight>"; ``passing`` lists the pairings below
-    tolerance at every point.
+    "<target weight>/<source weight>".
     """
 
     zeta: float
@@ -305,15 +300,12 @@ class DeviationReport(NamedTuple):
     kappa_g_src: dict[str, float]
     kappa_g_tgt: dict[str, float]
     i20_residuals: dict[str, float]
-    passing: tuple[str, ...]
 
 
-def geodesic_deviation_report(pair: ConformalPair, c, s,
-                              tol: float = 1e-8) -> DeviationReport:
+def geodesic_deviation_report(pair: ConformalPair, c, s) -> DeviationReport:
     cj = c.jets(s)
     forms = m, mt = pair.forms(cj.u, cj.v)
-    zeta, _ = dilation_field(pair, cj.u, cj.v, forms=forms)
-    zj = dilation_jet(pair, cj.u, cj.v, forms=forms, zeta=zeta)
+    zeta, zj = dilation_jet(pair, cj.u, cj.v, forms)
     require_unit_speed(speed_from_form(m, cj.u1, cj.v1), s)
     th = theta_terms(m, zj)
     b_src = beltrami_bracket(christoffel(m), cj)
@@ -326,9 +318,8 @@ def geodesic_deviation_report(pair: ConformalPair, c, s,
         f"{wt}/{ws}": abs(kg_tgt[wt] - zeta * zeta * kg_src[ws] - f)
         for wt in WEIGHTS for ws in WEIGHTS
     }
-    passing = tuple(k for k in PAIRINGS if np.all(residuals[k] < tol))
     return DeviationReport(zeta=zeta, h=h, f=f, kappa_g_src=kg_src, kappa_g_tgt=kg_tgt,
-                           i20_residuals=residuals, passing=passing)
+                           i20_residuals=residuals)
 
 
 def image_geodesic_curvature(pair: ConformalPair, c, s):
@@ -342,7 +333,7 @@ def image_geodesic_curvature(pair: ConformalPair, c, s):
         raise EmbeddingRequiredError("direct image curvature needs an embedded target")
     cj = c.jets(s)
     pj, beta1, beta2 = beta_jets(pair.target, cj)
-    n_vec = second_fundamental(pair.target, cj.u, cj.v, pj=pj).n_vec
+    n_vec = second_fundamental(pj, cj.u, cj.v).n_vec
     # np.power, not a numpy scalar's ``**``: a point gets its grid element's bits
     return dot(beta2, cross(n_vec, beta1)) / np.power(norm(beta1), 3)
 
@@ -369,8 +360,8 @@ def pushforward_report(pair: ConformalPair, u, v) -> tuple:
     if pair.ambient_map is None:
         raise AmbientMapError("pair has no ambient map")
     pj, pjt = pair.source.jets(u, v, 1), pair.target.jets(u, v, 1)
-    zeta, _ = dilation_field(pair, u, v, forms=(first_fundamental(pair.source, u, v, pj=pj),
-                                                first_fundamental(pair.target, u, v, pj=pjt)))
+    zeta, _ = dilation_field(pair, u, v, (first_fundamental(pj, u, v),
+                                          first_fundamental(pjt, u, v)))
     if pair.dilation is not None:  # the residual reads none, but it must hold
         _check_declared_dilation(pair, u, v, evaluate(pair.dilation, u, v), zeta)
     jac_star = ambient_jacobian(pair.ambient_map, pj.p) / zeta

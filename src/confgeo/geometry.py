@@ -9,8 +9,8 @@ Orientation convention: the unit surface normal is ``Psi_u x Psi_v / W``
 everywhere; every signed quantity (second-form coefficients, normal
 curvature) inherits it.
 
-Patch jets, the fundamental forms and the Christoffel symbols take
-``u, v`` as arrays (a grid of points, evaluated at once); curve jets and
+Patch jets take ``u, v`` as arrays (a grid of points, evaluated at once),
+and the fundamental forms read the jets their caller holds; curve jets and
 Frenet data take ``s`` the same way.  There is one numpy path: a point is
 a grid of one, given as floats, whose values come out 0-d.  Vectors are
 ``(3, n)`` arrays (``(3,)`` at a point), and every check that fails names
@@ -135,7 +135,7 @@ class SurfacePatch(NamedTuple):
     def first_form(self, u, v, order: int = 2) -> "FirstForm":
         """The first form from patch jets of ``order``: at order 1 without
         its partials."""
-        return first_fundamental(self, u, v, pj=self.jets(u, v, order))
+        return first_fundamental(self.jets(u, v, order), u, v)
 
 
 class AbstractMetric(NamedTuple):
@@ -258,11 +258,10 @@ def _first_form(u, v, E, F, G, **partials) -> FirstForm:
     return FirstForm(E, F, G, np.sqrt(disc), **partials)
 
 
-def first_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> FirstForm:
-    """First-form coefficients and their first partials from patch jets
-    (``pj``, when the caller already holds them at ``u, v``); from jets of
-    order 1, the coefficients alone."""
-    pj = p.jets(u, v) if pj is None else pj
+def first_fundamental(pj: PatchJets, u, v) -> FirstForm:
+    """First-form coefficients and their first partials from the patch
+    jets ``pj`` at ``u, v``; from jets of order 1, the coefficients alone.
+    ``u, v`` only name the first point where a check fails."""
     # products of large finite jets may overflow: checked in _first_form
     with np.errstate(over="ignore", invalid="ignore"):
         partials = {} if pj.puu is None else dict(
@@ -277,10 +276,9 @@ def first_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> Fir
                            **partials)
 
 
-def second_fundamental(p: SurfacePatch, u, v, pj: PatchJets | None = None) -> SecondForm:
-    """L, M, N and the unit normal, oriented along Psi_u x Psi_v (``pj`` as
-    in :func:`first_fundamental`)."""
-    pj = p.jets(u, v) if pj is None else pj
+def second_fundamental(pj: PatchJets, u, v) -> SecondForm:
+    """L, M, N and the unit normal, oriented along Psi_u x Psi_v, from the
+    order-2 patch jets ``pj`` at ``u, v`` (as in :func:`first_fundamental`)."""
     normal = cross(pj.pu, pj.pv)
     w = norm(normal)
     bad = violation(w > REGULARITY_FLOOR, u, v, w)
@@ -384,7 +382,7 @@ def normal_curvature(p: SurfacePatch, c, s):
     cj = c.jets(s)
     pj, beta1, _ = beta_jets(p, cj)
     require_unit_speed(norm(beta1), s)
-    sf = second_fundamental(p, cj.u, cj.v, pj=pj)
+    sf = second_fundamental(pj, cj.u, cj.v)
     return normal_curvature_form(sf, cj.u1, cj.v1)
 
 
@@ -405,14 +403,15 @@ def geodesic_curvature(source, c, s, weight: str):
     return bracket * (m.W if weight == "W1" else m.W * m.W)
 
 
-def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets | None = None):
-    """Residuals of the six dot-product/metric-derivative identities: a
-    6-tuple of floats at one point, an (n, 6) array over a grid.
+def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets):
+    """Residuals of the six dot-product/metric-derivative identities, one
+    row of six per point: (6,) at a point, (n, 6) over a grid of n, also
+    when one of ``u``, ``v`` is a float.
 
-    Left sides are second-order patch jets (``pj`` as in
-    :func:`first_fundamental`) dotted into first-order ones; right sides
-    rebuild the same quantities from central differences of E, F, G, which
-    read only first-order jets at the shifted points, so the two routes are
+    Left sides are the second partials of the patch jets ``pj`` at ``u, v``
+    dotted into their first partials; right sides rebuild the same
+    quantities from central differences of E, F, G, which read only
+    first-order jets at the shifted points, so the two routes are
     independent:
 
         Psi_uu.Psi_u = E_u/2        Psi_uu.Psi_v = F_u - E_v/2
@@ -423,7 +422,6 @@ def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets | None = N
     in that order, so each point and the first failing one are as in four
     walks.  A point is a grid of one, so it gets the bits it gets in a grid.
     """
-    pj = p.jets(u, v) if pj is None else pj
     h = 1e-5
     su, sv = (np.ravel(x) for x in np.broadcast_arrays(u, v))
     q = p.jets(np.concatenate([su + h, su - h, su, su]),
@@ -438,4 +436,4 @@ def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets | None = N
         rhs = [E_u / 2.0, F_u - E_v / 2.0, E_v / 2.0, G_u / 2.0, F_v - G_u / 2.0, G_v / 2.0]
         res = abs(np.column_stack(lhs) - np.column_stack(rhs))
     _require_finite("metric-derivative residual", u, v, *res.T)
-    return tuple(res[0].tolist()) if np.ndim(u) == 0 else res
+    return res.reshape(np.broadcast(u, v).shape + (6,))

@@ -161,8 +161,8 @@ def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr, 
     """
     cj, pj, kappa = _curved_jets(p, c, s)
     nval, eval_ = evaluate((nu, eta), s)
-    sf = second_fundamental(p, cj.u, cj.v, pj=pj)
-    m = first_fundamental(p, cj.u, cj.v, pj=pj)
+    sf = second_fundamental(pj, cj.u, cj.v)
+    m = first_fundamental(pj, cj.u, cj.v)
     kn = normal_curvature_form(sf, cj.u1, cj.v1)
     bracket = beltrami_bracket(christoffel(m), cj)
     closed = (nval / kappa) * kn + (eval_ / kappa) * m.W * bracket
@@ -179,12 +179,11 @@ def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     if not pair.embedded:
         raise EmbeddingRequiredError(
             "normal/tangential deviation checks need embedded patches on both sides")
-    src, tgt = pair.source, pair.target
-    cj, pj, kappa = _curved_jets(src, c, s)
-    pjt = tgt.jets(cj.u, cj.v)
-    m = first_fundamental(src, cj.u, cj.v, pj=pj)
-    mt = first_fundamental(tgt, cj.u, cj.v, pj=pjt)
-    zj = dilation_jet(pair, cj.u, cj.v, forms=(m, mt))
+    cj, pj, kappa = _curved_jets(pair.source, c, s)
+    pjt = pair.target.jets(cj.u, cj.v)
+    m = first_fundamental(pj, cj.u, cj.v)
+    mt = first_fundamental(pjt, cj.u, cj.v)
+    _, zj = dilation_jet(pair, cj.u, cj.v, (m, mt))
     nval, eval_ = evaluate((nu, eta), s)
     return {
         "cj": cj,
@@ -199,8 +198,8 @@ def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
         "beta_t": _synth(pjt, cj, nval, eval_, kappa),
         "m": m,
         "mt": mt,
-        "sf": second_fundamental(src, cj.u, cj.v, pj=pj),
-        "sft": second_fundamental(tgt, cj.u, cj.v, pj=pjt),
+        "sf": second_fundamental(pj, cj.u, cj.v),
+        "sft": second_fundamental(pjt, cj.u, cj.v),
     }
 
 
@@ -265,8 +264,3 @@ def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
         "r_v": abs(lhs_v - rhs_v),
         "r_T": abs(lhs_T - rhs_T),
     }
-
-
-def tangential_residual(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> tuple:
-    rep = tangential_report(pair, c, nu, eta, s)
-    return rep["r_u"], rep["r_v"], rep["r_T"]

@@ -50,7 +50,7 @@ def _fd_patch_vector(patch, u, v, index):
 
 
 def test_first_form_plane():
-    m = first_fundamental(plane(), 0.3, -1.2)
+    m = plane().first_form(0.3, -1.2)
     assert (m.E, m.F, m.G, m.W) == (1.0, 0.0, 1.0, 1.0)
     assert (m.E_u, m.E_v, m.F_u, m.F_v, m.G_u, m.G_v) == (0.0,) * 6
 
@@ -58,7 +58,7 @@ def test_first_form_plane():
 def test_first_form_sphere_against_fd_oracle():
     sph = sphere()
     u, v = 1.0, math.pi / 4
-    m = first_fundamental(sph, u, v)
+    m = sph.first_form(u, v)
     assert m.E == pytest.approx(0.5, abs=1e-12)          # E = sin^2 v
     assert m.F == pytest.approx(0.0, abs=1e-12)
     assert m.G == pytest.approx(1.0, abs=1e-12)
@@ -74,7 +74,7 @@ def test_first_form_sphere_against_fd_oracle():
 def test_first_form_degenerate_patch():
     degenerate = SurfacePatch(e2("u"), e2("u"), e2("0"), PLANE_BOX)
     with pytest.raises(RegularityError):
-        first_fundamental(degenerate, 0.1, 0.2)
+        degenerate.first_form(0.1, 0.2)
 
 
 # E, F, G -> the first grid point of (U_BAD, V_BAD) where the metric fails
@@ -92,14 +92,14 @@ def test_metric_first_form_checks_name_the_first_failing_point(efg, first_bad):
 
 def test_point_outside_domain_rejected():
     with pytest.raises(GeometryError, match="outside domain"):
-        first_fundamental(plane(), 99.0, 0.0)
+        plane().first_form(99.0, 0.0)
 
 
 # -- second fundamental form ---------------------------------------------------
 
 
 def test_second_form_plane_is_zero():
-    sf = second_fundamental(plane(), 0.7, 0.9)
+    sf = second_fundamental(plane().jets(0.7, 0.9), 0.7, 0.9)
     assert (sf.L, sf.M, sf.N) == (0.0, 0.0, 0.0)
     assert np.allclose(sf.n_vec, [0.0, 0.0, 1.0])
 
@@ -109,7 +109,7 @@ def test_second_form_sphere_with_fd_oracle():
     # so L and N are +1 at (1, pi/2)
     sph = sphere()
     u, v = 1.0, math.pi / 2
-    sf = second_fundamental(sph, u, v)
+    sf = second_fundamental(sph.jets(u, v), u, v)
     assert abs(sf.L) == pytest.approx(1.0, abs=1e-12)
     assert sf.M == pytest.approx(0.0, abs=1e-12)
     assert abs(sf.N) == pytest.approx(1.0, abs=1e-12)
@@ -122,7 +122,7 @@ def test_second_form_sphere_with_fd_oracle():
 
 def test_second_form_cylinder_with_fd_oracle():
     cyl = cylinder()
-    sf = second_fundamental(cyl, 0.0, 0.0)
+    sf = second_fundamental(cyl.jets(0.0, 0.0), 0.0, 0.0)
     assert abs(sf.L) == pytest.approx(1.0, abs=1e-12)
     assert sf.L == pytest.approx(-1.0, abs=1e-12)   # outward normal on (cos u, sin u, v)
     assert sf.M == pytest.approx(0.0, abs=1e-12)
@@ -137,7 +137,7 @@ def test_unit_normal_has_unit_length():
         for _ in range(25):
             u = RNG.uniform(u0 + 0.05, u1 - 0.05)
             v = RNG.uniform(v0 + 0.05, v1 - 0.05)
-            sf = second_fundamental(patch, u, v)
+            sf = second_fundamental(patch.jets(u, v), u, v)
             assert abs(np.linalg.norm(sf.n_vec) - 1.0) < 1e-12
 
 
@@ -149,10 +149,10 @@ def _fd_first_form(patch, u, v, h=1e-5):
     from confgeo.geometry import FirstForm
 
     def coeff(name, uu, vv):
-        m = first_fundamental(patch, uu, vv)
+        m = patch.first_form(uu, vv)
         return getattr(m, name)
 
-    m0 = first_fundamental(patch, u, v)
+    m0 = patch.first_form(u, v)
     part = {}
     for name in ("E", "F", "G"):
         part[name + "_u"] = (coeff(name, u + h, v) - coeff(name, u - h, v)) / (2 * h)
@@ -162,7 +162,7 @@ def _fd_first_form(patch, u, v, h=1e-5):
 
 
 def test_christoffel_plane_all_zero():
-    g = christoffel(first_fundamental(plane(), 0.4, 0.8))
+    g = christoffel(plane().first_form(0.4, 0.8))
     assert (g.g111, g.g112, g.g121, g.g122, g.g221, g.g222) == (0.0,) * 6
 
 
@@ -170,7 +170,7 @@ def test_christoffel_sphere_against_fd_substitution():
     # metric E = sin^2 v, F = 0, G = 1 at v = pi/4: Gamma^1_12 = cot v = 1,
     # Gamma^2_11 = -sin v cos v = -1/2, all others 0
     sph = sphere()
-    g = christoffel(first_fundamental(sph, 1.0, math.pi / 4))
+    g = christoffel(sph.first_form(1.0, math.pi / 4))
     assert g.g121 == pytest.approx(1.0, abs=1e-12)
     assert g.g112 == pytest.approx(-0.5, abs=1e-12)
     for slot in ("g111", "g122", "g221", "g222"):
@@ -194,7 +194,7 @@ def test_christoffel_conformally_flat_metric():
 def test_christoffel_same_code_path_for_patch_and_metric():
     sph = sphere()
     u, v = 0.8, 1.1
-    from_patch = first_fundamental(sph, u, v)
+    from_patch = sph.first_form(u, v)
     metric = AbstractMetric(e2("sin(v)^2"), e2("0"), e2("1"), sph.domain)
     from_metric = metric.first_form(u, v)
     # same FirstForm -> identical output object fields
@@ -288,7 +288,7 @@ def test_normal_curvature_equator_oracle_sign():
     kn = normal_curvature(sph, eq, s)
     fr = frenet(sph, eq, s)
     cj = eq.jets(s)
-    sf = second_fundamental(sph, cj.u, cj.v)
+    sf = second_fundamental(sph.jets(cj.u, cj.v), cj.u, cj.v)
     oracle = float((fr.kappa * fr.n) @ sf.n_vec)
     assert kn == pytest.approx(oracle, abs=1e-12)
     assert kn == pytest.approx(1.0, abs=1e-12)
@@ -354,16 +354,20 @@ def test_pythagoras_of_curvatures_property():
 # -- metric derivative identities -----------------------------------------------------
 
 
+def _metric_identities(patch, u, v):
+    return metric_derivative_identities(patch, u, v, patch.jets(u, v))
+
+
 def test_metric_identities_plane_exact():
-    assert metric_derivative_identities(plane(), 0.7, -0.3) == (0.0,) * 6
+    assert _metric_identities(plane(), 0.7, -0.3).tolist() == [0.0] * 6
 
 
 def test_metric_identities_sphere():
-    assert max(metric_derivative_identities(sphere(), 1.0, math.pi / 4)) < 1e-9
+    assert max(_metric_identities(sphere(), 1.0, math.pi / 4)) < 1e-9
 
 
 def test_metric_identities_catenoid():
-    assert max(metric_derivative_identities(catenoid(), 0.3, 0.5)) < 1e-9
+    assert max(_metric_identities(catenoid(), 0.3, 0.5)) < 1e-9
 
 
 def test_lagrange_identity_property():
@@ -372,8 +376,8 @@ def test_lagrange_identity_property():
         for _ in range(25):
             u = float(RNG.uniform(u0 + 0.05, u1 - 0.05))
             v = float(RNG.uniform(v0 + 0.05, v1 - 0.05))
-            m = first_fundamental(patch, u, v)
             pj = patch.jets(u, v)
+            m = first_fundamental(pj, u, v)
             cr = np.cross(pj.pu, pj.pv)
             disc = m.E * m.G - m.F * m.F
             assert abs(float(cr @ cr) - disc) / max(1.0, abs(disc)) < 1e-10
@@ -384,7 +388,7 @@ def test_beltrami_bracket_matches_geodesic_curvature():
     lat = latitude_curve()
     s = 0.6
     cj = lat.jets(s)
-    m = first_fundamental(sph, cj.u, cj.v)
+    m = sph.first_form(cj.u, cj.v)
     bracket = beltrami_bracket(christoffel(m), cj)
     assert bracket * m.W == pytest.approx(geodesic_curvature(sph, lat, s, "W1"), rel=1e-12)
     assert bracket * m.W ** 2 == pytest.approx(geodesic_curvature(sph, lat, s, "W2"), rel=1e-12)

@@ -445,9 +445,9 @@ def test_non_conformal_grid_names_first_offending_point():
     pair = conformal.ConformalPair(plane(STEREO_BOX), bent, conformality_tol=1e-3)
     us, vs = np.array([0.0, 0.0, 0.5, 0.7]), np.array([0.1, -0.2, 0.3, 0.4])
     with pytest.raises(conformal.NonConformalError) as grid:
-        conformal.dilation_field(pair, us, vs)
+        conformal.dilation_field(pair, us, vs, pair.forms(us, vs))
     with pytest.raises(conformal.NonConformalError) as scalar:
-        conformal.dilation_field(pair, 0.5, 0.3)
+        conformal.dilation_field(pair, 0.5, 0.3, pair.forms(0.5, 0.3))
     assert str(grid.value) == str(scalar.value)
     assert "not conformal at (0.5, 0.3)" in str(grid.value)
     assert grid.value.residuals == scalar.value.residuals
@@ -507,9 +507,9 @@ def _run_suite(entry, pool, tol):
 
 
 def _forms_row(surf, u, v):
-    m = geometry.first_fundamental(surf, u, v)
-    res = geometry.metric_derivative_identities(surf, u, v)
     pj = surf.jets(u, v)
+    m = geometry.first_fundamental(pj, u, v)
+    res = geometry.metric_derivative_identities(surf, u, v, pj)
     cr = np.cross(pj.pu, pj.pv)
     disc = m.E * m.G - m.F * m.F
     lagrange = abs(float(cr @ cr) - disc) / max(1.0, abs(disc))
@@ -517,12 +517,12 @@ def _forms_row(surf, u, v):
 
 
 def _shift_row(pair, u, v):
-    zeta, _ = conformal.dilation_field(pair, u, v)
+    zeta, _ = conformal.dilation_field(pair, u, v, pair.forms(u, v))
     return [u, v, zeta, *conformal.christoffel_shift_residual(pair, u, v)]
 
 
 def _push_row(pair, u, v):
-    zeta, _ = conformal.dilation_field(pair, u, v)
+    zeta, _ = conformal.dilation_field(pair, u, v, pair.forms(u, v))
     return [u, v, zeta, *conformal.pushforward_residual(pair, u, v)]
 
 
@@ -569,12 +569,22 @@ ORACLE_SURFACES = {"plane": plane, "sphere": sphere, "catenoid": catenoid,
 def test_metric_derivative_identities_grid_is_points_bit_for_bit(make):
     surf = make()
     us, vs = cli.surface_grid(surf.domain, 12, np.random.default_rng(7))
-    grid = geometry.metric_derivative_identities(surf, us, vs)
+    grid = geometry.metric_derivative_identities(surf, us, vs, surf.jets(us, vs))
     assert grid.shape == (144, 6)
     for row, u, v in zip(grid.tolist(), us.tolist(), vs.tolist()):
-        point = geometry.metric_derivative_identities(surf, u, v)
-        assert all(type(x) is float for x in point)
-        assert list(point) == row
+        point = geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v))
+        assert point.shape == (6,)
+        assert point.tolist() == row
+
+
+def test_metric_derivative_identities_mixed_point_and_grid_gives_one_row_per_point():
+    # a float u with an array v is a grid of len(v), as the forms take it
+    surf, vs = catenoid(), np.array([0.3, 0.4])
+    mixed = geometry.metric_derivative_identities(surf, 0.5, vs, surf.jets(0.5, vs))
+    assert mixed.shape == (2, 6)
+    for row, v in zip(mixed.tolist(), vs.tolist()):
+        assert row == geometry.metric_derivative_identities(surf, 0.5, v,
+                                                            surf.jets(0.5, v)).tolist()
 
 
 def test_metric_derivative_identities_right_sides_ignore_the_jets_passed_in():
@@ -582,8 +592,8 @@ def test_metric_derivative_identities_right_sides_ignore_the_jets_passed_in():
     us, vs = cli.surface_grid(surf.domain, 12, np.random.default_rng(7))
     pj = surf.jets(us, vs)
     planted = pj._replace(puu=pj.puu + 1e-6 * np.array([1.0, 0.0, 0.0])[:, None])
-    clean = geometry.metric_derivative_identities(surf, us, vs, pj=pj)
-    moved = geometry.metric_derivative_identities(surf, us, vs, pj=planted)
+    clean = geometry.metric_derivative_identities(surf, us, vs, pj)
+    moved = geometry.metric_derivative_identities(surf, us, vs, planted)
     # only the two left sides that read Psi_uu move, each by about 1e-6 Psi_u.e1
     # (Psi_v.e1): the difference quotients did not see the planted error
     for col, partner in ((0, pj.pu[0]), (1, pj.pv[0])):
@@ -627,10 +637,10 @@ def _same_residuals(surf, u, v):
         want = _per_shift_oracle(surf, u, v)
     except geometry.GeometryError as err:
         with pytest.raises(geometry.GeometryError) as got:
-            geometry.metric_derivative_identities(surf, u, v)
+            geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v))
         assert str(got.value) == str(err)
         return
-    got = np.array(geometry.metric_derivative_identities(surf, u, v)).reshape(want.shape)
+    got = geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v)).reshape(want.shape)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -667,12 +677,12 @@ def test_overflow_at_a_shifted_stencil_point_names_the_point():
     us, vs = np.array([1.0, U_HOT, U_HOT]), np.array([0.5, 0.5, 0.6])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = geometry.first_fundamental(hot, us, vs)
+        m = hot.first_form(us, vs)
         assert np.all(np.isfinite(m.E))
         for u, v in ((U_HOT, 0.5), (us, vs)):
             with pytest.raises(geometry.GeometryError,
                                match=rf"residual is not finite at \({U_HOT}, 0\.5\)"):
-                geometry.metric_derivative_identities(hot, u, v)
+                geometry.metric_derivative_identities(hot, u, v, hot.jets(u, v))
 
 
 def test_cli_forms_overflow_at_a_shifted_stencil_point_exits_with_math_error(tmp_path, capsys):
@@ -747,7 +757,7 @@ def _bracket_rows(pair, curve, ss, tol):
 
 
 def _deviation_rows(pair, curve, ss, tol):
-    reps = [conformal.geodesic_deviation_report(pair, curve, s, tol=tol) for s in ss]
+    reps = [conformal.geodesic_deviation_report(pair, curve, s) for s in ss]
     oracles = [conformal.image_geodesic_curvature(pair, curve, s) if pair.embedded else None
                for s in ss]
     # the weight pairing, pinned point by point
