@@ -92,9 +92,9 @@ def fd_partial(e: Expr, point, index, step: float | None = None) -> float:
 # Quadrature
 
 
-def adaptive_simpson(f, a, b, tol: float = QUAD_TOL) -> np.ndarray:
+def adaptive_simpson(f, a, b) -> np.ndarray:
     """Adaptive Simpson quadrature of ``f`` over the intervals [a, b] (arrays
-    broadcast to one shape), with absolute per-panel tolerance.
+    broadcast to one shape), with absolute per-panel tolerance ``QUAD_TOL``.
 
     The panels are refined level by level: each depth evaluates ``f`` once,
     on an array of the quarter points of every panel still open.  A panel
@@ -108,6 +108,7 @@ def adaptive_simpson(f, a, b, tol: float = QUAD_TOL) -> np.ndarray:
     fa, fm, fb = np.split(f(np.concatenate([a, 0.5 * (a + b), b])), 3)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     levels = []  # per depth: the sum of each closed panel, and which are split
+    tol = QUAD_TOL
     for depth in range(50, -1, -1):
         m = 0.5 * (a + b)
         flm, frm = np.split(f(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)

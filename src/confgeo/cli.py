@@ -41,25 +41,19 @@ class ScenarioError(Exception):
 
 class Scenario:
     """A loaded scenario: its members by name, its suite entries, tolerances
-    and grids.  A container not passed in is a new empty one per instance."""
+    and grids.  Each instance starts with empty pools and suite list, the
+    default tolerances and the default grids, in containers of its own."""
 
     __slots__ = ("path", "digest", "surfaces", "curves", "curve_ranges", "pairs", "profiles",
                  "suites", "tolerances", "grids")
 
-    def __init__(self, path: Path, digest: str, surfaces: dict | None = None,
-                 curves: dict | None = None, curve_ranges: dict | None = None,
-                 pairs: dict | None = None, profiles: dict | None = None,
-                 suites: list | None = None, tolerances: dict | None = None,
-                 grids: dict | None = None):
+    def __init__(self, path: Path, digest: str):
         self.path, self.digest = path, digest
-        self.surfaces = {} if surfaces is None else surfaces
-        self.curves = {} if curves is None else curves
-        self.curve_ranges = {} if curve_ranges is None else curve_ranges
-        self.pairs = {} if pairs is None else pairs
-        self.profiles = {} if profiles is None else profiles
-        self.suites = [] if suites is None else suites
-        self.tolerances = {} if tolerances is None else tolerances
-        self.grids = {} if grids is None else grids
+        self.surfaces, self.curves, self.curve_ranges, self.pairs, self.profiles = (
+            {}, {}, {}, {}, {})
+        self.suites = []
+        self.tolerances = dict(DEFAULT_TOLERANCES)
+        self.grids = {"surface": 8, "curve": 10, "mode": "uniform"}
 
     @property
     def pools(self) -> dict:
@@ -211,7 +205,6 @@ def load_scenario(path: Path) -> Scenario:
                                                   expr(entry, "v", ("s",), where))
             sc.curve_ranges[name] = _range(entry, "s_range", where)
 
-    sc.tolerances = dict(DEFAULT_TOLERANCES)
     for key, val in _section(doc, "tolerances", dict).items():
         if key not in SUITE_NAMES and key != "conformality":
             raise ScenarioError(f"tolerances.{key}: unknown suite name")
@@ -257,7 +250,6 @@ def load_scenario(path: Path) -> Scenario:
                 raise ScenarioError(f"{where}: suite '{sname}' needs key '{key}'")
         sc.suites.append(dict(entry))
 
-    sc.grids = {"surface": 8, "curve": 10, "mode": "uniform"}
     for key, val in _section(doc, "grids", dict).items():
         if key not in sc.grids:
             raise ScenarioError(f"grids.{key}: unknown grid key")
@@ -305,17 +297,17 @@ class SuiteResult:
     """One suite's report.  ``columns`` maps each name to a float64 array, or
     an object array where cells are strings or None (undefined).  ``worst_at``
     is the (column, row) that set ``max_residual``, if any cell is defined.
-    ``wall_ms`` is set once the suite has run."""
+    ``wall_ms`` is 0.0 until the suite's run sets it."""
 
     __slots__ = ("suite", "params", "tolerance", "columns", "max_residual", "pass_",
                  "worst_at", "wall_ms")
 
     def __init__(self, suite: str, params: dict, tolerance: float,
                  columns: dict[str, np.ndarray], max_residual: float, pass_: bool,
-                 worst_at: tuple[str, int] | None = None, wall_ms: float = 0.0):
+                 worst_at: tuple[str, int] | None):
         self.suite, self.params, self.tolerance, self.columns = suite, params, tolerance, columns
         self.max_residual, self.pass_, self.worst_at = max_residual, pass_, worst_at
-        self.wall_ms = wall_ms
+        self.wall_ms = 0.0
 
     @property
     def rows(self) -> range:
@@ -461,7 +453,7 @@ SUITES = {
     "geodesic-deviation": Suite(("pair", "curve"), 1e-6, _geodesic_deviation),
     "theorem3": Suite(("pair", "curve", "profile"), 1e-8, _theorem3),
     "tangential": Suite(("pair", "curve", "profile"), 1e-6, _tangential),
-    "classify": Suite(("surface", "curve"), 1e-8, _classify, min_points=64),
+    "classify": Suite(("surface", "curve"), normalcurve.CLASSIFY_TOL, _classify, min_points=64),
     "pushforward": Suite(("pair",), 1e-8, _pushforward),
 }
 
@@ -483,9 +475,9 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
         grid = surface_grid(surf.domain, grids["surface"], rng)
     cols, verdict = suite.body(*members, *grid, params, tol)
     if isinstance(verdict, tuple):
-        return SuiteResult(name, params, tol, cols, *verdict)
+        return SuiteResult(name, params, tol, cols, *verdict, None)
     worst, at = _worst(cols, verdict)
-    return SuiteResult(name, params, tol, cols, worst, pass_=worst < tol, worst_at=at)
+    return SuiteResult(name, params, tol, cols, worst, worst < tol, at)
 
 
 def _pin_pairing(rep: conformal.DeviationReport, oracle) -> str:

@@ -366,7 +366,7 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # needs it fails rather than reads a zero
 Jet2 = namedtuple("Jet2", "value du dv duu duv dvv", defaults=(None,) * 5)
 Jet3 = namedtuple("Jet3", "value d1 d2 d3", defaults=(None,) * 3)
-Grad3 = namedtuple("Grad3", "value gx gy gz", defaults=(0.0,) * 3)
+Grad3 = namedtuple("Grad3", "value gx gy gz")
 Jet2.__doc__ = ("Value and exact partials to order 2 in two variables (grid arrays); "
                 "None past the order of the walk.")
 Jet3.__doc__ = ("Value and exact derivatives to order 3 in one variable (grid arrays); "

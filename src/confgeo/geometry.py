@@ -405,8 +405,8 @@ def geodesic_curvature(source, c, s, weight: str):
 
 def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets):
     """Residuals of the six dot-product/metric-derivative identities, one
-    row of six per point: (6,) at a point, (n, 6) over a grid of n, also
-    when one of ``u``, ``v`` is a float.
+    row of six per point: the result has the shape of ``u, v`` broadcast,
+    plus a last axis of 6, for a point, a 1-D grid or a grid of any shape.
 
     Left sides are the second partials of the patch jets ``pj`` at ``u, v``
     dotted into their first partials; right sides rebuild the same
@@ -432,8 +432,8 @@ def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets):
         del q  # four grids' jets, freed before the left sides: a lower peak RSS
         E_u, F_u, G_u = (m[:, 0] - m[:, 1]) / (2.0 * h)
         E_v, F_v, G_v = (m[:, 2] - m[:, 3]) / (2.0 * h)
-        lhs = [dot(a, b) for a in (pj.puu, pj.puv, pj.pvv) for b in (pj.pu, pj.pv)]
+        lhs = [np.ravel(dot(a, b)) for a in (pj.puu, pj.puv, pj.pvv) for b in (pj.pu, pj.pv)]
         rhs = [E_u / 2.0, F_u - E_v / 2.0, E_v / 2.0, G_u / 2.0, F_v - G_u / 2.0, G_v / 2.0]
         res = abs(np.column_stack(lhs) - np.column_stack(rhs))
-    _require_finite("metric-derivative residual", u, v, *res.T)
+    _require_finite("metric-derivative residual", su, sv, *res.T)
     return res.reshape(np.broadcast(u, v).shape + (6,))

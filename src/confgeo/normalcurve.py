@@ -48,14 +48,12 @@ CLASS_COMPONENT = {"normal": "c_t", "osculating": "c_b", "rectifying": "c_n"}
 
 
 class FrameDecomposition(NamedTuple):
-    """Components of the position vector in the Frenet frame;
-    nu = beta.n and eta = beta.b are the normal-curve coefficients."""
+    """Components of the position vector in the Frenet frame; c_n = beta.n
+    and c_b = beta.b are the normal-curve coefficients nu and eta."""
 
     c_t: float
     c_n: float
     c_b: float
-    nu: float
-    eta: float
 
 
 class CurveClass(NamedTuple):
@@ -86,8 +84,7 @@ def frame_decompose(p: SurfacePatch, c, s) -> FrameDecomposition:
     fr = frenet(p, c, s, with_torsion=False)
     _require_curved(fr.kappa, s)
     beta = fr.beta
-    c_n, c_b = dot(beta, fr.n), dot(beta, fr.b)
-    return FrameDecomposition(dot(beta, fr.t), c_n, c_b, nu=c_n, eta=c_b)
+    return FrameDecomposition(dot(beta, fr.t), dot(beta, fr.n), dot(beta, fr.b))
 
 
 def classify_curve(p: SurfacePatch, c, s_grid, tol: float = CLASSIFY_TOL) -> CurveClass:
@@ -188,7 +185,6 @@ def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     return {
         "cj": cj,
         "kappa": kappa,
-        "zeta": zj.value,
         "zeta_jet": zj,
         "nu": nval,
         "eta": eval_,
@@ -208,7 +204,7 @@ def theorem3_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     (nu/kappa)(kn~ - zeta^4 kn) + (eta/kappa) h, with h taken verbatim
     (``as_printed``) and with an extra zeta^4 on h (``zeta4_on_h``)."""
     st = _profile_state(pair, c, nu, eta, s)
-    cj, z, kappa = st["cj"], st["zeta"], st["kappa"]
+    cj, z, kappa = st["cj"], st["zeta_jet"].value, st["kappa"]
     kn = normal_curvature_form(st["sf"], cj.u1, cj.v1)
     knt = normal_curvature_form(st["sft"], cj.u1, cj.v1)
     th = theta_terms(st["m"], st["zeta_jet"])
@@ -238,7 +234,7 @@ def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     a, b combination of the u- and v-equations that ``r_u`` and ``r_v`` check.
     """
     st = _profile_state(pair, c, nu, eta, s)
-    cj, z, kappa = st["cj"], st["zeta"], st["kappa"]
+    cj, z, kappa = st["cj"], st["zeta_jet"].value, st["kappa"]
     m, mt = st["m"], st["mt"]
     pj, pjt = st["pj"], st["pjt"]
     kn = normal_curvature_form(st["sf"], cj.u1, cj.v1)

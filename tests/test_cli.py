@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confgeo import cli, exprkit
+from confgeo import cli, exprkit, normalcurve
 from confgeo.cli import main
 
 BASE_SCENARIO = {
@@ -428,6 +428,21 @@ def test_scenarios_do_not_share_containers():
     a.surfaces["s"] = object()
     a.suites.append({"suite": "forms"})
     assert b.surfaces == {} and b.suites == []
+
+
+def test_a_new_scenario_holds_the_default_tolerances_and_grids_in_its_own_copies():
+    a, b = cli.Scenario(Path("a.json"), "a"), cli.Scenario(Path("b.json"), "b")
+    defaults = dict(cli.DEFAULT_TOLERANCES)
+    assert a.tolerances == defaults
+    assert a.grids == {"surface": 8, "curve": 10, "mode": "uniform"}
+    a.tolerances["forms"] = 1.0
+    a.grids["surface"] = 3
+    assert cli.DEFAULT_TOLERANCES == defaults and b.tolerances == defaults
+    assert b.grids["surface"] == 8
+
+
+def test_classify_reads_the_library_default_tolerance():
+    assert cli.SUITES["classify"].tolerance is normalcurve.CLASSIFY_TOL
 
 
 # -- the run's store of walks ----------------------------------------------------

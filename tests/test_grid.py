@@ -499,7 +499,8 @@ GRIDS = {"surface": 12, "curve": 4, "mode": "random"}
 
 
 def _run_suite(entry, pool, tol):
-    sc = cli.Scenario(path=Path("grid.json"), digest="", surfaces=pool, pairs=pool)
+    sc = cli.Scenario(Path("grid.json"), "")
+    sc.surfaces = sc.pairs = pool
     tolerances = dict(cli.DEFAULT_TOLERANCES)
     if tol is not None:
         tolerances[entry["suite"]] = tol
@@ -585,6 +586,17 @@ def test_metric_derivative_identities_mixed_point_and_grid_gives_one_row_per_poi
     for row, v in zip(mixed.tolist(), vs.tolist()):
         assert row == geometry.metric_derivative_identities(surf, 0.5, v,
                                                             surf.jets(0.5, v)).tolist()
+
+
+def test_metric_derivative_identities_2d_grid_gives_each_point_its_own_row():
+    surf = catenoid()
+    us, vs = np.meshgrid([0.3, 0.7], [0.3, 0.5, 0.8], indexing="ij")
+    grid = geometry.metric_derivative_identities(surf, us, vs, surf.jets(us, vs))
+    assert grid.shape == (2, 3, 6)
+    for i, j in np.ndindex(us.shape):
+        u, v = float(us[i, j]), float(vs[i, j])
+        point = geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v))
+        assert np.array_equal(grid[i, j].view(np.uint64), point.view(np.uint64))
 
 
 def test_metric_derivative_identities_right_sides_ignore_the_jets_passed_in():
@@ -683,6 +695,14 @@ def test_overflow_at_a_shifted_stencil_point_names_the_point():
             with pytest.raises(geometry.GeometryError,
                                match=rf"residual is not finite at \({U_HOT}, 0\.5\)"):
                 geometry.metric_derivative_identities(hot, u, v, hot.jets(u, v))
+
+
+def test_overflow_at_a_shifted_stencil_point_names_the_point_of_a_2d_grid():
+    hot = _hot_patch()
+    us, vs = np.array([[1.0, 1.0], [U_HOT, 2.0]]), np.array([[0.5, 0.6], [0.7, 0.8]])
+    with pytest.raises(geometry.GeometryError,
+                       match=rf"residual is not finite at \({U_HOT}, 0\.7\)"):
+        geometry.metric_derivative_identities(hot, us, vs, hot.jets(us, vs))
 
 
 def test_cli_forms_overflow_at_a_shifted_stencil_point_exits_with_math_error(tmp_path, capsys):
@@ -852,9 +872,10 @@ def test_curve_suite_matches_per_point_functions(suite, key, name, curve_name, p
     if profile is not None:
         entry["profile"] = profile
         extra = profiles[profile]
-    sc = cli.Scenario(path=Path("grid.json"), digest="", surfaces=members, pairs=members,
-                      curves={curve_name: curve}, curve_ranges={curve_name: s_range},
-                      profiles=profiles)
+    sc = cli.Scenario(Path("grid.json"), "")
+    sc.surfaces = sc.pairs = members
+    sc.curves, sc.curve_ranges = {curve_name: curve}, {curve_name: s_range}
+    sc.profiles = profiles
     tolerances = dict(cli.DEFAULT_TOLERANCES)
     if tol is not None:
         tolerances[suite] = tol

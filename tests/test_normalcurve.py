@@ -62,8 +62,8 @@ def _rand_poly(rng) -> str:
 def test_decompose_equator():
     d = frame_decompose(sphere(), equator_curve(), 0.8)
     assert d.c_t == pytest.approx(0.0, abs=1e-12)
-    assert d.nu == pytest.approx(-1.0, abs=1e-12)
-    assert d.eta == pytest.approx(0.0, abs=1e-12)
+    assert d.c_n == pytest.approx(-1.0, abs=1e-12)
+    assert d.c_b == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decompose_offset_circle_closed_form():

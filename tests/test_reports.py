@@ -78,8 +78,8 @@ def _kinds(n: int) -> dict:
 @pytest.mark.parametrize("n", [1, 5, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1,
                                2 * cli.CHUNK_ROWS + 3])
 def test_writer_keeps_the_bytes_cell_kind_by_cell_kind(n, tmp_path):
-    res = cli.SuiteResult("forms", {"surface": "s"}, 1e-9, _kinds(n), math.nan, False,
-                          wall_ms=1.25)
+    res = cli.SuiteResult("forms", {"surface": "s"}, 1e-9, _kinds(n), math.nan, False, None)
+    res.wall_ms = 1.25
     assert type(res.columns["boxed"][0]) is np.float64
     _assert_same_bytes(res, tmp_path)
 
@@ -89,14 +89,14 @@ def test_writer_keeps_the_bytes_of_classify_one_row(tmp_path):
     names = ["verdict", "satisfied", "c_t_max", "c_n_max", "c_b_max", "max_offending"]
     cols = {c: np.array([x], dtype=object) for c, x in zip(names, row)}
     res = cli.SuiteResult("classify", {"surface": "s", "curve": "c", "expect": "normal"},
-                          1e-8, cols, math.nan, True)
+                          1e-8, cols, math.nan, True, None)
     _assert_same_bytes(res, tmp_path)
 
 
 def test_writer_keeps_the_bytes_when_params_hold_a_rows_key(tmp_path):
     # params sorts before the report's own "rows"
     params = {"surface": "s", "rows": [], "nested": {"rows": [1.5, None]}, "note": 'ü "q"'}
-    res = cli.SuiteResult("forms", params, 1e-9, _kinds(3), 0.5, True)
+    res = cli.SuiteResult("forms", params, 1e-9, _kinds(3), 0.5, True, None)
     _assert_same_bytes(res, tmp_path)
 
 
@@ -104,7 +104,9 @@ def test_writer_keeps_the_bytes_when_params_hold_a_rows_key(tmp_path):
 
 
 def _report(columns: dict, suite: str = "forms") -> cli.SuiteResult:
-    return cli.SuiteResult(suite, {"surface": "s"}, 1e-9, columns, 0.5, True, wall_ms=2.0)
+    res = cli.SuiteResult(suite, {"surface": "s"}, 1e-9, columns, 0.5, True, None)
+    res.wall_ms = 2.0
+    return res
 
 
 def _from_bits(*bits: int) -> np.ndarray:
