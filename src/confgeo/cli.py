@@ -242,9 +242,15 @@ def load_scenario(path: Path) -> Scenario:
         sname = _need(entry, "suite", where)
         if sname not in SUITE_NAMES:
             raise ScenarioError(f"{where}.suite: unknown suite '{sname}'")
-        for key, pool in sc.pools.items():
-            if key in entry:
-                _member(entry, key, pool, key, where)
+        for key, val in entry.items():  # a key no suite reads would be a check left out
+            if key in SUITES[sname].needs:
+                _member(entry, key, sc.pools[key], key, where)
+            elif key == "expect" and sname == "classify":
+                if val not in normalcurve.VERDICTS:
+                    raise ScenarioError(f"{where}.expect: expected one of "
+                                        f"{list(normalcurve.VERDICTS)}, got {val!r}")
+            elif key != "suite":
+                raise ScenarioError(f"{where}.{key}: suite '{sname}' takes no key '{key}'")
         for key in SUITES[sname].needs:
             if key not in entry:
                 raise ScenarioError(f"{where}: suite '{sname}' needs key '{key}'")

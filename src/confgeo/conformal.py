@@ -51,9 +51,7 @@ class ConformalError(Exception):
 
 
 class NonConformalError(ConformalError):
-    def __init__(self, message: str, residuals: tuple[float, float, float] | None = None):
-        super().__init__(message)
-        self.residuals = residuals
+    """Not conformal, or a declared dilation disagrees; the message says where and by how much."""
 
 
 class EmbeddingRequiredError(ConformalError):
@@ -113,14 +111,14 @@ class ConformalPair:
 # Dilation
 
 
-def dilation_field(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]) -> tuple:
-    """Estimate zeta = sqrt(E~/E) and the three conformality residuals
-    |zeta^2 E - E~|, |zeta^2 F - F~|, |zeta^2 G - G~| from ``forms``, the
-    two first forms at ``u, v``.  Raises :class:`NonConformalError` where
-    one exceeds the pair's ``conformality_tol`` times the size of its own
-    target coefficient, max(1, |E~|), max(1, sqrt|E~ G~|) and max(1, |G~|),
-    so that no verdict hangs on the units of u and v.  A declared dilation
-    is not read here: :func:`dilation_jet` checks it against this estimate.
+def dilation_field(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]):
+    """Estimate zeta = sqrt(E~/E) from ``forms``, the two first forms at
+    ``u, v``.  Raises :class:`NonConformalError` where a conformality
+    residual |zeta^2 E - E~|, |zeta^2 F - F~| or |zeta^2 G - G~| exceeds
+    the pair's ``conformality_tol`` times the size of its own target
+    coefficient, max(1, |E~|), max(1, sqrt|E~ G~|) and max(1, |G~|), so that
+    no verdict hangs on the units of u and v.  A declared dilation is not
+    read here: :func:`dilation_jet` checks it against this estimate.
     """
     tol = pair.conformality_tol
     m, mt = forms
@@ -130,7 +128,6 @@ def dilation_field(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]
     if bad is not None:
         raise NonConformalError(
             f"metric ratio E~/E = {bad[2]} not positive at ({bad[0]}, {bad[1]})")
-    zeta = np.sqrt(z2)
     residuals = (abs(z2 * m.E - mt.E), abs(z2 * m.F - mt.F), abs(z2 * m.G - mt.G))
     ok = ((residuals[0] <= tol * np.maximum(1.0, abs(mt.E)))
           & (residuals[1] <= tol * np.maximum(1.0, np.sqrt(abs(mt.E * mt.G))))
@@ -139,34 +136,30 @@ def dilation_field(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]
     if bad is not None:
         raise NonConformalError(
             f"pair is not conformal at ({bad[0]}, {bad[1]}): metric ratio residuals "
-            f"(E, F, G) = {bad[2:]}", bad[2:])
-    return zeta, residuals
-
-
-def _check_declared_dilation(pair: ConformalPair, u, v, declared, zeta) -> None:
-    """Raise :class:`NonConformalError` at the first grid point where the
-    ``declared`` dilation's value is not positive or not within
-    ``conformality_tol`` of the metric-ratio estimate ``zeta``."""
-    tol = pair.conformality_tol * np.maximum(1.0, abs(zeta))
-    bad = violation((declared > 0.0) & (abs(declared - zeta) <= tol), u, v, declared, zeta)
-    if bad is not None:
-        raise NonConformalError(
-            f"declared dilation {bad[2]} disagrees with estimate {bad[3]} "
-            f"at ({bad[0]}, {bad[1]})")
+            f"(E, F, G) = {bad[2:]}")
+    return np.sqrt(z2)
 
 
 def dilation_jet(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]) -> tuple:
     """``(zeta, jet)``: the estimate of :func:`dilation_field` from
-    ``forms`` (as there), and zeta with first partials.  A declared dilation
-    supplies exact jets of order 1, and its value is checked here by
-    :func:`_check_declared_dilation`; otherwise the partials come from
+    ``forms``, and zeta's jet to their order (first partials, or none from
+    forms without them).  A declared dilation supplies an exact jet, and is
+    checked here for every pair report: where it is not positive or not
+    within ``conformality_tol`` of the estimate, :class:`NonConformalError`
+    names the first such point.  Otherwise the partials come from
     differentiating zeta^2 E = E~."""
     m, mt = forms
-    zeta, _ = dilation_field(pair, u, v, forms)
+    zeta = dilation_field(pair, u, v, forms)
     if pair.dilation is not None:
-        zj = eval_jet2(pair.dilation, u, v, 1)
-        _check_declared_dilation(pair, u, v, zj.value, zeta)
+        zj = eval_jet2(pair.dilation, u, v, 0 if m.E_u is None else 1)
+        tol = pair.conformality_tol * np.maximum(1.0, abs(zeta))
+        bad = violation((zj.value > 0.0) & (abs(zj.value - zeta) <= tol), u, v, zj.value, zeta)
+        if bad is not None:
+            raise NonConformalError(f"declared dilation {bad[2]} disagrees with estimate "
+                                    f"{bad[3]} at ({bad[0]}, {bad[1]})")
         return zeta, zj
+    if m.E_u is None:
+        return zeta, Jet2(zeta)
     zu = (mt.E_u - zeta * zeta * m.E_u) / (2.0 * zeta * m.E)
     zv = (mt.E_v - zeta * zeta * m.E_v) / (2.0 * zeta * m.E)
     return zeta, Jet2(zeta, du=zu, dv=zv)
@@ -360,10 +353,9 @@ def pushforward_report(pair: ConformalPair, u, v) -> tuple:
     if pair.ambient_map is None:
         raise AmbientMapError("pair has no ambient map")
     pj, pjt = pair.source.jets(u, v, 1), pair.target.jets(u, v, 1)
-    zeta, _ = dilation_field(pair, u, v, (first_fundamental(pj, u, v),
-                                          first_fundamental(pjt, u, v)))
-    if pair.dilation is not None:  # the residual reads none, but it must hold
-        _check_declared_dilation(pair, u, v, evaluate(pair.dilation, u, v), zeta)
+    # the residual reads no partial of zeta, but a declared zeta must hold
+    zeta, _ = dilation_jet(pair, u, v, (first_fundamental(pj, u, v),
+                                        first_fundamental(pjt, u, v)))
     jac_star = ambient_jacobian(pair.ambient_map, pj.p) / zeta
 
     def push(x):

@@ -45,6 +45,7 @@ from .geometry import (
 CLASSIFY_TOL = 1e-8
 
 CLASS_COMPONENT = {"normal": "c_t", "osculating": "c_b", "rectifying": "c_n"}
+VERDICTS = (*CLASS_COMPONENT, "generic", "undefined")
 
 
 class FrameDecomposition(NamedTuple):

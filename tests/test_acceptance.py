@@ -258,7 +258,7 @@ def test_criterion_08_geometry_sanity():
     worst_zeta, worst_fd = 0.0, 0.0
     for _ in range(25):
         u, v = (float(x) for x in RNG.uniform(-0.9, 0.9, 2))
-        zeta, _ = dilation_field(pair, u, v, pair.forms(u, v))
+        zeta = dilation_field(pair, u, v, pair.forms(u, v))
         worst_zeta = max(worst_zeta, abs(zeta - 2.0 / (1.0 + u * u + v * v)))
         tgt = pair.target
         pu = np.array([fd_partial(c, (u, v), (1, 0)) for c in (tgt.x, tgt.y, tgt.z)])

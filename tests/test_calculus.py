@@ -204,6 +204,19 @@ def test_adaptive_simpson_refines_level_by_level_as_the_recursion_did():
     assert sizes[0] == 48 and len(sizes) == 17
 
 
+@pytest.mark.parametrize("s, named", [(2.0 * (1.0 + 2e-9), "2.000000004"), (-2e-9, "-2e-09"),
+                                      (np.array([0.5, 2.5, 3.0]), "2.5")])
+def test_reparam_invert_refuses_s_past_the_length(s, named):
+    # the length is 2 to the bit; 1e-9 past either end, relative and
+    # absolute, is clipped onto the curve, and anything further is refused
+    c = reparameterize_arclength(plane(), (_t("2*t"), _t("0")), 0.0, 1.0, 16)
+    assert c.length == 2.0
+    assert c.invert(2.0 * (1.0 + 1e-9)) == c.invert(2.0) == 1.0
+    with pytest.raises(CalculusError, match=rf"^s={named} outside \[0, 2\.0\]$") as err:
+        c.invert(s)
+    assert isinstance(err.value, cli.MATH_ERRORS)  # exit 3
+
+
 def test_reparam_near_cusp_is_a_calculus_error():
     # u' and v' both vanish at t = pi/2, between two knots
     raw = (_t("0.9*cos(2*t)"), _t("0.9*sin(3*t)"))

@@ -241,6 +241,12 @@ def _reparam_curve(t_range):
             "u": "t", "v": "0", "t_range": t_range}
 
 
+def _reparam_on_metric(doc):
+    doc["surfaces"].append({"name": "flat", "kind": "metric", "E": "1", "F": "0", "G": "1",
+                            "domain": [[-1.5, 1.5], [-1.5, 1.5]]})
+    doc["curves"].append(dict(_reparam_curve([0.0, 1.0]), surface="flat"))
+
+
 @pytest.mark.parametrize("mutate, argv, fragment", [
     (lambda d: d["curves"][0].update(s_range="ab"), [], "curves[0].s_range"),
     (lambda d: d["curves"][0].update(s_range=[0.0]), [], "curves[0].s_range"),
@@ -273,11 +279,39 @@ def _reparam_curve(t_range):
      [], f"surfaces[0].x: expression deeper than {exprkit.MAX_DEPTH} levels"),
     (lambda d: d["surfaces"][0].update(x="+".join(["u"] * (exprkit.MAX_DEPTH + 1))), [],
      f"surfaces[0].x: expression deeper than {exprkit.MAX_DEPTH} levels"),
+    (lambda d: d["surfaces"][0].update(x=1), [],
+     "surfaces[0].x: expected an expression string, got 1"),
+    (lambda d: d["surfaces"][0].update(domain=[-1.5, 1.5]), [],
+     "surfaces[0]: domain must be [[u0,u1],[v0,v1]]"),
+    (lambda d: [d], [], "top level must be an object"),
+    (_reparam_on_metric, [], "curves[1].surface: reparameterization needs a patch"),
+    (lambda d: d["curves"].append(_reparam_curve([1.0, 0.0])), [], "curves[1]: need t1 > t0"),
+    (lambda d: d["pairs"][0].update(ambient_map=["x", "y"]), [],
+     "pairs[0].ambient_map: expected three expressions"),
+    (lambda d: d.update(grids={"surfaces": 8}), [], "grids.surfaces: unknown grid key"),
+    (lambda d: d.update(suites=d["suites"][:1]), ["--suite", "frenet"],
+     "--suite: scenario has no suites among ['frenet']"),
+    (lambda d: None, ["--grid", "0"], "--grid must be a positive integer"),
+    # a key that no suite reads, or a verdict that is none of the five, would
+    # silently leave a check out
+    (lambda d: d["suites"][7].update(expct="osculating"), [],
+     "suites[7].expct: suite 'classify' takes no key 'expct'"),
+    (lambda d: d["suites"][7].update(expect=""), [],
+     "suites[7].expect: expected one of ['normal', 'osculating', 'rectifying', 'generic', "
+     "'undefined'], got ''"),
+    (lambda d: d["suites"][7].update(expect=None), [], "suites[7].expect: expected one of"),
+    (lambda d: d["suites"][7].update(expect=["normal"]), [], "suites[7].expect: expected one of"),
+    (lambda d: d["suites"][1].update(tolerance=1e-30), [],
+     "suites[1].tolerance: suite 'frenet' takes no key 'tolerance'"),
+    (lambda d: d["suites"][0].update(expect="normal"), [],
+     "suites[0].expect: suite 'forms' takes no key 'expect'"),
+    (lambda d: d["suites"][2].update(surface="plane"), [],
+     "suites[2].surface: suite 'christoffel-shift' takes no key 'surface'"),
 ])
 def test_malformed_values_are_scenario_errors(tmp_path, capsys, mutate, argv, fragment):
     doc = copy.deepcopy(BASE_SCENARIO)
-    mutate(doc)
-    path = write_scenario(tmp_path, doc)
+    replaced = mutate(doc)  # a row edits doc in place, or returns the document to write
+    path = write_scenario(tmp_path, doc if replaced is None else replaced)
     assert main(["--scenario", str(path), "--out", str(tmp_path / "r"), *argv]) == 2
     err = capsys.readouterr().err
     assert fragment in err

@@ -103,27 +103,36 @@ def test_pair_ambient_map_needs_embedded_members():
 # -- dilation field -------------------------------------------------------------
 
 
+def _ratio_residuals(zeta, forms):
+    """|zeta^2 E - E~|, |zeta^2 F - F~| and |zeta^2 G - G~|."""
+    m, mt = forms
+    return tuple(abs(zeta * zeta * a - b) for a, b in ((m.E, mt.E), (m.F, mt.F), (m.G, mt.G)))
+
+
 def test_dilation_identity_pair():
     pair = identity_pair(plane(STEREO_BOX))
-    zeta, residuals = dilation_field(pair, 0.3, -0.4, pair.forms(0.3, -0.4))
+    forms = pair.forms(0.3, -0.4)
+    zeta = dilation_field(pair, 0.3, -0.4, forms)
     assert zeta == 1.0
-    assert residuals == (0.0, 0.0, 0.0)
+    assert _ratio_residuals(zeta, forms) == (0.0, 0.0, 0.0)
 
 
 def test_dilation_homothety_of_plane():
     target = SurfacePatch(e2("3*u"), e2("3*v"), e2("0"), STEREO_BOX)
     pair = ConformalPair(plane(STEREO_BOX), target)
-    zeta, residuals = dilation_field(pair, 0.2, 0.9, pair.forms(0.2, 0.9))
+    forms = pair.forms(0.2, 0.9)
+    zeta = dilation_field(pair, 0.2, 0.9, forms)
     assert zeta == 3.0
-    assert residuals == (0.0, 0.0, 0.0)
+    assert _ratio_residuals(zeta, forms) == (0.0, 0.0, 0.0)
 
 
 def test_dilation_stereographic_closed_form_and_fd_oracle():
     pair = stereographic_pair()
-    zeta0, res0 = dilation_field(pair, 0.0, 0.0, pair.forms(0.0, 0.0))
+    forms0 = pair.forms(0.0, 0.0)
+    zeta0 = dilation_field(pair, 0.0, 0.0, forms0)
     assert zeta0 == pytest.approx(2.0, abs=1e-12)
-    assert max(res0) < 1e-10
-    zeta11, _ = dilation_field(pair, 1.0, 1.0, pair.forms(1.0, 1.0))
+    assert max(_ratio_residuals(zeta0, forms0)) < 1e-10
+    zeta11 = dilation_field(pair, 1.0, 1.0, pair.forms(1.0, 1.0))
     assert zeta11 == pytest.approx(2.0 / 3.0, abs=1e-12)
     # fd oracle: metric of the image patch by finite differences
     from confgeo.calculus import fd_partial
@@ -131,7 +140,7 @@ def test_dilation_stereographic_closed_form_and_fd_oracle():
         tgt = pair.target
         pu = np.array([fd_partial(c, (u, v), (1, 0)) for c in (tgt.x, tgt.y, tgt.z)])
         zeta_fd = math.sqrt(float(pu @ pu))  # source E = 1
-        zeta, _ = dilation_field(pair, u, v, pair.forms(u, v))
+        zeta = dilation_field(pair, u, v, pair.forms(u, v))
         assert zeta == pytest.approx(zeta_fd, abs=1e-7)
         assert zeta == pytest.approx(2.0 / (1.0 + u * u + v * v), abs=1e-12)
 
@@ -139,10 +148,11 @@ def test_dilation_stereographic_closed_form_and_fd_oracle():
 def test_non_conformal_pair_raises_with_residuals():
     stretched = SurfacePatch(e2("u"), e2("2*v"), e2("0"), STEREO_BOX)
     pair = ConformalPair(plane(STEREO_BOX), stretched)
-    with pytest.raises(NonConformalError) as exc:
+    # the message spells the three residuals: the G one is |1*1 - 4|
+    with pytest.raises(NonConformalError, match=r"^pair is not conformal at \(0\.1, 0\.1\): "
+                                                r"metric ratio residuals \(E, F, G\) = "
+                                                r"\(0\.0, 0\.0, 3\.0\)$"):
         dilation_field(pair, 0.1, 0.1, pair.forms(0.1, 0.1))
-    assert exc.value.residuals is not None
-    assert exc.value.residuals[2] == pytest.approx(3.0, abs=1e-12)  # |1*1 - 4|
 
 
 def test_declared_dilation_mismatch_detected():

@@ -90,6 +90,26 @@ def test_overflowing_literal_is_a_syntax_error():
         parse_scalar_field("u*1e400", UV)
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("1.2.3", "bad number literal '1.2.3'", 0),
+    ("u v", "unexpected 'v'", 2),
+    ("u+", "unexpected end of input", 2),
+    ("u+*u", "unexpected '*'", 2),
+])
+def test_syntax_errors_name_their_offset(text, message, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_scalar_field(text, UV)
+    assert str(err.value) == f"{message} at offset {position}"
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("variables", [("u", "u"), ("s", "t", "s")])
+def test_duplicate_variable_names_are_refused(variables):
+    with pytest.raises(ValueError) as err:
+        parse_scalar_field("1", variables)
+    assert str(err.value) == f"duplicate variable names in {variables}"
+
+
 def _deep(n: int) -> dict[str, str]:
     """Expressions n levels deep, one of each shape that nests."""
     return {"calls": "sin(" * (n - 1) + "u" + ")" * (n - 1),
@@ -249,6 +269,16 @@ def test_fractional_power_at_zero_names_the_derivative():
     assert (j.value, j.du, j.duu) == (0.0, 0.0, 0.0)
     with pytest.raises(EvalDomainError, match="derivative of order 3"):
         eval_jet3(parse_scalar_field("s^2.5", S), 0.0)
+
+
+def test_sqrt_at_zero_names_its_infinite_derivative_and_the_point():
+    e = parse_scalar_field("sqrt(u)", UV)
+    assert evaluate(e, 0.0, 0.5) == 0.0
+    for u, v in ((0.0, 0.5), (np.array([1.0, 0.0]), np.array([0.5, 0.5]))):
+        with pytest.raises(EvalDomainError) as err:
+            eval_jet2(e, u, v, 1)
+        assert str(err.value) == ("derivative of sqrt is infinite at zero "
+                                  "in sub-expression 'sqrt(u)' at (0.0, 0.5)")
 
 
 def test_jet_chain_rule_on_composite():
