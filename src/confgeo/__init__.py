@@ -5,7 +5,9 @@ Submodules: :mod:`exprkit` (expression DSL and forward-mode jets),
 :mod:`geometry` (forms, Christoffel symbols, Frenet frames, curvatures),
 :mod:`conformal` (dilation fields, theta terms, shift residuals),
 :mod:`normalcurve` (frame decomposition, classification, deviation residuals),
-:mod:`cli` (scenario-driven verification front end).
+:mod:`cli` (scenario-driven verification front end),
+:mod:`pcg64` (numpy's ``default_rng`` stream for random grids; the cli
+imports it in random mode only).
 """
 
 from . import calculus, cli, conformal, exprkit, geometry, normalcurve

@@ -14,7 +14,6 @@ scenario element and the point).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import sys
@@ -26,6 +25,16 @@ import numpy as np
 
 from . import calculus, conformal, geometry, normalcurve
 from .exprkit import ExprError, parse_scalar_field, walk_store
+
+# The scenario digest takes CPython's built-in sha256, which hashlib itself
+# falls back to, so that a run loads no OpenSSL
+try:
+    from _sha256 import sha256  # CPython 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 MATH_ERRORS = (ExprError, geometry.GeometryError, calculus.CalculusError,
                conformal.ConformalError)
@@ -159,7 +168,7 @@ def load_scenario(path: Path) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"'{path}': top level must be an object")
 
-    sc = Scenario(path=path, digest=hashlib.sha256(raw_bytes).hexdigest())
+    sc = Scenario(path=path, digest=sha256(raw_bytes).hexdigest())
     nodes: dict = {}  # the load's one node table: equal subtrees are one node
 
     def entries(section: str, pool: dict):
@@ -293,6 +302,18 @@ def curve_grid(s_range, n: int, rng) -> np.ndarray:
     """The n points of an s-grid: uniform, or sorted uniform random draws."""
     lo, hi = s_range
     return _axis(lo, hi, n, rng)
+
+
+def _curve_points(suite, grids: dict) -> int:
+    return max(grids["curve"], suite.min_points)
+
+
+def _draws(suite, grids: dict) -> int:
+    """How many random draws a suite's grid reads: its curve points, or the
+    us then the vs of its n*n surface points."""
+    if "curve" in suite.needs:
+        return _curve_points(suite, grids)
+    return 2 * grids["surface"] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +495,7 @@ def run_suite(sc: Scenario, entry: dict, grids: dict, tolerances: dict, rng) -> 
     params = {k: v for k, v in entry.items() if k != "suite"}
     members = [sc.pools[key][entry[key]] for key in suite.needs]
     if "curve" in suite.needs:
-        n = max(grids["curve"], suite.min_points)
+        n = _curve_points(suite, grids)
         grid = [curve_grid(sc.curve_ranges[entry["curve"]], n, rng)]
     else:  # a pair's members share one domain
         surf = members[0] if suite.needs[0] == "surface" else members[0].source
@@ -642,6 +663,8 @@ def _worst_text(res: SuiteResult) -> str:
 def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
                  grid_override: int | None, tol_override: float | None,
                  seed: int) -> int:
+    if seed < 0:
+        raise ScenarioError("--seed must be a non-negative integer")
     grids = dict(sc.grids)
     if grid_override is not None:
         grids["surface"] = grids["curve"] = grid_override
@@ -662,6 +685,14 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
     except OSError as err:
         raise ScenarioError(f"--out: cannot make report directory '{out_dir}': {err}") from None
 
+    if grids["mode"] == "random":
+        from . import pcg64  # random grids alone load it
+
+        # one stream per run, as long as the longest suite reads; each suite
+        # reads it from its start, as a fresh default_rng(seed) would
+        stream = pcg64.doubles(seed, max((_draws(SUITES[e["suite"]], grids) for e in selected),
+                                         default=0))
+
     # The suites whose row needs a curve walk the same patch, curve,
     # dilation and profile expressions at the same s-grid, so they share one
     # store of walks for the run.  The surface suites run outside it: their
@@ -669,7 +700,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
     results, walks = [], {}
     try:
         for entry in selected:
-            rng = (np.random.default_rng(seed) if grids["mode"] == "random" else None)
+            rng = pcg64.Draws(stream) if grids["mode"] == "random" else None
             shared = "curve" in SUITES[entry["suite"]].needs
             t0 = time.perf_counter()
             try:
@@ -720,8 +751,6 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioError("--grid must be a positive integer")
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
             raise ScenarioError("--tol must be a finite positive number")
-        if args.seed < 0:
-            raise ScenarioError("--seed must be a non-negative integer")
         return run_scenario(sc, Path(args.out), args.format, args.suite,
                             args.grid, args.tol, args.seed)
     except ScenarioError as err:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -454,6 +455,28 @@ def test_cli_import_leaves_argparse_to_main():
     assert loaded == ["False"]
 
 
+@pytest.mark.parametrize("mode", ["random", "uniform"])
+def test_a_run_loads_neither_numpy_random_nor_openssl(tmp_path, mode):
+    # numpy.random loads OpenSSL through secrets and hmac, and hashlib
+    # loads it for sha256: together about 10 MB of a run's peak memory
+    path = _demo_with(tmp_path, lambda d: d["grids"].update(mode=mode))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); from confgeo import cli; "
+            f"code = cli.main(['--scenario', {str(path)!r}, '--out', {str(tmp_path / 'r')!r}, "
+            "'--grid', '8']); print(code, *(m for m in ('numpy.random', 'secrets', 'hmac', "
+            "'_hashlib') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "0"
+
+
+@pytest.mark.parametrize("suites", [None, [{"suite": "forms", "surface": "plane"}]],
+                         ids=["demo", "one_suite"])
+def test_digest_is_the_sha256_of_the_scenario_file(tmp_path, suites):
+    path = DEMO if suites is None else write_scenario(tmp_path, {**BASE_SCENARIO,
+                                                                  "suites": suites})
+    assert cli.load_scenario(path).digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_scenarios_do_not_share_containers():
     a, b = cli.Scenario(Path("a.json"), "a"), cli.Scenario(Path("b.json"), "b")
     for key in ("surfaces", "curves", "curve_ranges", "pairs", "profiles", "suites",
@@ -664,6 +687,16 @@ def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
     path = _demo_with(tmp_path, lambda d: d["grids"].update(mode="random"))
     assert main(["--scenario", str(path), "--out", str(tmp_path / "r"), "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "scenario error: --seed must be a non-negative integer\n"
+
+
+def test_negative_seed_from_the_library_is_a_scenario_error_before_any_suite(tmp_path,
+                                                                             monkeypatch):
+    sc = cli.load_scenario(_demo_with(tmp_path, lambda d: d["grids"].update(mode="random")))
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+    with pytest.raises(cli.ScenarioError, match="^--seed must be a non-negative integer$"):
+        cli.run_scenario(sc, tmp_path / "r", "obj", [], None, None, -1)
+    assert ran == [] and not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confgeo import calculus, cli, conformal, exprkit, geometry, normalcurve
+from confgeo import calculus, cli, conformal, exprkit, geometry, normalcurve, pcg64
 from confgeo.exprkit import (
     FUNCTIONS,
     EvalDomainError,
@@ -1011,3 +1011,84 @@ def test_reports_hold_plain_floats(tmp_path):
 def test_fmt_writes_numpy_floats_as_plain_floats():
     assert cli._fmt(np.float64(0.25)) == "0.25"
     assert cli._fmt(0.1) == "0.1"
+
+
+# -- random grids: confgeo's own stream against numpy's Generator, bit for bit
+
+STREAM_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 11, 90803527]
+STREAM_LENGTHS = [1, 2, 63, 64, 384, 1024, 2048, 32768]
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _check_stream(seed: int, n: int, lo: float, hi: float) -> None:
+    assert np.array_equal(_bits(pcg64.doubles(seed, n)),
+                          _bits(np.random.default_rng(seed).random(n)))
+    # the us then the vs of a surface grid: one stream read on, scaled as
+    # Generator.uniform
+    ours, theirs = pcg64.Draws(pcg64.doubles(seed, 2 * n)), np.random.default_rng(seed)
+    for low, high in ((lo, hi), (lo - 1.5, hi + 0.25)):
+        assert np.array_equal(_bits(ours.uniform(low, high, n)),
+                              _bits(theirs.uniform(low, high, n)))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("n", STREAM_LENGTHS)
+def test_stream_is_default_rng_bit_for_bit(seed, n):
+    _check_stream(seed, n, 0.1 - 0.05 * 6.0, 6.1 - 0.05 * 6.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**96 - 1), n=st.integers(1, 5000),
+       lo=st.floats(-10.0, 10.0), span=st.floats(1e-3, 20.0))
+def test_stream_is_default_rng_bit_for_bit_at_any_seed(seed, n, lo, span):
+    _check_stream(seed, n, lo, lo + span)
+
+
+def test_a_stream_read_past_its_end_is_refused():
+    draws = pcg64.Draws(pcg64.doubles(3, 5))
+    draws.uniform(0.0, 1.0, 4)
+    with pytest.raises(IndexError):
+        draws.uniform(0.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("seed", [1, 90803527, 2**70 + 11])
+def test_demo_grids_are_default_rng_grids(seed):
+    sc = cli.load_scenario(DEMO)
+    for n in (8, 32):
+        for surf in sc.surfaces.values():
+            ours = cli.surface_grid(surf.domain, n, pcg64.Draws(pcg64.doubles(seed, 2 * n * n)))
+            theirs = cli.surface_grid(surf.domain, n, np.random.default_rng(seed))
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(ours, theirs))
+        for s_range in sc.curve_ranges.values():
+            ours = cli.curve_grid(s_range, n, pcg64.Draws(pcg64.doubles(seed, n)))
+            theirs = cli.curve_grid(s_range, n, np.random.default_rng(seed))
+            assert np.array_equal(_bits(ours), _bits(theirs))
+
+
+def test_random_run_gives_each_suite_the_grid_of_a_fresh_default_rng(tmp_path, monkeypatch):
+    # one stream per run, sized for the suite that reads the most, and each
+    # suite reads it from its start
+    doc = json.loads(DEMO.read_text())
+    doc["grids"] = {"surface": 6, "curve": 8, "mode": "random"}
+    path = write_scenario(tmp_path, doc, "demo.json")
+    sc, run = cli.load_scenario(path), []
+    real_run_suite = cli.run_suite
+
+    def spy(sc, entry, grids, tolerances, rng):
+        run.append((entry, grids, tolerances, real_run_suite(sc, entry, grids, tolerances, rng)))
+        return run[-1][-1]
+
+    monkeypatch.setattr(cli, "run_suite", spy)
+    cli.run_scenario(sc, tmp_path / "r", "obj", [], None, None, 11)
+    assert [entry for entry, *_ in run] == sc.suites
+    for entry, grids, tolerances, res in run:
+        want = real_run_suite(sc, entry, grids, tolerances, np.random.default_rng(11))
+        assert res.columns.keys() == want.columns.keys()
+        for key, col in want.columns.items():
+            if col.dtype == object:
+                assert list(res.columns[key]) == list(col)
+            else:
+                assert np.array_equal(_bits(res.columns[key]), _bits(col), equal_nan=True)
