@@ -94,6 +94,13 @@ def _member(entry: dict, key: str, pool: dict, kind: str, where: str):
     return pool[name]
 
 
+def _known(entry: dict, keys, prefix: str) -> None:
+    """Refuse a key that nothing reads: a misspelled one would leave a check out."""
+    for key in entry:
+        if key not in keys:
+            raise ScenarioError(f"{prefix}{key}: unknown key")
+
+
 def _finite(raw, where: str) -> float:
     """A JSON number that is finite, as a float."""
     try:
@@ -167,6 +174,7 @@ def load_scenario(path: Path) -> Scenario:
         raise ScenarioError(f"'{path}' is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"'{path}': top level must be an object")
+    _known(doc, ("surfaces", "curves", "pairs", "profiles", "suites", "tolerances", "grids"), "")
 
     sc = Scenario(path=path, digest=sha256(raw_bytes).hexdigest())
     nodes: dict = {}  # the load's one node table: equal subtrees are one node
@@ -190,10 +198,16 @@ def load_scenario(path: Path) -> Scenario:
         if not (isinstance(kind, str) and kind in SURFACE_KINDS):
             raise ScenarioError(f"{where}.kind: expected 'patch' or 'metric', got '{kind}'")
         cls, keys = SURFACE_KINDS[kind]
+        _known(entry, ("name", "kind", "domain", *keys), f"{where}.")
         sc.surfaces[name] = cls(*(expr(entry, k, ("u", "v"), where) for k in keys), box)
 
     for entry, where, name in entries("curves", sc.curves):
-        if entry.get("reparameterize", False):
+        reparam = entry.get("reparameterize", False)
+        if type(reparam) is not bool:
+            raise ScenarioError(f"{where}.reparameterize: expected true or false, got {reparam!r}")
+        keys = ("surface", "t_range", "samples") if reparam else ("s_range",)
+        _known(entry, ("name", "u", "v", "reparameterize", *keys), f"{where}.")
+        if reparam:
             patch = _member(entry, "surface", sc.surfaces, "surface", where)
             if not isinstance(patch, geometry.SurfacePatch):
                 raise ScenarioError(f"{where}.surface: reparameterization needs a patch")
@@ -223,6 +237,7 @@ def load_scenario(path: Path) -> Scenario:
         sc.tolerances[key] = val
 
     for entry, where, name in entries("pairs", sc.pairs):
+        _known(entry, ("name", "source", "target", "dilation", "ambient_map"), f"{where}.")
         members = [_member(entry, key, sc.surfaces, "surface", where)
                    for key in ("source", "target")]
         dilation = expr(entry, "dilation", ("u", "v"), where) if "dilation" in entry else None
@@ -241,6 +256,7 @@ def load_scenario(path: Path) -> Scenario:
             raise ScenarioError(f"{where}: {err}") from None
 
     for entry, where, name in entries("profiles", sc.profiles):
+        _known(entry, ("name", "nu", "eta"), f"{where}.")
         sc.profiles[name] = (expr(entry, "nu", ("s",), where), expr(entry, "eta", ("s",), where))
 
     suites = _section(doc, "suites", list)

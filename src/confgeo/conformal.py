@@ -23,6 +23,7 @@ import numpy as np
 from .exprkit import Expr, Jet2, eval_grad3, eval_jet2, evaluate
 from .geometry import (
     AbstractMetric,
+    ChristoffelSet,
     CurveJets,
     FirstForm,
     SurfacePatch,
@@ -169,20 +170,8 @@ def dilation_jet(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]) 
 # Theta terms and shift residuals
 
 
-class ThetaSet(NamedTuple):
-    """Conformal Christoffel shift terms; t<i><j><k> holds theta^k_ij, in
-    the slot order of :class:`geometry.ChristoffelSet`."""
-
-    t111: float
-    t112: float
-    t121: float
-    t122: float
-    t221: float
-    t222: float
-
-
-def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ThetaSet:
-    """The six theta^k_ij of the conformal Christoffel shift.
+def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ChristoffelSet:
+    """The six theta^k_ij = Gamma~^k_ij - Gamma^k_ij, each in its Gamma's slot.
 
     All vanish identically when zeta_u = zeta_v = 0 (isometry/homothety).
     ``zeta_jet`` is the jet of :func:`dilation_jet`, whose value is positive.
@@ -190,13 +179,13 @@ def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ThetaSet:
     z, zu, zv = zeta_jet.value, zeta_jet.du, zeta_jet.dv
     d = z * m.W * m.W
     E, F, G = m.E, m.F, m.G
-    return ThetaSet(
-        t111=(E * G * zu - 2.0 * F * F * zu + F * E * zv) / d,
-        t112=(E * F * zu - E * E * zv) / d,
-        t121=(E * G * zv - F * G * zu) / d,
-        t122=(E * G * zu - F * E * zv) / d,
-        t221=(G * F * zv - G * G * zu) / d,
-        t222=(E * G * zv - 2.0 * F * F * zv + F * G * zu) / d,
+    return ChristoffelSet(
+        g111=(E * G * zu - 2.0 * F * F * zu + F * E * zv) / d,
+        g112=(E * F * zu - E * E * zv) / d,
+        g121=(E * G * zv - F * G * zu) / d,
+        g122=(E * G * zu - F * E * zv) / d,
+        g221=(G * F * zv - G * G * zu) / d,
+        g222=(E * G * zv - 2.0 * F * F * zv + F * G * zu) / d,
     )
 
 
@@ -212,12 +201,6 @@ def christoffel_shift_report(pair: ConformalPair, u, v) -> tuple:
 def christoffel_shift_residual(pair: ConformalPair, u, v) -> tuple:
     """The six residuals of :func:`christoffel_shift_report`."""
     return christoffel_shift_report(pair, u, v)[1:]
-
-
-def theta_bracket(th: ThetaSet, cj: CurveJets):
-    """Theta analogue of the Beltrami bracket (no u'v'' - u''v' term: it
-    cancels in the target-minus-source difference)."""
-    return bracket_cubic(th, cj.u1, cj.v1)
 
 
 class BracketShift(NamedTuple):
@@ -236,7 +219,7 @@ def beltrami_bracket_shift(pair: ConformalPair, c, s) -> BracketShift:
     require_unit_speed(speed_from_form(m, cj.u1, cj.v1), s)
     b_src = beltrami_bracket(christoffel(m), cj)
     b_tgt = beltrami_bracket(christoffel(mt), cj)
-    th = theta_bracket(theta_terms(m, zj), cj)
+    th = bracket_cubic(theta_terms(m, zj), cj.u1, cj.v1)
     return BracketShift(b_src, b_tgt, th, abs(b_tgt - b_src - th))
 
 
@@ -244,21 +227,24 @@ def beltrami_bracket_shift(pair: ConformalPair, c, s) -> BracketShift:
 # Named deviation scalars
 
 
-def h_function(m: FirstForm, th: ThetaSet, cj: CurveJets):
-    """h bracket of the normal-component deviation, times W^2."""
+def h_function(m: FirstForm, th: ChristoffelSet, cj: CurveJets):
+    """h bracket of the normal-component deviation, times W^2; the bracket is
+    ``bracket_cubic(th, u', v')`` but for the sign of its 2 u'v'^2 theta^1_12 term."""
+    t111, t112, t121, t122, t221, t222 = th
     u1, v1 = cj.u1, cj.v1
-    bracket = (u1 ** 3 * th.t112
-               - v1 ** 3 * th.t221
-               + 2.0 * u1 * u1 * v1 * th.t122
-               + u1 * v1 * v1 * th.t222
-               - u1 * u1 * v1 * th.t111
-               + 2.0 * u1 * v1 * v1 * th.t121)
+    bracket = (u1 ** 3 * t112
+               - v1 ** 3 * t221
+               + 2.0 * u1 * u1 * v1 * t122
+               + u1 * v1 * v1 * t222
+               - u1 * u1 * v1 * t111
+               + 2.0 * u1 * v1 * v1 * t121)
     return bracket * m.W * m.W
 
 
-def f_function(m: FirstForm, th: ThetaSet, cj: CurveJets):
-    """f = (theta Beltrami bracket) * W^2, the geodesic-curvature deviation."""
-    return theta_bracket(th, cj) * m.W * m.W
+def f_function(m: FirstForm, th: ChristoffelSet, cj: CurveJets):
+    """f = (theta Beltrami bracket) * W^2, the geodesic-curvature deviation
+    (no u'v'' - u''v' term: it cancels in the target-minus-source difference)."""
+    return bracket_cubic(th, cj.u1, cj.v1) * m.W * m.W
 
 
 def g_functions(m: FirstForm, zeta_jet: Jet2, cj: CurveJets,

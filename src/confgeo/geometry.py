@@ -184,8 +184,8 @@ class SecondForm(NamedTuple):
 
 
 class ChristoffelSet(NamedTuple):
-    """Second-kind symbols; g<i><j><k> holds Gamma^k_ij (g121 = Gamma^1_12),
-    in the slot order ``conformal.ThetaSet`` shares and :func:`bracket_cubic` reads."""
+    """Six symbols in the slot order :func:`bracket_cubic` reads; g<i><j><k>
+    holds Gamma^k_ij (g121 = Gamma^1_12), or theta^k_ij from ``conformal.theta_terms``."""
 
     g111: float
     g112: float
@@ -309,9 +309,8 @@ def christoffel(m: FirstForm) -> ChristoffelSet:
 
 
 def bracket_cubic(sym, u1, v1):
-    """The cubic in (u', v') through which six symbols, in
-    :class:`ChristoffelSet`'s slot order, enter a Beltrami bracket: the
-    Christoffel symbols for B, the conformal theta terms for their shift."""
+    """The cubic in (u', v') through which a :class:`ChristoffelSet` enters
+    a Beltrami bracket: Gamma's for B, and theta's for its conformal shift."""
     s111, s112, s121, s122, s221, s222 = sym
     return (s112 * u1 ** 3
             + (2.0 * s122 - s111) * u1 * u1 * v1

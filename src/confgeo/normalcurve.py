@@ -13,14 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conformal import (
-    ConformalPair,
-    EmbeddingRequiredError,
-    dilation_jet,
-    g_functions,
-    h_function,
-    theta_terms,
-)
+from . import conformal
+from .conformal import ConformalPair, EmbeddingRequiredError
 from .exprkit import Expr, evaluate
 from .geometry import (
     CURVATURE_FLOOR,
@@ -181,7 +175,7 @@ def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     pjt = pair.target.jets(cj.u, cj.v)
     m = first_fundamental(pj, cj.u, cj.v)
     mt = first_fundamental(pjt, cj.u, cj.v)
-    _, zj = dilation_jet(pair, cj.u, cj.v, (m, mt))
+    _, zj = conformal.dilation_jet(pair, cj.u, cj.v, (m, mt))
     nval, eval_ = evaluate((nu, eta), s)
     return {
         "cj": cj,
@@ -208,8 +202,8 @@ def theorem3_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     cj, z, kappa = st["cj"], st["zeta_jet"].value, st["kappa"]
     kn = normal_curvature_form(st["sf"], cj.u1, cj.v1)
     knt = normal_curvature_form(st["sft"], cj.u1, cj.v1)
-    th = theta_terms(st["m"], st["zeta_jet"])
-    h = h_function(st["m"], th, cj)
+    th = conformal.theta_terms(st["m"], st["zeta_jet"])
+    h = conformal.h_function(st["m"], th, cj)
     lhs = dot(st["beta_t"], st["sft"].n_vec) - z ** 4 * dot(st["beta"], st["sf"].n_vec)
     nu_term = (st["nu"] / kappa) * (knt - z ** 4 * kn)
     eta_over_kappa = st["eta"] / kappa
@@ -240,7 +234,7 @@ def tangential_report(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     pj, pjt = st["pj"], st["pjt"]
     kn = normal_curvature_form(st["sf"], cj.u1, cj.v1)
     knt = normal_curvature_form(st["sft"], cj.u1, cj.v1)
-    g1, g2 = g_functions(m, st["zeta_jet"], cj, nu_over_kappa=st["nu"] / kappa)
+    g1, g2 = conformal.g_functions(m, st["zeta_jet"], cj, nu_over_kappa=st["nu"] / kappa)
     delta = mt.W * knt - z * z * m.W * kn
     eta_over_kappa = st["eta"] / kappa
 

@@ -110,7 +110,7 @@ def test_criterion_02_isometry_invariance():
     for (u, v) in grid8(pair.source.domain):
         th = theta_terms(pair.source.first_form(u, v),
                          dilation_jet(pair, u, v, pair.forms(u, v))[1])
-        thetas_all_zero &= (th.t111, th.t112, th.t121, th.t122, th.t221, th.t222) \
+        thetas_all_zero &= (th.g111, th.g112, th.g121, th.g122, th.g221, th.g222) \
             == (0.0,) * 6
         g = christoffel(pair.source.first_form(u, v))
         gt = christoffel(pair.target.first_form(u, v))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confgeo import cli, exprkit, normalcurve
+from confgeo import cli, exprkit, geometry, normalcurve
 from confgeo.cli import main
 
 BASE_SCENARIO = {
@@ -308,6 +308,22 @@ def _reparam_on_metric(doc):
      "suites[0].expect: suite 'forms' takes no key 'expect'"),
     (lambda d: d["suites"][2].update(surface="plane"), [],
      "suites[2].surface: suite 'christoffel-shift' takes no key 'surface'"),
+    # nor may any other section hold a key that load_scenario does not read:
+    # a misspelled dilation would go unchecked, a misspelled "tolerances"
+    # would keep the defaults, "false" would reparameterize, and a
+    # misspelled "samples" would silently become 32
+    (lambda d: d["pairs"][0].update(dilaton="3/(1+u^2+v^2)"), [],
+     "pairs[0].dilaton: unknown key"),
+    (lambda d: d.update(tolerance={"christoffel-shift": 1e-30}), [], "tolerance: unknown key"),
+    (lambda d: d["curves"].append(dict(_reparam_curve([0.0, 1.0]), reparameterize="false")), [],
+     "curves[1].reparameterize: expected true or false, got 'false'"),
+    (lambda d: d["curves"].append(dict(_reparam_curve([0.0, 1.0]), sample=64)), [],
+     "curves[1].sample: unknown key"),
+    (lambda d: d["curves"].append(dict(_reparam_curve([0.0, 1.0]), s_range=[0.0, 1.0])), [],
+     "curves[1].s_range: unknown key"),
+    (lambda d: d["curves"][0].update(surface="plane"), [], "curves[0].surface: unknown key"),
+    (lambda d: d["surfaces"][0].update(E="1"), [], "surfaces[0].E: unknown key"),
+    (lambda d: d["profiles"][0].update(zeta="1"), [], "profiles[0].zeta: unknown key"),
 ])
 def test_malformed_values_are_scenario_errors(tmp_path, capsys, mutate, argv, fragment):
     doc = copy.deepcopy(BASE_SCENARIO)
@@ -318,6 +334,14 @@ def test_malformed_values_are_scenario_errors(tmp_path, capsys, mutate, argv, fr
     assert fragment in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+def test_reparameterize_false_reads_the_s_range(tmp_path):
+    doc = copy.deepcopy(BASE_SCENARIO)
+    doc["curves"][0]["reparameterize"] = False
+    sc = cli.load_scenario(write_scenario(tmp_path, doc))
+    assert isinstance(sc.curves["circle"], geometry.ParamCurve)
+    assert sc.curve_ranges["circle"] == (0.1, 6.1)
 
 
 def test_invalid_json_is_config_error(tmp_path, capsys):

@@ -21,10 +21,9 @@ from confgeo.conformal import (
     h_function,
     image_geodesic_curvature,
     pushforward_residual,
-    theta_bracket,
     theta_terms,
 )
-from confgeo.geometry import FirstForm, SurfacePatch, christoffel
+from confgeo.geometry import FirstForm, SurfacePatch, bracket_cubic, christoffel
 from conftest import (
     STEREO_BOX,
     catenoid_helicoid_pair,
@@ -229,7 +228,7 @@ def test_dilation_consistency_across_coefficients():
 def test_theta_zero_for_unit_dilation_exactly():
     m = sphere().first_form(0.9, 1.1)
     th = theta_terms(m, Jet2(1.0, 0.0, 0.0))
-    assert (th.t111, th.t112, th.t121, th.t122, th.t221, th.t222) == (0.0,) * 6
+    assert (th.g111, th.g112, th.g121, th.g122, th.g221, th.g222) == (0.0,) * 6
 
 
 def test_theta_zero_for_constant_dilation_property():
@@ -241,17 +240,17 @@ def test_theta_zero_for_constant_dilation_property():
         m = FirstForm(E, F, G, math.sqrt(E * G - F * F),
                       *RNG.uniform(-1, 1, 6))
         th = theta_terms(m, Jet2(float(RNG.uniform(0.5, 4.0)), 0.0, 0.0))
-        assert (th.t111, th.t112, th.t121, th.t122, th.t221, th.t222) == (0.0,) * 6
+        assert (th.g111, th.g112, th.g121, th.g122, th.g221, th.g222) == (0.0,) * 6
 
 
 def test_theta_exponential_dilation_closed_form():
     # flat metric, zeta = e^u at (0,0): theta^1_11 = theta^2_12 = 1,
     # theta^1_22 = -1, others 0
     th = theta_terms(FLAT_FORM, Jet2(1.0, du=1.0, dv=0.0))
-    assert th.t111 == 1.0
-    assert th.t122 == 1.0
-    assert th.t221 == -1.0
-    assert (th.t112, th.t121, th.t222) == (0.0, 0.0, 0.0)
+    assert th.g111 == 1.0
+    assert th.g122 == 1.0
+    assert th.g221 == -1.0
+    assert (th.g112, th.g121, th.g222) == (0.0, 0.0, 0.0)
 
 
 # -- Christoffel shift -------------------------------------------------------------
@@ -271,7 +270,7 @@ def test_shift_flat_vs_conformally_flat():
     th = theta_terms(pair.source.first_form(0.0, 0.0),
                      dilation_jet(pair, 0.0, 0.0, pair.forms(0.0, 0.0))[1])
     assert gt.g111 == pytest.approx(1.0, abs=1e-14)
-    assert th.t111 == pytest.approx(1.0, abs=1e-14)
+    assert th.g111 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_shift_stereographic_grid_with_12a_oracle():
@@ -392,7 +391,8 @@ def test_f_function_matches_theta_bracket():
     m = sphere().first_form(0.8, 0.9)
     th = theta_terms(m, Jet2(1.3, du=0.2, dv=-0.4))
     cj = CurveJets(0.8, 0.9, 0.6, 0.8, 0.1, -0.2)
-    assert f_function(m, th, cj) == pytest.approx(theta_bracket(th, cj) * m.W ** 2, rel=1e-14)
+    assert f_function(m, th, cj) == pytest.approx(bracket_cubic(th, cj.u1, cj.v1) * m.W ** 2,
+                                                  rel=1e-14)
 
 
 # -- geodesic deviation report ------------------------------------------------------------

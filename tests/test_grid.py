@@ -1092,3 +1092,42 @@ def test_random_run_gives_each_suite_the_grid_of_a_fresh_default_rng(tmp_path, m
                 assert list(res.columns[key]) == list(col)
             else:
                 assert np.array_equal(_bits(res.columns[key]), _bits(col), equal_nan=True)
+
+
+# -- the estimated-zeta path, end to end -------------------------------------------------
+
+# Every demo pair declares its dilation, so no demo run reaches the partials
+# that dilation_jet estimates from the metric ratio.  The demo with every
+# ``dilation`` taken out must give each entry the declared run's verdict,
+# and each float cell within ESTIMATED_AGREE of its size.
+ESTIMATED_AGREE = 1e-12
+DEMO_SCENARIO = cli.load_scenario(DEMO)
+
+
+@pytest.fixture(scope="module")
+def dilation_free_demo(tmp_path_factory):
+    doc = json.loads(DEMO.read_text())
+    for pair in doc["pairs"]:
+        del pair["dilation"]
+    sc = cli.load_scenario(write_scenario(tmp_path_factory.mktemp("demo"), doc, "demo.json"))
+    assert all(pair.dilation is None for pair in sc.pairs.values())
+    return sc
+
+
+@pytest.mark.parametrize("mode", ["uniform", "random"])
+@pytest.mark.parametrize("entry", DEMO_SCENARIO.suites,
+                         ids=lambda e: " ".join(str(v) for v in e.values()))
+def test_estimated_dilation_gives_the_declared_run(entry, mode, dilation_free_demo):
+    grids = {"surface": 8, "curve": 8, "mode": mode}
+    got, want = (cli.run_suite(sc, entry, grids, sc.tolerances,
+                               np.random.default_rng(7) if mode == "random" else None)
+                 for sc in (dilation_free_demo, DEMO_SCENARIO))
+    assert got.pass_ == want.pass_
+    assert got.columns.keys() == want.columns.keys()
+    for key, col in want.columns.items():
+        if col.dtype == object:
+            assert list(got.columns[key]) == list(col), key
+            continue
+        gap = np.abs(got.columns[key] - col)
+        assert np.all((gap <= ESTIMATED_AGREE * np.maximum(1.0, np.abs(col)))
+                      | (np.isnan(got.columns[key]) & np.isnan(col))), (key, np.nanmax(gap))

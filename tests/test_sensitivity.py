@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from confgeo import cli, conformal, normalcurve
+from confgeo.geometry import ChristoffelSet
 
 DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 SCENARIO = cli.load_scenario(DEMO)
@@ -34,13 +35,6 @@ class Fault(NamedTuple):
     passes: dict      # entry -> why the fault cannot move its verdict
 
 
-# ``normalcurve`` imports ``dilation_jet``, ``theta_terms`` and ``h_function``
-# by name, so each is patched there too.
-def _patch_both(monkeypatch, name: str, planted) -> None:
-    for module in (conformal, normalcurve):
-        monkeypatch.setattr(module, name, planted)
-
-
 def _scaled_dzeta(monkeypatch):
     real = conformal.dilation_jet
 
@@ -50,16 +44,16 @@ def _scaled_dzeta(monkeypatch):
             return zeta, zj
         return zeta, zj._replace(du=zj.du * SCALE, dv=zj.dv * SCALE)
 
-    _patch_both(monkeypatch, "dilation_jet", planted)
+    monkeypatch.setattr(conformal, "dilation_jet", planted)
 
 
 def _scaled_theta(monkeypatch):
     real = conformal.theta_terms
 
     def planted(m, zeta_jet):
-        return conformal.ThetaSet(*(t * SCALE for t in real(m, zeta_jet)))
+        return ChristoffelSet(*(t * SCALE for t in real(m, zeta_jet)))
 
-    _patch_both(monkeypatch, "theta_terms", planted)
+    monkeypatch.setattr(conformal, "theta_terms", planted)
 
 
 def _scaled_target_christoffel(monkeypatch):
@@ -81,7 +75,7 @@ def _scaled_h(monkeypatch):
     def planted(m, th, cj):
         return real(m, th, cj) * SCALE
 
-    _patch_both(monkeypatch, "h_function", planted)
+    monkeypatch.setattr(conformal, "h_function", planted)
 
 
 def _scaled_target_second_form(monkeypatch):
