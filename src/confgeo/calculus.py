@@ -1,15 +1,16 @@
-"""Finite-difference oracle and numerical arc-length reparameterization.
+"""Adaptive quadrature and numerical arc-length reparameterization.
 
-The finite differences here are deliberately independent of the jet
-evaluator: they see expressions only through plain evaluation, which is
-what makes them usable as an anti-drift check on the jets.
+A reparameterized curve's jets are kept in the store of walks, keyed by the
+curve and the s-grid's bits (see ``exprkit.derived``), so that suites that
+share an s-grid invert its arc length once.  The finite-difference oracle
+that checks the jets lives with the tests, independent of every evaluator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exprkit import Expr, eval_jet3, evaluate
+from .exprkit import Expr, derived, eval_jet3
 from .geometry import CurveJets, SurfacePatch, speed_from_form, violation
 
 QUAD_TOL = 1e-10
@@ -38,54 +39,6 @@ class ZeroSpeedError(CalculusError):
 
 class NonMonotoneLengthError(CalculusError):
     """Cumulative arc length failed to increase (numerical failure)."""
-
-
-# ---------------------------------------------------------------------------
-# Finite differences
-
-
-def fd_partial(e: Expr, point, index, step: float | None = None) -> float:
-    """Central-difference estimate of a partial derivative of order <= 2.
-
-    ``index`` is a multi-index over the expression's declared variables,
-    e.g. (1, 0) for d/du and (1, 1) for the mixed partial (four-point cross
-    stencil).  Default steps: 1e-5 for first, 1e-4 for second derivatives.
-    """
-    pt = [float(x) for x in point]
-    idx = tuple(int(k) for k in index)
-    if len(pt) != len(e.variables) or len(idx) != len(e.variables):
-        raise ValueError(f"point/index must match variables {e.variables}")
-    order = sum(idx)
-    if order == 0:
-        return evaluate(e, *pt)
-    if order > 2 or min(idx) < 0:
-        raise ValueError(f"unsupported multi-index {idx}")
-    h = float(step) if step is not None else (1e-5 if order == 1 else 1e-4)
-    if h <= 0.0:
-        raise ValueError("step must be positive")
-
-    def at(*shifts: float) -> float:
-        return evaluate(e, *(x + dx for x, dx in zip(pt, shifts)))
-
-    def unit(i: int, scale: float) -> list[float]:
-        out = [0.0] * len(pt)
-        out[i] = scale
-        return out
-
-    if order == 1:
-        i = idx.index(1)
-        return (at(*unit(i, h)) - at(*unit(i, -h))) / (2.0 * h)
-    if 2 in idx:
-        i = idx.index(2)
-        return (at(*unit(i, h)) - 2.0 * at(*([0.0] * len(pt))) + at(*unit(i, -h))) / (h * h)
-    i, j = (k for k, c in enumerate(idx) if c == 1)
-
-    def cross(si: float, sj: float) -> float:
-        shifts = [0.0] * len(pt)
-        shifts[i], shifts[j] = si, sj
-        return at(*shifts)
-
-    return (cross(h, h) - cross(h, -h) - cross(-h, h) + cross(-h, -h)) / (4.0 * h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +163,7 @@ class UnitSpeedCurve:
 
     # -- curve protocol --------------------------------------------------------
 
+    @derived
     def jets(self, s) -> CurveJets:
         t = self.invert(s)
         ju, jv = eval_jet3((self.u_raw, self.v_raw), t, 2)

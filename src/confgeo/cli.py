@@ -44,6 +44,20 @@ class ScenarioError(Exception):
     """Invalid scenario content; the message names the offending key."""
 
 
+# The most points of one grid: n*n of a surface grid (512 x 512), n of a
+# curve grid and the knots of an arc-length table.  Checked before any array
+# or random stream is made, so that a huge grid exits 2 rather than
+# exhausting memory: a demo run's peak grows by about 1.3 kB per surface
+# grid point (350 MB at the bound).
+MAX_GRID_POINTS = 512 * 512
+
+
+def _bounded(points: int, where: str) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ScenarioError(f"{where}: {points} grid points exceed the bound of "
+                            f"{MAX_GRID_POINTS}")
+
+
 # ---------------------------------------------------------------------------
 # Scenario loading
 
@@ -216,6 +230,7 @@ def load_scenario(path: Path) -> Scenario:
             samples = entry.get("samples", 32)
             if type(samples) is not int:
                 raise ScenarioError(f"{where}.samples: expected an integer, got {samples!r}")
+            _bounded(samples, f"{where}.samples")
             try:
                 curve = calculus.reparameterize_arclength(
                     patch, (u_raw, v_raw), t0, t1, samples)
@@ -286,6 +301,8 @@ def load_scenario(path: Path) -> Scenario:
             raise ScenarioError(f"grids.{key}: unknown grid key")
         if key != "mode" and not (type(val) is int and val >= 1):
             raise ScenarioError(f"grids.{key}: expected a positive integer, got {val!r}")
+        if key != "mode":
+            _bounded(val * val if key == "surface" else val, f"grids.{key}")
         sc.grids[key] = val
     if sc.grids["mode"] not in ("uniform", "random"):
         raise ScenarioError(f"grids.mode: expected 'uniform' or 'random', got '{sc.grids['mode']}'")
@@ -710,9 +727,11 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
                                          default=0))
 
     # The suites whose row needs a curve walk the same patch, curve,
-    # dilation and profile expressions at the same s-grid, so they share one
-    # store of walks for the run.  The surface suites run outside it: their
-    # n*n grids are where the memory goes, and no other suite walks them.
+    # dilation and profile expressions at the same s-grid, and read the same
+    # jets, forms, zeta jets and Christoffel and theta terms of them, so they
+    # share one store of walks and derived values for the run.  The surface
+    # suites run outside it: their n*n grids are where the memory goes, and
+    # no other suite walks them.
     results, walks = [], {}
     try:
         for entry in selected:
@@ -733,7 +752,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
                   f"max residual {res.max_residual:.3e}{_worst_text(res)} "
                   f"vs tol {res.tolerance:.1e} [{res.wall_ms:.1f} ms]")
     finally:
-        walks.clear()  # no walk outlives the run
+        walks.clear()  # no walk or derived value outlives the run
 
     paths = write_reports(sc, results, out_dir, fmt, seed, grids)
     print(f"wrote {len(paths)} report file(s) under {out_dir}")
@@ -763,8 +782,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         sc = load_scenario(Path(args.scenario))
-        if args.grid is not None and args.grid < 1:
-            raise ScenarioError("--grid must be a positive integer")
+        if args.grid is not None:
+            if args.grid < 1:
+                raise ScenarioError("--grid must be a positive integer")
+            _bounded(args.grid * args.grid, "--grid")  # the surface grid's n*n
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
             raise ScenarioError("--tol must be a finite positive number")
         return run_scenario(sc, Path(args.out), args.format, args.suite,

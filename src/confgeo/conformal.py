@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exprkit import Expr, Jet2, eval_grad3, eval_jet2, evaluate
+from .exprkit import Expr, Jet2, derived, eval_grad3, eval_jet2, evaluate
 from .geometry import (
     AbstractMetric,
     ChristoffelSet,
@@ -141,6 +141,7 @@ def dilation_field(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]
     return np.sqrt(z2)
 
 
+@derived
 def dilation_jet(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]) -> tuple:
     """``(zeta, jet)``: the estimate of :func:`dilation_field` from
     ``forms``, and zeta's jet to their order (first partials, or none from
@@ -170,6 +171,7 @@ def dilation_jet(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]) 
 # Theta terms and shift residuals
 
 
+@derived
 def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ChristoffelSet:
     """The six theta^k_ij = Gamma~^k_ij - Gamma^k_ij, each in its Gamma's slot.
 

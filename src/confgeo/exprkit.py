@@ -37,7 +37,10 @@ raises nothing); an expression holds the set of the variables it reads.
 
 A caller that walks the same expressions at the same grids again enters a
 store of walks (:func:`walk_store`).  It is held in a context variable, so
-another thread or task does not see it.
+another thread or task does not see it.  The store also keeps the values
+of the functions marked :func:`derived` (patch and curve jets, forms,
+Christoffel symbols and the dilation terms of the other modules), keyed by
+the kept values they read, so that no such value is made twice either.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import inspect
 import itertools
 import math
+import operator
 from collections import Counter, namedtuple
 from typing import NamedTuple, Union
 
@@ -723,7 +728,8 @@ _STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def walk_store(store: dict):
-    """Keep the walks of the block in ``store`` and reuse them.
+    """Keep the walks of the block in ``store`` and reuse them, and the
+    values of the :func:`derived` functions it calls.
 
     While the block runs, ``eval_jet2``, ``eval_jet3``, ``eval_grad3`` and
     ``evaluate`` look a walk up by its expressions' identities, the order
@@ -732,7 +738,8 @@ def walk_store(store: dict):
     and keep the coefficients as read-only arrays, with the expressions,
     so that their identities are not reused.  A failed walk is never kept:
     its error is raised again on the next call.  The caller owns ``store``,
-    may enter it again, and empties it when the walks are no longer needed.
+    may enter it again, and empties it when the walks and values are no
+    longer needed.
     """
     token = _STORE.set(store)
     try:
@@ -741,13 +748,70 @@ def walk_store(store: dict):
         _STORE.reset(token)
 
 
-def _frozen(x: np.ndarray, grid: list) -> np.ndarray:
-    # a bare variable's value is an input array: the store keeps a copy, so
-    # that neither the caller's grid is frozen nor a later write to it
-    # reaches the store; any other coefficient is kept as a read-only view
-    kept = np.array(x) if any(x is g for g in grid) else x.view()
-    kept.flags.writeable = False
-    return kept
+def _key_part(x):
+    # how a kept value's key reads one argument: a writeable array by its
+    # dtype, shape and bits, a plain tuple by its items, and anything else
+    # (a read-only array, a kept record, a member, an int) by identity
+    if type(x) is np.ndarray and x.flags.writeable:
+        return (x.dtype.str, x.shape, x.tobytes())
+    if type(x) is tuple:
+        return tuple(map(_key_part, x))
+    return id(x)
+
+
+def _kept_value(x, given: set):
+    # a walk's coefficients or a derived result as the store keeps them,
+    # every array read-only: an array the call made is frozen in place, and
+    # one it was given (``given`` holds the identities of its inputs, such as
+    # the grid a bare variable's value is) is copied first, so that neither
+    # the caller's array is frozen nor a later write to it reaches the store;
+    # a list, tuple or record is rebuilt only around such a copy
+    if type(x) is np.ndarray:
+        if x.flags.writeable:
+            if id(x) in given:
+                x = np.array(x)
+            x.flags.writeable = False
+        return x
+    if isinstance(x, (list, tuple)):
+        items = [_kept_value(y, given) for y in x]
+        if any(map(operator.is_not, items, x)):
+            return type(x)(items) if type(x) in (list, tuple) else type(x)(*items)
+    return x
+
+
+def derived(fn):
+    """``fn``, whose results the store of walks also keeps while a caller
+    has entered one (see :func:`walk_store`); without one, ``fn`` itself.
+
+    A result is keyed by ``fn`` and its arguments, a defaulted one as if
+    it were given: a read-only array (every kept coefficient and value is
+    one), a kept record and a member by identity, any other array by its
+    dtype, shape and bits, and a plain tuple by its items.  The entry holds
+    the arguments, so that no identity is reused, and the result with every
+    array read-only.  A call that raises is never kept, so the next call
+    raises again.
+    """
+    signature = inspect.signature(fn)
+    arity, defaults = len(signature.parameters), fn.__defaults__ or ()
+
+    @functools.wraps(fn)
+    def keeping(*args, **kwargs):
+        store = _STORE.get()
+        if store is None:
+            return fn(*args, **kwargs)
+        if kwargs or len(args) + len(defaults) < arity:
+            bound = signature.bind(*args, **kwargs)  # a missing argument raises here
+            bound.apply_defaults()
+            args = bound.args
+        elif len(args) < arity:
+            args += defaults[len(args) + len(defaults) - arity:]
+        key = (fn, *map(_key_part, args))
+        entry = store.get(key)
+        if entry is None:
+            entry = store[key] = (args, _kept_value(fn(*args), set(map(id, args))))
+        return entry[1]
+
+    return keeping
 
 
 def _jet(exprs: tuple, order: int, values) -> list:
@@ -763,7 +827,7 @@ def _jet(exprs: tuple, order: int, values) -> list:
     kept = store.get(key)
     if kept is None:
         out = _evaluate(grid, _walk(exprs, order))
-        kept = store[key] = (exprs, [[_frozen(x, grid) for x in jet] for jet in out])
+        kept = store[key] = (exprs, _kept_value(out, set(map(id, grid))))
     return kept[1]
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exprkit import Expr, eval_jet2, eval_jet3, substitute
+from .exprkit import Expr, derived, eval_jet2, eval_jet3, substitute
 
 REGULARITY_FLOOR = 1e-10
 UNIT_SPEED_TOL = 1e-6
@@ -126,6 +126,7 @@ class SurfacePatch(NamedTuple):
     z: Expr
     domain: Box
 
+    @derived
     def jets(self, u, v, order: int = 2) -> PatchJets:
         """Position and partials to ``order`` (1 or 2)."""
         _require_in_box(self.domain, u, v)
@@ -146,6 +147,7 @@ class AbstractMetric(NamedTuple):
     G: Expr
     domain: Box
 
+    @derived
     def first_form(self, u, v) -> "FirstForm":
         _require_in_box(self.domain, u, v)
         je, jf, jg = eval_jet2((self.E, self.F, self.G), u, v, 1)
@@ -213,6 +215,7 @@ class ParamCurve(NamedTuple):
     u: Expr
     v: Expr
 
+    @derived
     def jets(self, s) -> CurveJets:
         ju, jv = eval_jet3((self.u, self.v), s, 2)
         return CurveJets(ju.value, jv.value, ju.d1, jv.d1, ju.d2, jv.d2)
@@ -258,6 +261,7 @@ def _first_form(u, v, E, F, G, **partials) -> FirstForm:
     return FirstForm(E, F, G, np.sqrt(disc), **partials)
 
 
+@derived
 def first_fundamental(pj: PatchJets, u, v) -> FirstForm:
     """First-form coefficients and their first partials from the patch
     jets ``pj`` at ``u, v``; from jets of order 1, the coefficients alone.
@@ -276,6 +280,7 @@ def first_fundamental(pj: PatchJets, u, v) -> FirstForm:
                            **partials)
 
 
+@derived
 def second_fundamental(pj: PatchJets, u, v) -> SecondForm:
     """L, M, N and the unit normal, oriented along Psi_u x Psi_v, from the
     order-2 patch jets ``pj`` at ``u, v`` (as in :func:`first_fundamental`)."""
@@ -289,6 +294,7 @@ def second_fundamental(pj: PatchJets, u, v) -> SecondForm:
     return SecondForm(dot(pj.puu, n_vec), dot(pj.puv, n_vec), dot(pj.pvv, n_vec), n_vec)
 
 
+@derived
 def christoffel(m: FirstForm) -> ChristoffelSet:
     """The six second-kind Christoffel symbols of a 2D metric.
 
@@ -374,32 +380,6 @@ def frenet(p: SurfacePatch, c, s, with_torsion: bool = True) -> FrameData:
         beta3 = np.array([j.d3 for j in eval_jet3(_composed_components(p, c), s)])
         tau = dot(cross(beta1, beta2), beta3) / (k * k)
     return FrameData(pj.p, beta1, kappa, n, b, tau)
-
-
-def normal_curvature(p: SurfacePatch, c, s):
-    """Signed normal curvature of a unit-speed curve (se1 closed form)."""
-    cj = c.jets(s)
-    pj, beta1, _ = beta_jets(p, cj)
-    require_unit_speed(norm(beta1), s)
-    sf = second_fundamental(pj, cj.u, cj.v)
-    return normal_curvature_form(sf, cj.u1, cj.v1)
-
-
-def geodesic_curvature(source, c, s, weight: str):
-    """Geodesic curvature via the Beltrami formula, B * W or B * W^2.
-
-    Both weight conventions are in circulation, so ``weight`` is mandatory
-    ("W1" or "W2") and callers must say which one they mean.  W1 is the
-    geometric one (it satisfies kappa^2 = kappa_n^2 + kappa_g^2).
-    ``source`` may be an embedded patch or an abstract metric.
-    """
-    if weight not in ("W1", "W2"):
-        raise ValueError(f"weight must be 'W1' or 'W2', got {weight!r}")
-    cj = c.jets(s)
-    m = source.first_form(cj.u, cj.v)
-    require_unit_speed(speed_from_form(m, cj.u1, cj.v1), s)
-    bracket = beltrami_bracket(christoffel(m), cj)
-    return bracket * (m.W if weight == "W1" else m.W * m.W)
 
 
 def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets):

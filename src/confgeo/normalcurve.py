@@ -22,9 +22,7 @@ from .geometry import (
     PatchJets,
     SurfacePatch,
     VanishingCurvatureError,
-    beltrami_bracket,
     beta_jets,
-    christoffel,
     cross,
     dot,
     first_fundamental,
@@ -107,7 +105,7 @@ def classify_curve(p: SurfacePatch, c, s_grid, tol: float = CLASSIFY_TOL) -> Cur
 
 
 # ---------------------------------------------------------------------------
-# Position synthesis and the within-surface identity
+# Position synthesis
 
 
 def _synth(pj: PatchJets, cj: CurveJets, nval, eval_, kappa) -> np.ndarray:
@@ -141,24 +139,6 @@ def synth_position(p: SurfacePatch, c, nu: Expr, eta: Expr, s) -> np.ndarray:
     curve's curvature on ``p`` (a pair's image reads the source's instead)."""
     cj, pj, kappa = _curved_jets(p, c, s)
     return _synth(pj, cj, *evaluate((nu, eta), s), kappa)
-
-
-def normal_component_identity_residual(p: SurfacePatch, c, nu: Expr, eta: Expr, s):
-    """|beta.N - closed form| for the surface-normal component of a
-    synthetic normal-curve position.
-
-    The closed form is (nu/kappa) kappa_n + (eta/kappa) W B with B the full
-    Beltrami bracket: against the unit normal the eta part carries a single
-    W (the W^2 variant belongs to the unnormalized normal Psi_u x Psi_v).
-    """
-    cj, pj, kappa = _curved_jets(p, c, s)
-    nval, eval_ = evaluate((nu, eta), s)
-    sf = second_fundamental(pj, cj.u, cj.v)
-    m = first_fundamental(pj, cj.u, cj.v)
-    kn = normal_curvature_form(sf, cj.u1, cj.v1)
-    bracket = beltrami_bracket(christoffel(m), cj)
-    closed = (nval / kappa) * kn + (eval_ / kappa) * m.W * bracket
-    return abs(dot(_synth(pj, cj, nval, eval_, kappa), sf.n_vec) - closed)
 
 
 # ---------------------------------------------------------------------------

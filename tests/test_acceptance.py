@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from confgeo.calculus import fd_partial, reparameterize_arclength
+from confgeo.calculus import reparameterize_arclength
 from confgeo.conformal import (
     beltrami_bracket_shift,
     christoffel_shift_residual,
@@ -24,13 +24,10 @@ from confgeo.exprkit import parse_scalar_field
 from confgeo.geometry import (
     christoffel,
     frenet,
-    geodesic_curvature,
     metric_derivative_identities,
-    normal_curvature,
 )
 from confgeo.normalcurve import (
     classify_curve,
-    normal_component_identity_residual,
     tangential_report,
     theorem3_report,
 )
@@ -54,6 +51,12 @@ from conftest import (
     sphere,
     sphere_homothety_pair,
     stereographic_pair,
+)
+from oracles import (
+    fd_partial,
+    geodesic_curvature,
+    normal_component_identity_residual,
+    normal_curvature,
 )
 
 RNG = np.random.default_rng(8020)

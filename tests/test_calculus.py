@@ -13,11 +13,11 @@ from confgeo.calculus import (
     GAUSS_X,
     UnitSpeedCurve,
     adaptive_simpson,
-    fd_partial,
     reparameterize_arclength,
 )
 from confgeo.exprkit import EvalDomainError, eval_jet2, parse_scalar_field
 from conftest import catenoid, plane, stereographic_target
+from oracles import fd_partial
 
 UV = ("u", "v")
 

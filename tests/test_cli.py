@@ -676,6 +676,44 @@ def test_store_ends_with_a_math_error(tmp_path, capsys, stores):
     assert store == {} and exprkit._STORE.get() is None
 
 
+def _bits(res: cli.SuiteResult) -> dict:
+    # each column's bits (float64) or cells (object), and the verdict
+    return {"pass": res.pass_, "max_residual": repr(res.max_residual),
+            **{k: c.tobytes() if c.dtype == np.float64 else c.tolist()
+               for k, c in res.columns.items()}}
+
+
+def test_each_demo_entry_gives_the_same_bits_with_and_without_the_store():
+    # every entry in turn in one store, as a run enters it, against each
+    # entry alone without one: a kept value is the value a call makes
+    sc = cli.load_scenario(DEMO)
+    alone = [_bits(cli.run_suite(sc, e, sc.grids, sc.tolerances, None)) for e in sc.suites]
+    with exprkit.walk_store({}) as store:
+        shared = [_bits(cli.run_suite(sc, e, sc.grids, sc.tolerances, None)) for e in sc.suites]
+        kept = sum(callable(key[0]) for key in store)  # a walk key starts with a tuple
+    assert shared == alone and kept > 0
+
+
+def test_suite_order_does_not_change_a_report(tmp_path):
+    # a store key that let one suite read another suite's value would make a
+    # report depend on the suites run before it; report tags follow the
+    # order (theorem3-2), so reports are matched by suite and members
+    def reports(out: Path, order) -> dict:
+        sc = cli.load_scenario(DEMO)
+        sc.suites[:] = order(sc.suites)
+        assert cli.run_scenario(sc, out, "obj", [], None, None, 0) == 0
+        found = {}
+        for path in out.iterdir():
+            doc = json.loads(path.read_text())
+            members = tuple(doc["params"][k] for k in cli.SUITES[doc["suite"]].needs)
+            found[doc["suite"], members] = _without_wall_ms(path)
+        return found
+
+    forward = reports(tmp_path / "forward", list)
+    backward = reports(tmp_path / "backward", lambda suites: suites[::-1])
+    assert len(forward) == 15 and forward == backward
+
+
 # -- outside input ends in an exit code, never a traceback ------------------------
 
 
@@ -759,3 +797,27 @@ def test_a_span_that_overflows_is_a_scenario_error(tmp_path, capsys, mutate, lin
         assert main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err == line + "\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("mutate, argv, line", [
+    (lambda d: d["curves"][4].update(samples=10 ** 13), [],
+     "curves[4].samples: 10000000000000 grid points exceed the bound of 262144"),
+    (lambda d: None, ["--grid", "10000000", "--suite", "forms"],
+     "--grid: 100000000000000 grid points exceed the bound of 262144"),
+    (lambda d: d["grids"].update(surface=513), [],
+     "grids.surface: 263169 grid points exceed the bound of 262144"),
+    (lambda d: d["grids"].update(curve=262145), [],
+     "grids.curve: 262145 grid points exceed the bound of 262144"),
+], ids=["samples", "--grid", "surface", "curve"])
+def test_an_oversized_grid_is_a_scenario_error(tmp_path, capsys, mutate, argv, line):
+    # refused before any array is made: these grids ran out of memory
+    path = _demo_with(tmp_path, mutate)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "r"), *argv]) == 2
+    assert capsys.readouterr().err == f"scenario error: {line}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_grids_at_the_bound_load(tmp_path):
+    sc = cli.load_scenario(_demo_with(tmp_path, lambda d: d["grids"].update(surface=512,
+                                                                            curve=262144)))
+    assert sc.grids["surface"] ** 2 == sc.grids["curve"] == cli.MAX_GRID_POINTS

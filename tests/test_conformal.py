@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from confgeo import conformal
-from confgeo.exprkit import Jet2, evaluate
+from confgeo.exprkit import Jet2, evaluate, walk_store
 from confgeo.conformal import (
     AmbientMapError,
     ConformalPair,
@@ -23,10 +23,18 @@ from confgeo.conformal import (
     pushforward_residual,
     theta_terms,
 )
-from confgeo.geometry import FirstForm, SurfacePatch, bracket_cubic, christoffel
+from confgeo.geometry import (
+    FirstForm,
+    SurfacePatch,
+    beta_jets,
+    bracket_cubic,
+    christoffel,
+    first_fundamental,
+)
 from conftest import (
     STEREO_BOX,
     catenoid_helicoid_pair,
+    circle_curve,
     diag_line,
     e2,
     e3,
@@ -134,7 +142,7 @@ def test_dilation_stereographic_closed_form_and_fd_oracle():
     zeta11 = dilation_field(pair, 1.0, 1.0, pair.forms(1.0, 1.0))
     assert zeta11 == pytest.approx(2.0 / 3.0, abs=1e-12)
     # fd oracle: metric of the image patch by finite differences
-    from confgeo.calculus import fd_partial
+    from oracles import fd_partial
     for (u, v) in [(0.3, -0.2), (0.6, 0.5), (-0.8, 0.1)]:
         tgt = pair.target
         pu = np.array([fd_partial(c, (u, v), (1, 0)) for c in (tgt.x, tgt.y, tgt.z)])
@@ -279,7 +287,7 @@ def test_shift_stereographic_grid_with_12a_oracle():
                 for (u, v) in _grid(STEREO_BOX, n=5))
     assert worst < 1e-7
     # oracle: target metric derivative E~_u must equal 2 zeta zeta_u E + zeta^2 E_u
-    from confgeo.calculus import fd_partial
+    from oracles import fd_partial
     u, v = 0.4, -0.3
     m, mt = pair.forms(u, v)
     _, zj = dilation_jet(pair, u, v, (m, mt))
@@ -434,7 +442,7 @@ def test_deviation_report_stereographic_line():
 def test_image_curvature_matches_beltrami_on_source():
     # sanity for the brute-force oracle: on an identity pair it reproduces
     # the W1 geodesic curvature of the source curve
-    from confgeo.geometry import geodesic_curvature
+    from oracles import geodesic_curvature
     pair = identity_pair(sphere())
     for s in (0.4, 0.9, 1.7):
         direct = image_geodesic_curvature(pair, latitude_curve(), s)
@@ -488,3 +496,28 @@ def test_pushforward_inversion_sphere_grid():
 def test_pushforward_requires_ambient_map():
     with pytest.raises(AmbientMapError):
         pushforward_residual(sphere_homothety_pair(), 1.0, 1.0)
+
+
+def test_a_pair_report_reads_each_kept_term_of_the_store():
+    # pair.forms and beta_jets ask for the source's patch jets along the
+    # curve, one with the default order and one with order 2 given: one entry
+    pair, curve = stereographic_pair(), circle_curve()
+    s = np.linspace(0.2, 3.0, 7)
+    plain = geodesic_deviation_report(pair, curve, s)
+    with walk_store({}):
+        cj = curve.jets(s)
+        assert curve.jets(s.copy()) is cj
+        pj = beta_jets(pair.source, cj)[0]
+        forms = m, mt = pair.forms(cj.u, cj.v)
+        assert pair.source.jets(cj.u, cj.v, 2) is pj
+        assert first_fundamental(pj, cj.u, cj.v) is m
+        zeta, zj = got = dilation_jet(pair, cj.u, cj.v, forms)
+        assert dilation_jet(pair, cj.u, cj.v, (m, mt)) is got  # a plain tuple by its items
+        th = theta_terms(m, zj)
+        assert theta_terms(m, zj) is th and christoffel(mt) is christoffel(mt)
+        kept = geodesic_deviation_report(pair, curve, s)
+    for x in (cj.u1, pj.puu, m.E_u, zeta, zj.du, th.g111):
+        assert not x.flags.writeable
+    for a, b in zip((plain.zeta, plain.h, plain.f, *plain.i20_residuals.values()),
+                    (kept.zeta, kept.h, kept.f, *kept.i20_residuals.values())):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))

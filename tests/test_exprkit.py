@@ -338,7 +338,7 @@ def _polynomials(draw):
 @given(text=_polynomials(),
        u=st.floats(-1.2, 1.2), v=st.floats(-1.2, 1.2))
 def test_polynomial_first_partials_match_fd(text, u, v):
-    from confgeo.calculus import fd_partial
+    from oracles import fd_partial
 
     e = parse_scalar_field(text, UV)
     j = eval_jet2(e, u, v)
@@ -428,6 +428,69 @@ def test_store_is_not_seen_by_another_thread():
         assert exprkit._STORE.get() is store
     assert not worker.is_alive() and seen == [None]
     assert exprkit._STORE.get() is None
+
+
+# -- derived values in the store ---------------------------------------------------
+
+
+def test_store_keeps_a_derived_value_by_its_arguments():
+    calls = []
+
+    @exprkit.derived
+    def scaled(x, k=2):
+        calls.append(k)
+        return x * k
+
+    x = np.linspace(0.0, 1.0, 4)
+    plain = scaled(x)
+    with walk_store({}) as store:
+        first = scaled(x)
+        # a writeable array by its bits, and a defaulted argument as if given
+        assert scaled(x.copy()) is first and scaled(x, 2) is first and scaled(x, k=2) is first
+        assert len(calls) == 2 and len(store) == 1
+        # a read-only array, as every kept value is, by identity
+        assert scaled(first) is scaled(first) and len(calls) == 3
+        assert scaled(first.copy()) is not scaled(first) and len(calls) == 4
+        scaled(x, 3)  # another argument
+        assert len(calls) == 5 and len(store) == 4
+    assert scaled(x) is not first and len(calls) == 6  # outside the block nothing is kept
+    assert np.array_equal(plain.view(np.uint64), first.view(np.uint64))
+
+
+def test_a_kept_derived_value_is_read_only_and_its_arguments_are_not():
+    @exprkit.derived
+    def parts(x, y):
+        return x, exprkit.Jet2(x + y, du=y)  # an argument itself, and one in a record
+
+    x, y = np.linspace(0.0, 1.0, 4), np.ones(4)
+    with walk_store({}):
+        same, jet = parts(x, y)
+        assert parts(x, y)[1] is jet
+    for kept in (same, jet.value, jet.du):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 9.0
+    assert same is not x and jet.du is not y  # the store keeps copies of its arguments
+    x[0] = y[0] = 9.0  # which stay writeable
+    assert same[0] == 0.0 and jet.du[0] == 1.0
+
+
+def test_store_keeps_no_derived_call_that_raised():
+    calls, e = [], parse_scalar_field("log(s)", S)
+
+    @exprkit.derived
+    def logs(s):
+        calls.append(s)
+        return evaluate(e, s)
+
+    messages = []
+    with walk_store({}) as store:
+        for _ in range(2):
+            with pytest.raises(EvalDomainError) as err:
+                logs(np.array([1.0, -1.0]))
+            messages.append(str(err.value))
+        assert not store and len(calls) == 2
+    assert messages[0] == messages[1]
+    assert "log of a non-positive value" in messages[0] and "-1.0" in messages[0]
 
 
 # -- sparse jets -----------------------------------------------------------------

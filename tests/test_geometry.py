@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from confgeo.calculus import fd_partial, reparameterize_arclength
+from confgeo.calculus import reparameterize_arclength
 from confgeo.exprkit import parse_scalar_field, substitute
 from confgeo.geometry import (
     AbstractMetric,
@@ -18,9 +18,7 @@ from confgeo.geometry import (
     cross,
     first_fundamental,
     frenet,
-    geodesic_curvature,
     metric_derivative_identities,
-    normal_curvature,
     second_fundamental,
 )
 from conftest import (
@@ -37,6 +35,7 @@ from conftest import (
     plane,
     sphere,
 )
+from oracles import fd_partial, geodesic_curvature, normal_curvature
 
 RNG = np.random.default_rng(20240811)
 

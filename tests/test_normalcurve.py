@@ -18,7 +18,6 @@ from confgeo.geometry import ParamCurve, VanishingCurvatureError, beta_jets, dot
 from confgeo.normalcurve import (
     classify_curve,
     frame_decompose,
-    normal_component_identity_residual,
     synth_position,
     tangential_report,
     theorem3_report,
@@ -41,6 +40,7 @@ from conftest import (
     sphere_homothety_pair,
     stereographic_pair,
 )
+from oracles import normal_component_identity_residual
 
 RNG = np.random.default_rng(3145)
 

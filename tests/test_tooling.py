@@ -1,5 +1,6 @@
-"""The names the benchmark's tracer wraps exist in the package, and each
-conformal function is bound in ``conformal`` alone.
+"""The names the benchmark's tracer wraps exist in the package, each
+conformal function is bound in ``conformal`` alone, and the package ships
+no public name that only the tests read.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute path)`` of its
 ``TARGETS`` by name, so a rename or deletion in ``confgeo`` would break a
@@ -11,12 +12,14 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import confgeo
 from confgeo import conformal
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _targets() -> tuple:
@@ -52,3 +55,34 @@ def test_no_other_module_binds_a_conformal_function():
         module = importlib.import_module(f"confgeo.{info.name}")
         bound = sorted(key for key, val in vars(module).items() if id(val) in functions)
         assert not bound, f"confgeo.{info.name} binds conformal's {bound}"
+
+
+def _reads(tree: ast.Module) -> set:
+    # the names a module reads, as a name or an attribute; a top-level
+    # function or class that reads only itself (a recursion) is not read
+    reads = set()
+    for stmt in tree.body:
+        found = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)} | \
+                {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            found.discard(stmt.name)
+        reads |= found
+    return reads
+
+
+def test_every_public_name_is_read_by_the_package_or_the_tracer():
+    # a public function or class that nothing in src/ reads, and that the
+    # tracer does not wrap, serves only the tests and belongs with them
+    # (tests/oracles.py holds the oracles that were moved out)
+    trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "confgeo").glob("*.py")}
+    read = set().union(*map(_reads, trees.values()))
+    traced = {(module, path.split(".")[0]) for module, path in _targets()}
+    script = re.search(r'^\[project\.scripts\]\n\S+ = "confgeo\.(\w+):(\w+)"',
+                       (ROOT / "pyproject.toml").read_text(), re.M)
+    assert script
+    unread = sorted(f"{module}.{stmt.name}" for module, tree in trees.items()
+                    for stmt in tree.body
+                    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_") and stmt.name not in read
+                    and (module, stmt.name) not in traced and (module, stmt.name) != script.groups())
+    assert not unread, f"public names only the tests read: {unread}"
