@@ -2,7 +2,8 @@
 
 A reparameterized curve's jets are kept in the store of walks, keyed by the
 curve and the s-grid's bits (see ``exprkit.derived``), so that suites that
-share an s-grid invert its arc length once.  The finite-difference oracle
+share an s-grid invert its arc length once; the inversion's Newton steps
+are not kept, since nothing reads them again.  The finite-difference oracle
 that checks the jets lives with the tests, independent of every evaluator.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exprkit import Expr, derived, eval_jet3
+from .exprkit import Expr, derived, eval_jet3, walk_store
 from .geometry import CurveJets, SurfacePatch, speed_from_form, violation
 
 QUAD_TOL = 1e-10
@@ -147,8 +148,10 @@ class UnitSpeedCurve:
         tol = 1e-13 * max(1.0, self.length)
         todo = np.arange(ss.size)  # points not yet converged
         for step in range(NEWTON_STEPS + 1):
-            length, speed = _gauss_lengths(self.patch, self.u_raw, self.v_raw,
-                                           t_knot[todo], t[todo])
+            # outside the store: nothing reads a step's walks or forms again
+            with walk_store(None):
+                length, speed = _gauss_lengths(self.patch, self.u_raw, self.v_raw,
+                                               t_knot[todo], t[todo])
             g = s_knot[todo] + length - ss[todo]
             keep = np.abs(g) > tol
             if not keep.any():

@@ -700,9 +700,14 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
         raise ScenarioError("--seed must be a non-negative integer")
     grids = dict(sc.grids)
     if grid_override is not None:
+        if grid_override < 1:
+            raise ScenarioError("--grid must be a positive integer")
+        _bounded(grid_override * grid_override, "--grid")  # the surface grid's n*n
         grids["surface"] = grids["curve"] = grid_override
     tolerances = dict(sc.tolerances)
     if tol_override is not None:
+        if not (math.isfinite(tol_override) and tol_override > 0.0):
+            raise ScenarioError("--tol must be a finite positive number")
         # --tol overrides the suite pass thresholds; the conformality gate on
         # pair construction keeps its scenario value
         tolerances.update({k: tol_override for k in SUITE_NAMES})
@@ -782,12 +787,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         sc = load_scenario(Path(args.scenario))
-        if args.grid is not None:
-            if args.grid < 1:
-                raise ScenarioError("--grid must be a positive integer")
-            _bounded(args.grid * args.grid, "--grid")  # the surface grid's n*n
-        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise ScenarioError("--tol must be a finite positive number")
         return run_scenario(sc, Path(args.out), args.format, args.suite,
                             args.grid, args.tol, args.seed)
     except ScenarioError as err:

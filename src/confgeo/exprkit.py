@@ -36,11 +36,12 @@ variable its roots read, which numpy's checks would let through (inf + 1
 raises nothing); an expression holds the set of the variables it reads.
 
 A caller that walks the same expressions at the same grids again enters a
-store of walks (:func:`walk_store`).  It is held in a context variable, so
-another thread or task does not see it.  The store also keeps the values
-of the functions marked :func:`derived` (patch and curve jets, forms,
-Christoffel symbols and the dilation terms of the other modules), keyed by
-the kept values they read, so that no such value is made twice either.
+store (:func:`walk_store`), held in a context variable, so that another
+thread or task does not see it.  A walk is a :func:`derived` value of its
+expressions, its order and its grid, as are patch and curve jets, forms,
+Christoffel symbols and the dilation terms of the other modules, and the
+store keeps each under the one key rule of ``derived``.  No cache outlives
+a run but the static jet tables and ``pcg64``'s jump table.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import inspect
 import itertools
 import math
 import operator
@@ -721,24 +721,22 @@ def _locate(err: EvalDomainError, grid: list, walk) -> EvalDomainError:
     return err
 
 
-# The store of walks a caller has entered, if any (see ``walk_store``).
+# The store a caller has entered, if any (see ``walk_store``): only
+# ``derived`` reads it.
 _STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "confgeo_walk_store", default=None)
 
 
 @contextlib.contextmanager
-def walk_store(store: dict):
-    """Keep the walks of the block in ``store`` and reuse them, and the
-    values of the :func:`derived` functions it calls.
+def walk_store(store: dict | None):
+    """Keep the :func:`derived` values of the block in ``store`` and reuse
+    them; with None, keep nothing.
 
-    While the block runs, ``eval_jet2``, ``eval_jet3``, ``eval_grad3`` and
-    ``evaluate`` look a walk up by its expressions' identities, the order
-    and the grid's shape and bits (so ``-0.0`` and ``0.0``, NaN payloads
-    and a 0-d point stay apart).  On a miss they walk as without a store
-    and keep the coefficients as read-only arrays, with the expressions,
-    so that their identities are not reused.  A failed walk is never kept:
-    its error is raised again on the next call.  The caller owns ``store``,
-    may enter it again, and empties it when the walks and values are no
+    A walk of ``eval_jet2``, ``eval_jet3``, ``eval_grad3`` or ``evaluate``
+    is a derived value of its expressions, its order and its grid, kept
+    under the one key rule of ``derived``.  A failed walk or call is never
+    kept: its error is raised again on the next call.  The caller owns
+    ``store``, may enter it again, and empties it when its values are no
     longer needed.
     """
     token = _STORE.set(store)
@@ -753,7 +751,7 @@ def _key_part(x):
     # dtype, shape and bits, a plain tuple by its items, and anything else
     # (a read-only array, a kept record, a member, an int) by identity
     if type(x) is np.ndarray and x.flags.writeable:
-        return (x.dtype.str, x.shape, x.tobytes())
+        return (x.dtype, x.shape, x.tobytes())
     if type(x) is tuple:
         return tuple(map(_key_part, x))
     return id(x)
@@ -780,31 +778,25 @@ def _kept_value(x, given: set):
 
 
 def derived(fn):
-    """``fn``, whose results the store of walks also keeps while a caller
-    has entered one (see :func:`walk_store`); without one, ``fn`` itself.
+    """``fn``, whose results the store also keeps while a caller has
+    entered one (see :func:`walk_store`); without one, ``fn`` itself.
 
-    A result is keyed by ``fn`` and its arguments, a defaulted one as if
-    it were given: a read-only array (every kept coefficient and value is
-    one), a kept record and a member by identity, any other array by its
-    dtype, shape and bits, and a plain tuple by its items.  The entry holds
-    the arguments, so that no identity is reused, and the result with every
-    array read-only.  A call that raises is never kept, so the next call
-    raises again.
+    A result is keyed by ``fn`` and its positional arguments, a defaulted
+    one as if it were given: a read-only array (every kept coefficient and
+    value is one), a kept record and a member by identity, any other array
+    by its dtype, shape and bits, and a plain tuple by its items.  The entry
+    holds the arguments, so that no identity is reused, and the result with
+    every array read-only.  A call that raises is never kept, so the next
+    call raises again.
     """
-    signature = inspect.signature(fn)
-    arity, defaults = len(signature.parameters), fn.__defaults__ or ()
+    defaults, arity = fn.__defaults__ or (), fn.__code__.co_argcount
 
     @functools.wraps(fn)
-    def keeping(*args, **kwargs):
+    def keeping(*args):
         store = _STORE.get()
         if store is None:
-            return fn(*args, **kwargs)
-        if kwargs or len(args) + len(defaults) < arity:
-            bound = signature.bind(*args, **kwargs)  # a missing argument raises here
-            bound.apply_defaults()
-            args = bound.args
-        elif len(args) < arity:
-            args += defaults[len(args) + len(defaults) - arity:]
+            return fn(*args)
+        args += defaults[len(args) + len(defaults) - arity:]
         key = (fn, *map(_key_part, args))
         entry = store.get(key)
         if entry is None:
@@ -814,21 +806,19 @@ def derived(fn):
     return keeping
 
 
+@derived
+def _walked(exprs: tuple, order: int, *grid) -> list:
+    # each of ``exprs``'s coefficients to ``order`` over ``grid``
+    return _evaluate(list(grid), _walk(exprs, order))
+
+
 def _jet(exprs: tuple, order: int, values) -> list:
     """Each of ``exprs``'s coefficients to ``order`` over the grid of
-    ``values``: from the active store of walks, if a caller entered one."""
+    ``values``: from the active store, if a caller entered one."""
     grid = [np.asarray(x, dtype=np.float64) for x in values]
     if len({a.shape for a in grid}) > 1:  # numpy would return equal shapes as they are
         grid = np.broadcast_arrays(*grid)
-    store = _STORE.get()
-    if store is None:
-        return _evaluate(grid, _walk(exprs, order))
-    key = (tuple(map(id, exprs)), order, grid[0].shape, *(a.tobytes() for a in grid))
-    kept = store.get(key)
-    if kept is None:
-        out = _evaluate(grid, _walk(exprs, order))
-        kept = store[key] = (exprs, _kept_value(out, set(map(id, grid))))
-    return kept[1]
+    return _walked(exprs, order, *grid)
 
 
 def _jets(name: str, e, values, order: int, top: int, kind):

@@ -19,7 +19,6 @@ the first offending grid point.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -353,7 +352,7 @@ def beta_jets(p: SurfacePatch, cj: CurveJets) -> tuple[PatchJets, np.ndarray, np
     return pj, beta1, beta2
 
 
-@lru_cache(maxsize=128)
+@derived
 def _composed_components(p: SurfacePatch, c: ParamCurve) -> tuple[Expr, Expr, Expr]:
     mapping = {"u": c.u, "v": c.v}
     return (substitute(p.x, mapping), substitute(p.y, mapping), substitute(p.z, mapping))

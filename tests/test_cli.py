@@ -690,8 +690,29 @@ def test_each_demo_entry_gives_the_same_bits_with_and_without_the_store():
     alone = [_bits(cli.run_suite(sc, e, sc.grids, sc.tolerances, None)) for e in sc.suites]
     with exprkit.walk_store({}) as store:
         shared = [_bits(cli.run_suite(sc, e, sc.grids, sc.tolerances, None)) for e in sc.suites]
-        kept = sum(callable(key[0]) for key in store)  # a walk key starts with a tuple
-    assert shared == alone and kept > 0
+        walked = sum(key[0] is exprkit._walked.__wrapped__ for key in store)
+    assert shared == alone and 0 < walked < len(store)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "random"])
+def test_the_run_store_walks_each_expressions_order_and_grid_once(tmp_path, monkeypatch, mode):
+    # every walk made while the run's store is entered, by its expressions'
+    # identities, its order and its grid's shape and bits: a key that missed
+    # where the bits would hit would walk a triple twice
+    walked, walk_of, evaluate_of = [], exprkit._walk, exprkit._evaluate
+
+    def counting(grid, tagged):
+        key, walk = tagged
+        if exprkit._STORE.get() is not None:
+            walked.append((*key, *((a.shape, a.tobytes()) for a in grid)))
+        return evaluate_of(grid, walk)
+
+    monkeypatch.setattr(exprkit, "_walk", lambda exprs, order: (
+        (tuple(map(id, exprs)), order), walk_of(exprs, order)))
+    monkeypatch.setattr(exprkit, "_evaluate", counting)
+    sc = cli.load_scenario(_demo_with(tmp_path, lambda d: d["grids"].update(mode=mode)))
+    assert cli.run_scenario(sc, tmp_path / "r", "obj", [], 8, None, 7) == 0
+    assert walked and len(set(walked)) == len(walked)
 
 
 def test_suite_order_does_not_change_a_report(tmp_path):
@@ -759,6 +780,24 @@ def test_negative_seed_from_the_library_is_a_scenario_error_before_any_suite(tmp
     with pytest.raises(cli.ScenarioError, match="^--seed must be a non-negative integer$"):
         cli.run_scenario(sc, tmp_path / "r", "obj", [], None, None, -1)
     assert ran == [] and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("grid, tol, line", [
+    (10 ** 7, None, "--grid: 100000000000000 grid points exceed the bound of 262144"),
+    (0, None, "--grid must be a positive integer"),
+    (-1, None, "--grid must be a positive integer"),
+    (None, float("nan"), "--tol must be a finite positive number"),
+    (None, 0.0, "--tol must be a finite positive number"),
+    (None, -1.0, "--tol must be a finite positive number"),
+], ids=["grid-huge", "grid-0", "grid-neg", "tol-nan", "tol-0", "tol-neg"])
+def test_an_override_from_the_library_is_a_scenario_error_before_out(tmp_path, grid, tol,
+                                                                     line):
+    # run_scenario checks its own overrides, as main's flags are: an
+    # oversized grid ended in numpy's memory error
+    sc = cli.load_scenario(DEMO)
+    with pytest.raises(cli.ScenarioError) as err:
+        cli.run_scenario(sc, tmp_path / "r", "obj", ["forms"], grid, tol, 0)
+    assert str(err.value) == line and not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])

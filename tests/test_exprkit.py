@@ -394,6 +394,22 @@ def test_store_keys_the_grid_by_its_bits():
         assert len(store) == 6
 
 
+def test_store_keys_a_read_only_grid_by_identity(walks):
+    # a kept coefficient is read-only, and a walk at it hits by identity; an
+    # array with its bits is another argument
+    e = parse_scalar_field("s*s", S)
+    with walk_store({}):
+        kept = evaluate(parse_scalar_field("s+1", S), np.linspace(0.0, 1.0, 4))
+        first = eval_jet3(e, kept)
+        assert all(x is y for x, y in zip(first, eval_jet3(e, kept)))
+        assert len(walks) == 2
+        frozen = kept.copy()
+        frozen.flags.writeable = False
+        eval_jet3(e, frozen)
+        eval_jet3(e, kept.copy())
+        assert len(walks) == 4
+
+
 def test_store_keeps_no_failed_walk():
     e = parse_scalar_field("log(s)", S)
     messages = []
@@ -446,7 +462,9 @@ def test_store_keeps_a_derived_value_by_its_arguments():
     with walk_store({}) as store:
         first = scaled(x)
         # a writeable array by its bits, and a defaulted argument as if given
-        assert scaled(x.copy()) is first and scaled(x, 2) is first and scaled(x, k=2) is first
+        assert scaled(x.copy()) is first and scaled(x, 2) is first
+        with pytest.raises(TypeError):  # positional arguments only
+            scaled(x, k=2)
         assert len(calls) == 2 and len(store) == 1
         # a read-only array, as every kept value is, by identity
         assert scaled(first) is scaled(first) and len(calls) == 3

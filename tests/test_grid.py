@@ -273,7 +273,7 @@ def test_order_one_patch_jets_and_first_form(surf):
     # and None where they stop
     u, v = cli.surface_grid(surf.domain, 4, np.random.default_rng(2))
     for args in ((u, v), (float(u[0]), float(v[0]))):
-        pj1, pj = surf.jets(*args, order=1), surf.jets(*args)
+        pj1, pj = surf.jets(*args, 1), surf.jets(*args)
         assert [x.tobytes() for x in pj1[:3]] == [x.tobytes() for x in pj[:3]]
         assert pj1[3:] == (None, None, None)
         m1, m = surf.first_form(*args, order=1), surf.first_form(*args)
