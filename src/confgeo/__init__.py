@@ -1,7 +1,7 @@
 """Numerical differential geometry of curves on surfaces under conformal maps.
 
 Submodules: :mod:`exprkit` (expression DSL, forward-mode jets, and the store
-that keeps a run's walks and derived values), :mod:`calculus` (adaptive
+that keeps a run's derived values), :mod:`calculus` (adaptive
 quadrature, arc-length reparameterization),
 :mod:`geometry` (forms, Christoffel symbols, Frenet frames, curvatures),
 :mod:`conformal` (dilation fields, theta terms, shift residuals),

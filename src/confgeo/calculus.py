@@ -1,10 +1,11 @@
 """Adaptive quadrature and numerical arc-length reparameterization.
 
-A reparameterized curve's jets are kept in the store of walks, keyed by the
-curve and the s-grid's bits (see ``exprkit.derived``), so that suites that
-share an s-grid invert its arc length once; the inversion's Newton steps
-are not kept, since nothing reads them again.  The finite-difference oracle
-that checks the jets lives with the tests, independent of every evaluator.
+A reparameterized curve's jets are a derived value of the run's store,
+keyed by the curve and the s-grid's bits (see ``exprkit.derived``), so that
+suites that share an s-grid invert its arc length once; the inversion's
+Newton steps run outside the store, since nothing reads their forms again.
+The finite-difference oracle that checks the jets lives with the tests,
+independent of every evaluator.
 """
 
 from __future__ import annotations

@@ -731,20 +731,20 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
         stream = pcg64.doubles(seed, max((_draws(SUITES[e["suite"]], grids) for e in selected),
                                          default=0))
 
-    # The suites whose row needs a curve walk the same patch, curve,
-    # dilation and profile expressions at the same s-grid, and read the same
-    # jets, forms, zeta jets and Christoffel and theta terms of them, so they
-    # share one store of walks and derived values for the run.  The surface
-    # suites run outside it: their n*n grids are where the memory goes, and
-    # no other suite walks them.
-    results, walks = [], {}
+    # The suites whose row needs a curve read the same jets, forms, zeta
+    # jets and Christoffel and theta terms at the same s-grid, so they share
+    # one store of derived values for the run; no walk is kept, since every
+    # walk they repeat sits behind one of those values.  The surface suites
+    # run outside it: their n*n grids are where the memory goes, and no
+    # other suite reads them.
+    results, store = [], {}
     try:
         for entry in selected:
             rng = pcg64.Draws(stream) if grids["mode"] == "random" else None
             shared = "curve" in SUITES[entry["suite"]].needs
             t0 = time.perf_counter()
             try:
-                with walk_store(walks) if shared else contextlib.nullcontext():
+                with walk_store(store) if shared else contextlib.nullcontext():
                     res = run_suite(sc, entry, grids, tolerances, rng)
             except MATH_ERRORS as err:
                 print(f"math error in suite '{entry['suite']}' ({_suite_context(entry)}): "
@@ -757,7 +757,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
                   f"max residual {res.max_residual:.3e}{_worst_text(res)} "
                   f"vs tol {res.tolerance:.1e} [{res.wall_ms:.1f} ms]")
     finally:
-        walks.clear()  # no walk or derived value outlives the run
+        store.clear()  # no derived value outlives the run
 
     paths = write_reports(sc, results, out_dir, fmt, seed, grids)
     print(f"wrote {len(paths)} report file(s) under {out_dir}")

@@ -35,13 +35,14 @@ place.  A walk that does arithmetic refuses a non-finite value of a
 variable its roots read, which numpy's checks would let through (inf + 1
 raises nothing); an expression holds the set of the variables it reads.
 
-A caller that walks the same expressions at the same grids again enters a
-store (:func:`walk_store`), held in a context variable, so that another
-thread or task does not see it.  A walk is a :func:`derived` value of its
-expressions, its order and its grid, as are patch and curve jets, forms,
-Christoffel symbols and the dilation terms of the other modules, and the
-store keeps each under the one key rule of ``derived``.  No cache outlives
-a run but the static jet tables and ``pcg64``'s jump table.
+A caller that reads the same derived values again enters a store
+(:func:`walk_store`), held in a context variable, so that another thread
+or task does not see it.  The store keeps the :func:`derived` values of the
+other modules (patch and curve jets, forms, Christoffel symbols and the
+dilation terms) under the one key rule of ``derived``.  A walk is not kept,
+since each walk a later call repeats sits behind a derived value that is;
+inside a store its arrays are read-only, as a kept value's are.  No cache
+outlives a run but the static jet tables and ``pcg64``'s jump table.
 """
 
 from __future__ import annotations
@@ -732,9 +733,9 @@ def walk_store(store: dict | None):
     """Keep the :func:`derived` values of the block in ``store`` and reuse
     them; with None, keep nothing.
 
-    A walk of ``eval_jet2``, ``eval_jet3``, ``eval_grad3`` or ``evaluate``
-    is a derived value of its expressions, its order and its grid, kept
-    under the one key rule of ``derived``.  A failed walk or call is never
+    The store keeps derived values only: a walk of ``eval_jet2``,
+    ``eval_jet3``, ``eval_grad3`` or ``evaluate`` is made on every call,
+    and inside a store its arrays are read-only.  A failed call is never
     kept: its error is raised again on the next call.  The caller owns
     ``store``, may enter it again, and empties it when its values are no
     longer needed.
@@ -758,17 +759,17 @@ def _key_part(x):
 
 
 def _kept_value(x, given: set):
-    # a walk's coefficients or a derived result as the store keeps them,
-    # every array read-only: an array the call made is frozen in place, and
-    # one it was given (``given`` holds the identities of its inputs, such as
-    # the grid a bare variable's value is) is copied first, so that neither
-    # the caller's array is frozen nor a later write to it reaches the store;
-    # a list, tuple or record is rebuilt only around such a copy
+    # a derived result as the store keeps it, or a walk's coefficients as a
+    # store returns them, every array read-only: an array the call made is
+    # frozen in place, and one it was given (``given`` holds the identities
+    # of its inputs, such as the grid a bare variable's value is, or a
+    # broadcast view of it) is copied first, so that neither the caller's
+    # array is frozen nor a later write to it reaches the value; a list,
+    # tuple or record is rebuilt only around such a copy
     if type(x) is np.ndarray:
-        if x.flags.writeable:
-            if id(x) in given:
-                x = np.array(x)
-            x.flags.writeable = False
+        if id(x) in given:
+            x = np.array(x)
+        x.flags.writeable = False
         return x
     if isinstance(x, (list, tuple)):
         items = [_kept_value(y, given) for y in x]
@@ -782,12 +783,13 @@ def derived(fn):
     entered one (see :func:`walk_store`); without one, ``fn`` itself.
 
     A result is keyed by ``fn`` and its positional arguments, a defaulted
-    one as if it were given: a read-only array (every kept coefficient and
-    value is one), a kept record and a member by identity, any other array
-    by its dtype, shape and bits, and a plain tuple by its items.  The entry
-    holds the arguments, so that no identity is reused, and the result with
-    every array read-only.  A call that raises is never kept, so the next
-    call raises again.
+    one as if it were given: a read-only array (every kept value and every
+    coefficient walked inside a store is one), a kept record and a member
+    by identity, any other array by its dtype, shape and bits, and a plain
+    tuple by its items.  The entry holds the arguments, so that no identity
+    is reused, and the result with every array read-only.  The store keeps
+    such results only, never a walk.  A call that raises is never kept, so
+    the next call raises again.
     """
     defaults, arity = fn.__defaults__ or (), fn.__code__.co_argcount
 
@@ -806,19 +808,16 @@ def derived(fn):
     return keeping
 
 
-@derived
-def _walked(exprs: tuple, order: int, *grid) -> list:
-    # each of ``exprs``'s coefficients to ``order`` over ``grid``
-    return _evaluate(list(grid), _walk(exprs, order))
-
-
 def _jet(exprs: tuple, order: int, values) -> list:
     """Each of ``exprs``'s coefficients to ``order`` over the grid of
-    ``values``: from the active store, if a caller entered one."""
+    ``values``.  The walk is never kept; while a store is entered its
+    arrays are read-only, as ``derived`` keys a read-only array by identity
+    and a writeable one by its bits, and a caller may keep one in a record."""
     grid = [np.asarray(x, dtype=np.float64) for x in values]
     if len({a.shape for a in grid}) > 1:  # numpy would return equal shapes as they are
         grid = np.broadcast_arrays(*grid)
-    return _walked(exprs, order, *grid)
+    jets = _evaluate(grid, _walk(exprs, order))
+    return jets if _STORE.get() is None else _kept_value(jets, set(map(id, grid)))
 
 
 def _jets(name: str, e, values, order: int, top: int, kind):

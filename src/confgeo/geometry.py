@@ -352,12 +352,6 @@ def beta_jets(p: SurfacePatch, cj: CurveJets) -> tuple[PatchJets, np.ndarray, np
     return pj, beta1, beta2
 
 
-@derived
-def _composed_components(p: SurfacePatch, c: ParamCurve) -> tuple[Expr, Expr, Expr]:
-    mapping = {"u": c.u, "v": c.v}
-    return (substitute(p.x, mapping), substitute(p.y, mapping), substitute(p.z, mapping))
-
-
 def frenet(p: SurfacePatch, c, s, with_torsion: bool = True) -> FrameData:
     """Frenet data of a unit-speed curve on a patch.
 
@@ -376,7 +370,8 @@ def frenet(p: SurfacePatch, c, s, with_torsion: bool = True) -> FrameData:
 
     tau = None
     if with_torsion and isinstance(c, ParamCurve):
-        beta3 = np.array([j.d3 for j in eval_jet3(_composed_components(p, c), s)])
+        composed = tuple(substitute(x, {"u": c.u, "v": c.v}) for x in (p.x, p.y, p.z))
+        beta3 = np.array([j.d3 for j in eval_jet3(composed, s)])
         tau = dot(cross(beta1, beta2), beta3) / (k * k)
     return FrameData(pj.p, beta1, kappa, n, b, tau)
 

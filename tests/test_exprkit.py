@@ -350,64 +350,69 @@ def test_polynomial_first_partials_match_fd(text, u, v):
 # -- the store of walks ----------------------------------------------------------
 
 
-def test_store_walks_once_per_expression_order_and_grid(walks):
-    e = parse_scalar_field("sin(u)*v", UV)
+def test_a_walk_in_a_store_is_read_only_and_not_kept(walks):
+    a, b = parse_scalar_field("sin(u)*v", UV), parse_scalar_field("u*v", UV)
     u, v = np.linspace(0.0, 1.0, 5), np.linspace(1.0, 2.0, 5)
-    plain = eval_jet2(e, u, v)
-    with walk_store({}) as store:
-        first = eval_jet2(e, u, v)
-        again = eval_jet2(e, u.copy(), v.copy())  # the same bits in other arrays
-        assert len(walks) == 2 and len(store) == 1  # one walk without the store
-        assert all(x is y for x, y in zip(first, again))
-        evaluate(e, u, v)  # another order
-        eval_jet2(e, u[:4], v[:4])  # another grid
-        eval_jet2(parse_scalar_field("sin(u)*v", UV), u, v)  # an equal tree
-        assert len(walks) == 5 and len(store) == 4
-    eval_jet2(e, u, v)  # outside the block nothing is looked up
-    assert len(walks) == 6
-    for x, y in zip(plain, first):
-        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
-
-
-def test_store_keys_a_walk_by_all_its_roots_in_order(walks):
-    a, b = parse_scalar_field("sin(u)", UV), parse_scalar_field("u*v", UV)
-    u, v = np.linspace(0.0, 1.0, 5), np.linspace(1.0, 2.0, 5)
+    plain = eval_jet2((a, b), u, v)
     with walk_store({}) as store:
         first = eval_jet2((a, b), u, v)
-        assert all(x is y for j, k in zip(first, eval_jet2((a, b), u, v)) for x, y in zip(j, k))
-        eval_jet2((b, a), u, v)
-        eval_jet2(a, u, v)
-        assert len(store) == 3
-    assert [e for e, _ in walks] == [a, b, b, a, a]
+        again = eval_jet2((a, b), u.copy(), v.copy())  # the same bits in other arrays
+        assert not store and [e for e, _ in walks] == [a, b] * 3  # walked on every call
+    for jets in zip(plain, first, again):
+        for x, y, z in zip(*jets):
+            assert not y.flags.writeable and not z.flags.writeable and y is not z
+            assert x.tobytes() == y.tobytes() == z.tobytes()
 
 
-def test_store_keys_the_grid_by_its_bits():
-    s = parse_scalar_field("s", S)
+def test_a_walk_in_a_store_copies_a_broadcast_grid():
+    # the 0-d v is broadcast to the shape of u: a bare variable's value is a
+    # view of the caller's array, which a later write must not reach
+    u, v = np.linspace(0.0, 1.0, 4), np.array(0.5)
+    with walk_store({}) as store:
+        got = eval_jet2(parse_scalar_field("v", UV), u, v).value
+    assert not store and not got.flags.writeable
+    v[()] = 9.0
+    assert got.tobytes() == np.full(4, 0.5).tobytes()
+
+
+def test_store_keys_a_writeable_array_by_its_bits():
+    calls = []
+
+    @exprkit.derived
+    def same(x):
+        calls.append(x)
+        return x
+
     quiet = np.array([math.nan])
     loud = (quiet.view(np.uint64) | np.uint64(1)).view(np.float64)
+    grids = [np.array([0.0]), np.array([-0.0]), quiet, loud, np.array(0.5), np.array([0.5])]
     with walk_store({}) as store:
-        for grid in (np.array([0.0]), np.array([-0.0]), quiet, loud):
-            got = evaluate(s, grid)
-            assert got.view(np.uint64) == grid.view(np.uint64)
-        assert np.shape(evaluate(s, 0.5)) == ()
-        assert np.shape(evaluate(s, np.array([0.5]))) == (1,)
-        assert len(store) == 6
+        for grid in grids:
+            got = same(grid)
+            assert got.shape == grid.shape and got.tobytes() == grid.tobytes()
+            assert same(grid.copy()) is got  # the same bits in another array
+        assert len(store) == len(calls) == 6
 
 
-def test_store_keys_a_read_only_grid_by_identity(walks):
-    # a kept coefficient is read-only, and a walk at it hits by identity; an
-    # array with its bits is another argument
-    e = parse_scalar_field("s*s", S)
+def test_store_keys_a_read_only_array_by_identity():
+    # a walk's coefficient is read-only in a store, and a call at it hits by
+    # identity; an array with its bits is another argument
+    calls = []
+
+    @exprkit.derived
+    def squared(x):
+        calls.append(x)
+        return x * x
+
     with walk_store({}):
         kept = evaluate(parse_scalar_field("s+1", S), np.linspace(0.0, 1.0, 4))
-        first = eval_jet3(e, kept)
-        assert all(x is y for x, y in zip(first, eval_jet3(e, kept)))
-        assert len(walks) == 2
+        first = squared(kept)
+        assert squared(kept) is first and len(calls) == 1
         frozen = kept.copy()
         frozen.flags.writeable = False
-        eval_jet3(e, frozen)
-        eval_jet3(e, kept.copy())
-        assert len(walks) == 4
+        assert squared(frozen) is not first
+        squared(kept.copy())
+        assert len(calls) == 3
 
 
 def test_store_keeps_no_failed_walk():

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from confgeo import geometry
 from confgeo.calculus import reparameterize_arclength
 from confgeo.exprkit import parse_scalar_field, substitute, walk_store
 from confgeo.geometry import (
@@ -233,6 +232,8 @@ def test_frenet_latitude_against_fd_oracle():
     comps = [substitute(c, {"u": lat.u, "v": lat.v}) for c in (sph.x, sph.y, sph.z)]
     beta2 = np.array([fd_partial(c, (s,), (2,), step=1e-4) for c in comps])
     assert np.linalg.norm(beta2) == pytest.approx(fr.kappa, abs=1e-6)
+    with walk_store({}):  # the torsion in a store has the bits it has outside one
+        assert frenet(sph, lat, s).tau.tobytes() == fr.tau.tobytes()
 
 
 def test_frenet_helix_torsion():
@@ -240,19 +241,6 @@ def test_frenet_helix_torsion():
     fr = frenet(cylinder(), helix_curve(), 0.4)
     assert fr.kappa == pytest.approx(0.5, abs=1e-12)
     assert fr.tau == pytest.approx(0.5, abs=1e-12)
-
-
-def test_frenet_composes_the_patch_and_curve_once_per_store(monkeypatch):
-    # the torsion's composed components are a derived value: made once in a
-    # store, again in the next, and never kept past it
-    made, compose = [], geometry.substitute
-    monkeypatch.setattr(geometry, "substitute", lambda e, m: made.append(e) or compose(e, m))
-    sph, lat = sphere(), latitude_curve()
-    for stores in (1, 2):
-        with walk_store({}):
-            taus = [frenet(sph, lat, s).tau for s in (0.4, np.linspace(0.1, 1.0, 5))]
-        assert made == [sph.x, sph.y, sph.z] * stores
-    assert taus[0].tobytes() == frenet(sph, lat, 0.4).tau.tobytes()
 
 
 def test_frenet_rejects_non_unit_speed():
