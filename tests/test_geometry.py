@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from confgeo import geometry
 from confgeo.calculus import reparameterize_arclength
-from confgeo.exprkit import parse_scalar_field, substitute, walk_store
+from confgeo.exprkit import Expr, parse_scalar_field, substitute, walk_store
 from confgeo.geometry import (
     AbstractMetric,
     GeometryError,
@@ -234,6 +235,21 @@ def test_frenet_latitude_against_fd_oracle():
     assert np.linalg.norm(beta2) == pytest.approx(fr.kappa, abs=1e-6)
     with walk_store({}):  # the torsion in a store has the bits it has outside one
         assert frenet(sph, lat, s).tau.tobytes() == fr.tau.tobytes()
+
+
+def test_frenet_composes_the_patch_and_curve_on_every_call(monkeypatch):
+    # the torsion's composed components are a plain call: made again on each
+    # frenet call, in a store as outside one, and never kept in the store
+    made, compose = [], geometry.substitute
+    monkeypatch.setattr(geometry, "substitute", lambda e, m: made.append(e) or compose(e, m))
+    sph, lat = sphere(), latitude_curve()
+    plain = frenet(sph, lat, 0.4).tau
+    with walk_store({}) as store:
+        taus = [frenet(sph, lat, 0.4).tau for _ in range(2)]
+        assert all(not isinstance(v, tuple) or not any(isinstance(x, Expr) for x in v)
+                   for v in store.values())
+    assert made == [sph.x, sph.y, sph.z] * 3
+    assert taus[0].tobytes() == taus[1].tobytes() == plain.tobytes()
 
 
 def test_frenet_helix_torsion():
