@@ -284,7 +284,11 @@ def load_scenario(path: Path) -> Scenario:
             raise ScenarioError(f"{where}.suite: unknown suite '{sname}'")
         for key, val in entry.items():  # a key no suite reads would be a check left out
             if key in SUITES[sname].needs:
-                _member(entry, key, sc.pools[key], key, where)
+                member = _member(entry, key, sc.pools[key], key, where)
+                # every suite on a surface reads its patch jets
+                if key == "surface" and not isinstance(member, geometry.SurfacePatch):
+                    raise ScenarioError(f"{where}.surface: suite '{sname}' needs a patch, "
+                                        f"'{val}' is a metric")
             elif key == "expect" and sname == "classify":
                 if val not in normalcurve.VERDICTS:
                     raise ScenarioError(f"{where}.expect: expected one of "
@@ -410,14 +414,12 @@ def _worst(columns: dict, names: list[str]) -> tuple[float, tuple[str, int] | No
 
 
 def _forms(surf, us, vs, params, tol):
-    if not isinstance(surf, geometry.SurfacePatch):
-        raise ScenarioError(f"suite 'forms' needs a patch, '{params['surface']}' is a metric")
     names = ["u", "v", "E", "F", "G", "W",
              "r_uu_u", "r_uu_v", "r_uv_u", "r_uv_v", "r_vv_u", "r_vv_v", "r_lagrange"]
     # one patch-jet evaluation at the grid feeds the forms, the Lagrange
     # column and the oracle's left sides; the oracle adds one walk of its
     # four shifted grids
-    pj = surf.jets(us, vs)
+    pj = surf.jets(us, vs, 2)
     m = geometry.first_fundamental(pj, us, vs)
     cr = geometry.cross(pj.pu, pj.pv)
     disc = m.E * m.G - m.F * m.F

@@ -112,17 +112,17 @@ class ConformalPair:
 # Dilation
 
 
-def dilation_field(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]):
-    """Estimate zeta = sqrt(E~/E) from ``forms``, the two first forms at
-    ``u, v``.  Raises :class:`NonConformalError` where a conformality
-    residual |zeta^2 E - E~|, |zeta^2 F - F~| or |zeta^2 G - G~| exceeds
-    the pair's ``conformality_tol`` times the size of its own target
-    coefficient, max(1, |E~|), max(1, sqrt|E~ G~|) and max(1, |G~|), so that
-    no verdict hangs on the units of u and v.  A declared dilation is not
-    read here: :func:`dilation_jet` checks it against this estimate.
+def dilation_field(pair: ConformalPair, u, v, m: FirstForm, mt: FirstForm):
+    """Estimate zeta = sqrt(E~/E) from ``m`` and ``mt``, the source's and
+    the target's first forms at ``u, v``.  Raises :class:`NonConformalError`
+    where a conformality residual |zeta^2 E - E~|, |zeta^2 F - F~| or
+    |zeta^2 G - G~| exceeds the pair's ``conformality_tol`` times the size
+    of its own target coefficient, max(1, |E~|), max(1, sqrt|E~ G~|) and
+    max(1, |G~|), so that no verdict hangs on the units of u and v.  A
+    declared dilation is not read here: :func:`dilation_jet` checks it
+    against this estimate.
     """
     tol = pair.conformality_tol
-    m, mt = forms
     # both first forms have E > 0, but their ratio may underflow to 0
     z2 = mt.E / m.E
     bad = violation(z2 > 0.0, u, v, z2)
@@ -142,16 +142,15 @@ def dilation_field(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]
 
 
 @derived
-def dilation_jet(pair: ConformalPair, u, v, forms: tuple[FirstForm, FirstForm]) -> tuple:
-    """``(zeta, jet)``: the estimate of :func:`dilation_field` from
-    ``forms``, and zeta's jet to their order (first partials, or none from
-    forms without them).  A declared dilation supplies an exact jet, and is
-    checked here for every pair report: where it is not positive or not
-    within ``conformality_tol`` of the estimate, :class:`NonConformalError`
-    names the first such point.  Otherwise the partials come from
-    differentiating zeta^2 E = E~."""
-    m, mt = forms
-    zeta = dilation_field(pair, u, v, forms)
+def dilation_jet(pair: ConformalPair, u, v, m: FirstForm, mt: FirstForm) -> tuple:
+    """``(zeta, jet)``: the estimate of :func:`dilation_field` from the
+    first forms ``m, mt``, and zeta's jet to their order (first partials,
+    or none from forms without them).  A declared dilation supplies an
+    exact jet, and is checked here for every pair report: where it is not
+    positive or not within ``conformality_tol`` of the estimate,
+    :class:`NonConformalError` names the first such point.  Otherwise the
+    partials come from differentiating zeta^2 E = E~."""
+    zeta = dilation_field(pair, u, v, m, mt)
     if pair.dilation is not None:
         zj = eval_jet2(pair.dilation, u, v, 0 if m.E_u is None else 1)
         tol = pair.conformality_tol * np.maximum(1.0, abs(zeta))
@@ -194,8 +193,8 @@ def theta_terms(m: FirstForm, zeta_jet: Jet2) -> ChristoffelSet:
 def christoffel_shift_report(pair: ConformalPair, u, v) -> tuple:
     """zeta and |Gamma~^k_ij - Gamma^k_ij - theta^k_ij| for the six slots,
     all read from one evaluation of the two first forms."""
-    forms = m, mt = pair.forms(u, v)
-    zeta, zj = dilation_jet(pair, u, v, forms)
+    m, mt = pair.forms(u, v)
+    zeta, zj = dilation_jet(pair, u, v, m, mt)
     return (zeta, *(abs(gt - g - th) for gt, g, th in
                     zip(christoffel(mt), christoffel(m), theta_terms(m, zj))))
 
@@ -216,8 +215,8 @@ def beltrami_bracket_shift(pair: ConformalPair, c, s) -> BracketShift:
     """Convention-free core of the geodesic-curvature shift:
     B_tgt - B_src = Theta, with B the Beltrami bracket on each side."""
     cj = c.jets(s)
-    forms = m, mt = pair.forms(cj.u, cj.v)
-    _, zj = dilation_jet(pair, cj.u, cj.v, forms)
+    m, mt = pair.forms(cj.u, cj.v)
+    _, zj = dilation_jet(pair, cj.u, cj.v, m, mt)
     require_unit_speed(speed_from_form(m, cj.u1, cj.v1), s)
     b_src = beltrami_bracket(christoffel(m), cj)
     b_tgt = beltrami_bracket(christoffel(mt), cj)
@@ -285,8 +284,8 @@ class DeviationReport(NamedTuple):
 
 def geodesic_deviation_report(pair: ConformalPair, c, s) -> DeviationReport:
     cj = c.jets(s)
-    forms = m, mt = pair.forms(cj.u, cj.v)
-    zeta, zj = dilation_jet(pair, cj.u, cj.v, forms)
+    m, mt = pair.forms(cj.u, cj.v)
+    zeta, zj = dilation_jet(pair, cj.u, cj.v, m, mt)
     require_unit_speed(speed_from_form(m, cj.u1, cj.v1), s)
     th = theta_terms(m, zj)
     b_src = beltrami_bracket(christoffel(m), cj)
@@ -342,8 +341,8 @@ def pushforward_report(pair: ConformalPair, u, v) -> tuple:
         raise AmbientMapError("pair has no ambient map")
     pj, pjt = pair.source.jets(u, v, 1), pair.target.jets(u, v, 1)
     # the residual reads no partial of zeta, but a declared zeta must hold
-    zeta, _ = dilation_jet(pair, u, v, (first_fundamental(pj, u, v),
-                                        first_fundamental(pjt, u, v)))
+    zeta, _ = dilation_jet(pair, u, v, first_fundamental(pj, u, v),
+                           first_fundamental(pjt, u, v))
     jac_star = ambient_jacobian(pair.ambient_map, pj.p) / zeta
 
     def push(x):

@@ -39,7 +39,8 @@ A caller that reads the same derived values again enters a store
 (:func:`walk_store`), held in a context variable, so that another thread
 or task does not see it.  The store keeps the :func:`derived` values of the
 other modules (patch and curve jets, forms, Christoffel symbols and the
-dilation terms) under the one key rule of ``derived``.  A walk is not kept,
+dilation terms), each keyed by its function and its arguments: a writeable
+array by its bits, and any other argument by identity.  A walk is not kept,
 since each walk a later call repeats sits behind a derived value that is;
 inside a store its arrays are read-only, as a kept value's are.  No cache
 outlives a run but the static jet tables and ``pcg64``'s jump table.
@@ -749,12 +750,10 @@ def walk_store(store: dict | None):
 
 def _key_part(x):
     # how a kept value's key reads one argument: a writeable array by its
-    # dtype, shape and bits, a plain tuple by its items, and anything else
-    # (a read-only array, a kept record, a member, an int) by identity
+    # dtype, shape and bits, and anything else (a read-only array, a kept
+    # record, a member, an int) by identity
     if type(x) is np.ndarray and x.flags.writeable:
         return (x.dtype, x.shape, x.tobytes())
-    if type(x) is tuple:
-        return tuple(map(_key_part, x))
     return id(x)
 
 
@@ -782,23 +781,22 @@ def derived(fn):
     """``fn``, whose results the store also keeps while a caller has
     entered one (see :func:`walk_store`); without one, ``fn`` itself.
 
-    A result is keyed by ``fn`` and its positional arguments, a defaulted
-    one as if it were given: a read-only array (every kept value and every
-    coefficient walked inside a store is one), a kept record and a member
-    by identity, any other array by its dtype, shape and bits, and a plain
-    tuple by its items.  The entry holds the arguments, so that no identity
+    A result is keyed by ``fn`` and its positional arguments, each as it
+    is given: a writeable array by its dtype, shape and bits, and anything
+    else by identity (a read-only array, as every kept value and every
+    coefficient walked inside a store is, a kept record, a member, an int).
+    So ``fn`` takes no defaulted parameter, and a caller passes each value
+    as its own argument.  The entry holds the arguments, so that no identity
     is reused, and the result with every array read-only.  The store keeps
     such results only, never a walk.  A call that raises is never kept, so
     the next call raises again.
     """
-    defaults, arity = fn.__defaults__ or (), fn.__code__.co_argcount
 
     @functools.wraps(fn)
     def keeping(*args):
         store = _STORE.get()
         if store is None:
             return fn(*args)
-        args += defaults[len(args) + len(defaults) - arity:]
         key = (fn, *map(_key_part, args))
         entry = store.get(key)
         if entry is None:
@@ -808,27 +806,24 @@ def derived(fn):
     return keeping
 
 
-def _jet(exprs: tuple, order: int, values) -> list:
-    """Each of ``exprs``'s coefficients to ``order`` over the grid of
-    ``values``.  The walk is never kept; while a store is entered its
-    arrays are read-only, as ``derived`` keys a read-only array by identity
-    and a writeable one by its bits, and a caller may keep one in a record."""
-    grid = [np.asarray(x, dtype=np.float64) for x in values]
-    if len({a.shape for a in grid}) > 1:  # numpy would return equal shapes as they are
-        grid = np.broadcast_arrays(*grid)
-    jets = _evaluate(grid, _walk(exprs, order))
-    return jets if _STORE.get() is None else _kept_value(jets, set(map(id, grid)))
-
-
 def _jets(name: str, e, values, order: int, top: int, kind):
-    # ``kind`` of the coefficients of ``e``, or a tuple of them for a tuple walked at once
+    # ``kind`` of the coefficients of ``e`` to ``order`` over the grid of
+    # ``values``, or a tuple of them for a tuple walked at once.  The walk is
+    # never kept; while a store is entered its arrays are read-only, so that
+    # ``derived`` keys one by identity wherever a caller keeps or passes it
     if order not in range(top + 1):
         raise ExprError(f"{name} takes an order from 0 to {top}, got {order!r}")
     exprs = (e,) if isinstance(e, Expr) else tuple(e)
     if len({x.variables for x in exprs}) != 1 or len(exprs[0].variables) != len(values):
         raise ExprError(f"{name} needs expressions over one tuple of {len(values)} "
                         f"variable(s), got {[x.variables for x in exprs]}")
-    jets = [kind(*c) for c in _jet(exprs, order, values)]
+    grid = [np.asarray(x, dtype=np.float64) for x in values]
+    if len({a.shape for a in grid}) > 1:  # numpy would return equal shapes as they are
+        grid = np.broadcast_arrays(*grid)
+    jets = _evaluate(grid, _walk(exprs, order))
+    if _STORE.get() is not None:
+        jets = _kept_value(jets, set(map(id, grid)))
+    jets = [kind(*c) for c in jets]
     return jets[0] if isinstance(e, Expr) else tuple(jets)
 
 

@@ -126,7 +126,7 @@ class SurfacePatch(NamedTuple):
     domain: Box
 
     @derived
-    def jets(self, u, v, order: int = 2) -> PatchJets:
+    def jets(self, u, v, order: int) -> PatchJets:
         """Position and partials to ``order`` (1 or 2)."""
         _require_in_box(self.domain, u, v)
         js = eval_jet2((self.x, self.y, self.z), u, v, order)
@@ -345,7 +345,7 @@ def speed_from_form(m: FirstForm, u1, v1):
 
 def beta_jets(p: SurfacePatch, cj: CurveJets) -> tuple[PatchJets, np.ndarray, np.ndarray]:
     """Patch jets along the curve and the curve's beta', beta'' in E^3."""
-    pj = p.jets(cj.u, cj.v)
+    pj = p.jets(cj.u, cj.v, 2)
     beta1 = pj.pu * cj.u1 + pj.pv * cj.v1
     beta2 = (pj.pu * cj.u2 + pj.pv * cj.v2
              + pj.puu * cj.u1 ** 2 + 2.0 * pj.puv * cj.u1 * cj.v1 + pj.pvv * cj.v1 ** 2)

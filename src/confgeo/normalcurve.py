@@ -152,10 +152,10 @@ def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
         raise EmbeddingRequiredError(
             "normal/tangential deviation checks need embedded patches on both sides")
     cj, pj, kappa = _curved_jets(pair.source, c, s)
-    pjt = pair.target.jets(cj.u, cj.v)
+    pjt = pair.target.jets(cj.u, cj.v, 2)
     m = first_fundamental(pj, cj.u, cj.v)
     mt = first_fundamental(pjt, cj.u, cj.v)
-    _, zj = conformal.dilation_jet(pair, cj.u, cj.v, (m, mt))
+    _, zj = conformal.dilation_jet(pair, cj.u, cj.v, m, mt)
     nval, eval_ = evaluate((nu, eta), s)
     return {
         "cj": cj,

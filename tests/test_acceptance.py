@@ -112,7 +112,7 @@ def test_criterion_02_isometry_invariance():
     thetas_all_zero = True
     for (u, v) in grid8(pair.source.domain):
         th = theta_terms(pair.source.first_form(u, v),
-                         dilation_jet(pair, u, v, pair.forms(u, v))[1])
+                         dilation_jet(pair, u, v, *pair.forms(u, v))[1])
         thetas_all_zero &= (th.g111, th.g112, th.g121, th.g122, th.g221, th.g222) \
             == (0.0,) * 6
         g = christoffel(pair.source.first_form(u, v))
@@ -224,7 +224,7 @@ def test_criterion_07_metric_derivative_identities():
             u = float(RNG.uniform(u0 + 0.05 * (u1 - u0), u1 - 0.05 * (u1 - u0)))
             v = float(RNG.uniform(v0 + 0.05 * (v1 - v0), v1 - 0.05 * (v1 - v0)))
             worst = max(worst, max(metric_derivative_identities(patch, u, v,
-                                                                patch.jets(u, v))))
+                                                                patch.jets(u, v, 2))))
     report(7, "metric-derivative identities on plane, sphere, catenoid", worst, 1e-9)
 
 
@@ -261,7 +261,7 @@ def test_criterion_08_geometry_sanity():
     worst_zeta, worst_fd = 0.0, 0.0
     for _ in range(25):
         u, v = (float(x) for x in RNG.uniform(-0.9, 0.9, 2))
-        zeta = dilation_field(pair, u, v, pair.forms(u, v))
+        zeta = dilation_field(pair, u, v, *pair.forms(u, v))
         worst_zeta = max(worst_zeta, abs(zeta - 2.0 / (1.0 + u * u + v * v)))
         tgt = pair.target
         pu = np.array([fd_partial(c, (u, v), (1, 0)) for c in (tgt.x, tgt.y, tgt.z)])

@@ -1,10 +1,12 @@
 import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from confgeo import cli
+from confgeo import calculus, cli, geometry
 from confgeo.calculus import (
     CalculusError,
     ZeroSpeedError,
@@ -15,7 +17,7 @@ from confgeo.calculus import (
     adaptive_simpson,
     reparameterize_arclength,
 )
-from confgeo.exprkit import EvalDomainError, eval_jet2, parse_scalar_field
+from confgeo.exprkit import EvalDomainError, eval_jet2, parse_scalar_field, walk_store
 from conftest import catenoid, plane, stereographic_target
 from oracles import fd_partial
 
@@ -148,6 +150,68 @@ def test_reparam_grid_inverse_equals_point_inverse():
     grid, point = c.jets(ss), c.jets(float(ss[7]))
     for name in ("u", "v", "u1", "v1", "u2", "v2"):
         assert getattr(grid, name)[7] == getattr(point, name)
+
+
+def test_newton_steps_run_outside_the_run_store_on_a_curve_of_varying_speed(tmp_path,
+                                                                          monkeypatch):
+    # the demo's reparameterized curve has constant speed, so the knot
+    # table's linear seed is exact and Newton never steps; this one's speed
+    # varies along the catenoid.  A curve suite and a pair suite on it give
+    # the same bits in the run's store as without it, and the store keeps
+    # nothing on the grids of the Newton steps
+    doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "demo.json").read_text())
+    doc["curves"].append({"name": "slope", "u": "t", "v": "0.2+0.3*t", "reparameterize": True,
+                          "surface": "catenoid", "t_range": [0.2, 1.0], "samples": 24})
+    doc["suites"] = [{"suite": "frenet", "surface": "catenoid", "curve": "slope"},
+                     {"suite": "bracket-shift", "pair": "cat_hel", "curve": "slope"}]
+    path = tmp_path / "slope.json"
+    path.write_text(json.dumps(doc))
+    sc = cli.load_scenario(path)
+
+    # the open inverts, each invert's _gauss_lengths calls, and the (u, v)
+    # grids of the patch jets asked for inside an invert
+    inside, steps, newton = [], [], []
+    invert, lengths = UnitSpeedCurve.invert, calculus._gauss_lengths
+    jets = geometry.SurfacePatch.jets
+
+    def counted_invert(self, s):
+        steps.append(0)
+        inside.append(self)
+        try:
+            return invert(self, s)
+        finally:
+            inside.pop()
+
+    def counted_lengths(*args):
+        if inside:
+            steps[-1] += 1
+        return lengths(*args)
+
+    def seen_jets(self, u, v, order):
+        if inside:
+            newton.extend((u, v))
+        return jets(self, u, v, order)
+
+    monkeypatch.setattr(UnitSpeedCurve, "invert", counted_invert)
+    monkeypatch.setattr(calculus, "_gauss_lengths", counted_lengths)
+    monkeypatch.setattr(geometry.SurfacePatch, "jets", seen_jets)
+
+    def bits(res):
+        return res.pass_, {k: c.tobytes() for k, c in res.columns.items()}
+
+    alone = [bits(cli.run_suite(sc, e, sc.grids, sc.tolerances, None)) for e in sc.suites]
+    assert len(steps) == 2 and min(steps) > 1  # each invert takes a Newton step
+    steps.clear()
+    newton.clear()
+    with walk_store({}) as store:
+        shared = [bits(cli.run_suite(sc, e, sc.grids, sc.tolerances, None)) for e in sc.suites]
+        # every array an entry was made from, by its bits: a key reads a
+        # read-only one by identity, and an entry holds its arguments
+        kept_on = {(a.shape, a.tobytes()) for args, _ in store.values() for a in args
+                   if type(a) is np.ndarray}
+    assert shared == alone and all(ok for ok, _ in shared)
+    assert len(steps) == 1 and steps[0] > 1  # the curve's jets are kept: one invert
+    assert newton and kept_on and not kept_on & {(a.shape, a.tobytes()) for a in newton}
 
 
 def test_reparam_invert_reports_non_convergence():

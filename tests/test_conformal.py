@@ -119,7 +119,7 @@ def _ratio_residuals(zeta, forms):
 def test_dilation_identity_pair():
     pair = identity_pair(plane(STEREO_BOX))
     forms = pair.forms(0.3, -0.4)
-    zeta = dilation_field(pair, 0.3, -0.4, forms)
+    zeta = dilation_field(pair, 0.3, -0.4, *forms)
     assert zeta == 1.0
     assert _ratio_residuals(zeta, forms) == (0.0, 0.0, 0.0)
 
@@ -128,7 +128,7 @@ def test_dilation_homothety_of_plane():
     target = SurfacePatch(e2("3*u"), e2("3*v"), e2("0"), STEREO_BOX)
     pair = ConformalPair(plane(STEREO_BOX), target)
     forms = pair.forms(0.2, 0.9)
-    zeta = dilation_field(pair, 0.2, 0.9, forms)
+    zeta = dilation_field(pair, 0.2, 0.9, *forms)
     assert zeta == 3.0
     assert _ratio_residuals(zeta, forms) == (0.0, 0.0, 0.0)
 
@@ -136,10 +136,10 @@ def test_dilation_homothety_of_plane():
 def test_dilation_stereographic_closed_form_and_fd_oracle():
     pair = stereographic_pair()
     forms0 = pair.forms(0.0, 0.0)
-    zeta0 = dilation_field(pair, 0.0, 0.0, forms0)
+    zeta0 = dilation_field(pair, 0.0, 0.0, *forms0)
     assert zeta0 == pytest.approx(2.0, abs=1e-12)
     assert max(_ratio_residuals(zeta0, forms0)) < 1e-10
-    zeta11 = dilation_field(pair, 1.0, 1.0, pair.forms(1.0, 1.0))
+    zeta11 = dilation_field(pair, 1.0, 1.0, *pair.forms(1.0, 1.0))
     assert zeta11 == pytest.approx(2.0 / 3.0, abs=1e-12)
     # fd oracle: metric of the image patch by finite differences
     from oracles import fd_partial
@@ -147,7 +147,7 @@ def test_dilation_stereographic_closed_form_and_fd_oracle():
         tgt = pair.target
         pu = np.array([fd_partial(c, (u, v), (1, 0)) for c in (tgt.x, tgt.y, tgt.z)])
         zeta_fd = math.sqrt(float(pu @ pu))  # source E = 1
-        zeta = dilation_field(pair, u, v, pair.forms(u, v))
+        zeta = dilation_field(pair, u, v, *pair.forms(u, v))
         assert zeta == pytest.approx(zeta_fd, abs=1e-7)
         assert zeta == pytest.approx(2.0 / (1.0 + u * u + v * v), abs=1e-12)
 
@@ -159,7 +159,7 @@ def test_non_conformal_pair_raises_with_residuals():
     with pytest.raises(NonConformalError, match=r"^pair is not conformal at \(0\.1, 0\.1\): "
                                                 r"metric ratio residuals \(E, F, G\) = "
                                                 r"\(0\.0, 0\.0, 3\.0\)$"):
-        dilation_field(pair, 0.1, 0.1, pair.forms(0.1, 0.1))
+        dilation_field(pair, 0.1, 0.1, *pair.forms(0.1, 0.1))
 
 
 def test_declared_dilation_mismatch_detected():
@@ -168,14 +168,14 @@ def test_declared_dilation_mismatch_detected():
     pair = ConformalPair(plane(STEREO_BOX), target, dilation=e2("2"))
     want = r"declared dilation 2\.0 disagrees with estimate 3\.0 at \(0\.2, 0\.2\)"
     with pytest.raises(NonConformalError, match=want):
-        dilation_jet(pair, 0.2, 0.2, pair.forms(0.2, 0.2))
+        dilation_jet(pair, 0.2, 0.2, *pair.forms(0.2, 0.2))
     with pytest.raises(NonConformalError, match=want):
         christoffel_shift_residual(pair, 0.2, 0.2)
     # a pair that is not conformal says so first
     bent = ConformalPair(plane(STEREO_BOX), SurfacePatch(e2("u"), e2("2*v"), e2("0"), STEREO_BOX),
                          dilation=e2("2"))
     with pytest.raises(NonConformalError, match="not conformal"):
-        dilation_jet(bent, 0.2, 0.2, bent.forms(0.2, 0.2))
+        dilation_jet(bent, 0.2, 0.2, *bent.forms(0.2, 0.2))
 
 
 @pytest.mark.parametrize("u, value", [(1.0, "0.0"), (1.4, "-0.3999999999999999")])
@@ -186,7 +186,7 @@ def test_declared_dilation_must_be_positive_where_its_jet_is_taken(u, value):
     pair = ConformalPair(plane(box), plane(box), dilation=e2("1-u"), conformality_tol=3.0)
     want = rf"declared dilation {value} disagrees with estimate 1\.0 at \({u}, 0\.0\)"
     with pytest.raises(NonConformalError, match=want):
-        dilation_jet(pair, u, 0.0, pair.forms(u, 0.0))
+        dilation_jet(pair, u, 0.0, *pair.forms(u, 0.0))
     with pytest.raises(NonConformalError, match=want):
         christoffel_shift_residual(pair, np.array([0.5, u]), np.array([0.0, 0.0]))
 
@@ -276,7 +276,7 @@ def test_shift_flat_vs_conformally_flat():
     # Gamma~^1_11 = 1 must be exactly 0 + theta^1_11
     gt = christoffel(pair.target.first_form(0.0, 0.0))
     th = theta_terms(pair.source.first_form(0.0, 0.0),
-                     dilation_jet(pair, 0.0, 0.0, pair.forms(0.0, 0.0))[1])
+                     dilation_jet(pair, 0.0, 0.0, *pair.forms(0.0, 0.0))[1])
     assert gt.g111 == pytest.approx(1.0, abs=1e-14)
     assert th.g111 == pytest.approx(1.0, abs=1e-14)
 
@@ -290,7 +290,7 @@ def test_shift_stereographic_grid_with_12a_oracle():
     from oracles import fd_partial
     u, v = 0.4, -0.3
     m, mt = pair.forms(u, v)
-    _, zj = dilation_jet(pair, u, v, (m, mt))
+    _, zj = dilation_jet(pair, u, v, m, mt)
 
     def target_E(uu, vv):
         return pair.target.first_form(uu, vv).E
@@ -499,8 +499,8 @@ def test_pushforward_requires_ambient_map():
 
 
 def test_a_pair_report_reads_each_kept_term_of_the_store():
-    # pair.forms and beta_jets ask for the source's patch jets along the
-    # curve, one with the default order and one with order 2 given: one entry
+    # pair.forms, through first_form's default order, and beta_jets ask for
+    # the source's order-2 patch jets along the curve: one entry
     pair, curve = stereographic_pair(), circle_curve()
     s = np.linspace(0.2, 3.0, 7)
     plain = geodesic_deviation_report(pair, curve, s)
@@ -508,11 +508,11 @@ def test_a_pair_report_reads_each_kept_term_of_the_store():
         cj = curve.jets(s)
         assert curve.jets(s.copy()) is cj
         pj = beta_jets(pair.source, cj)[0]
-        forms = m, mt = pair.forms(cj.u, cj.v)
+        m, mt = pair.forms(cj.u, cj.v)
         assert pair.source.jets(cj.u, cj.v, 2) is pj
         assert first_fundamental(pj, cj.u, cj.v) is m
-        zeta, zj = got = dilation_jet(pair, cj.u, cj.v, forms)
-        assert dilation_jet(pair, cj.u, cj.v, (m, mt)) is got  # a plain tuple by its items
+        zeta, zj = got = dilation_jet(pair, cj.u, cj.v, m, mt)
+        assert dilation_jet(pair, cj.u, cj.v, m, mt) is got  # the kept forms by identity
         th = theta_terms(m, zj)
         assert theta_terms(m, zj) is th and christoffel(mt) is christoffel(mt)
         kept = geodesic_deviation_report(pair, curve, s)

@@ -458,25 +458,29 @@ def test_store_keeps_a_derived_value_by_its_arguments():
     calls = []
 
     @exprkit.derived
-    def scaled(x, k=2):
+    def scaled(x, k):
         calls.append(k)
         return x * k
 
     x = np.linspace(0.0, 1.0, 4)
-    plain = scaled(x)
+    plain = scaled(x, 2)
     with walk_store({}) as store:
-        first = scaled(x)
-        # a writeable array by its bits, and a defaulted argument as if given
-        assert scaled(x.copy()) is first and scaled(x, 2) is first
+        first = scaled(x, 2)
+        # a writeable array by its bits
+        assert scaled(x.copy(), 2) is first
         with pytest.raises(TypeError):  # positional arguments only
             scaled(x, k=2)
         assert len(calls) == 2 and len(store) == 1
         # a read-only array, as every kept value is, by identity
-        assert scaled(first) is scaled(first) and len(calls) == 3
-        assert scaled(first.copy()) is not scaled(first) and len(calls) == 4
+        assert scaled(first, 2) is scaled(first, 2) and len(calls) == 3
+        assert scaled(first.copy(), 2) is not scaled(first, 2) and len(calls) == 4
         scaled(x, 3)  # another argument
         assert len(calls) == 5 and len(store) == 4
-    assert scaled(x) is not first and len(calls) == 6  # outside the block nothing is kept
+        # any other argument by identity, a tuple too: an equal one is another key
+        k = tuple([2])
+        assert scaled(x, k) is scaled(x, k) and len(calls) == 6
+        assert scaled(x, tuple([2])) is not scaled(x, k) and len(calls) == 7
+    assert scaled(x, 2) is not first and len(calls) == 8  # outside the block nothing is kept
     assert np.array_equal(plain.view(np.uint64), first.view(np.uint64))
 
 

@@ -99,7 +99,7 @@ def test_point_outside_domain_rejected():
 
 
 def test_second_form_plane_is_zero():
-    sf = second_fundamental(plane().jets(0.7, 0.9), 0.7, 0.9)
+    sf = second_fundamental(plane().jets(0.7, 0.9, 2), 0.7, 0.9)
     assert (sf.L, sf.M, sf.N) == (0.0, 0.0, 0.0)
     assert np.allclose(sf.n_vec, [0.0, 0.0, 1.0])
 
@@ -109,7 +109,7 @@ def test_second_form_sphere_with_fd_oracle():
     # so L and N are +1 at (1, pi/2)
     sph = sphere()
     u, v = 1.0, math.pi / 2
-    sf = second_fundamental(sph.jets(u, v), u, v)
+    sf = second_fundamental(sph.jets(u, v, 2), u, v)
     assert abs(sf.L) == pytest.approx(1.0, abs=1e-12)
     assert sf.M == pytest.approx(0.0, abs=1e-12)
     assert abs(sf.N) == pytest.approx(1.0, abs=1e-12)
@@ -122,7 +122,7 @@ def test_second_form_sphere_with_fd_oracle():
 
 def test_second_form_cylinder_with_fd_oracle():
     cyl = cylinder()
-    sf = second_fundamental(cyl.jets(0.0, 0.0), 0.0, 0.0)
+    sf = second_fundamental(cyl.jets(0.0, 0.0, 2), 0.0, 0.0)
     assert abs(sf.L) == pytest.approx(1.0, abs=1e-12)
     assert sf.L == pytest.approx(-1.0, abs=1e-12)   # outward normal on (cos u, sin u, v)
     assert sf.M == pytest.approx(0.0, abs=1e-12)
@@ -137,7 +137,7 @@ def test_unit_normal_has_unit_length():
         for _ in range(25):
             u = RNG.uniform(u0 + 0.05, u1 - 0.05)
             v = RNG.uniform(v0 + 0.05, v1 - 0.05)
-            sf = second_fundamental(patch.jets(u, v), u, v)
+            sf = second_fundamental(patch.jets(u, v, 2), u, v)
             assert abs(np.linalg.norm(sf.n_vec) - 1.0) < 1e-12
 
 
@@ -305,7 +305,7 @@ def test_normal_curvature_equator_oracle_sign():
     kn = normal_curvature(sph, eq, s)
     fr = frenet(sph, eq, s)
     cj = eq.jets(s)
-    sf = second_fundamental(sph.jets(cj.u, cj.v), cj.u, cj.v)
+    sf = second_fundamental(sph.jets(cj.u, cj.v, 2), cj.u, cj.v)
     oracle = float((fr.kappa * fr.n) @ sf.n_vec)
     assert kn == pytest.approx(oracle, abs=1e-12)
     assert kn == pytest.approx(1.0, abs=1e-12)
@@ -372,7 +372,7 @@ def test_pythagoras_of_curvatures_property():
 
 
 def _metric_identities(patch, u, v):
-    return metric_derivative_identities(patch, u, v, patch.jets(u, v))
+    return metric_derivative_identities(patch, u, v, patch.jets(u, v, 2))
 
 
 def test_metric_identities_plane_exact():
@@ -393,7 +393,7 @@ def test_lagrange_identity_property():
         for _ in range(25):
             u = float(RNG.uniform(u0 + 0.05, u1 - 0.05))
             v = float(RNG.uniform(v0 + 0.05, v1 - 0.05))
-            pj = patch.jets(u, v)
+            pj = patch.jets(u, v, 2)
             m = first_fundamental(pj, u, v)
             cr = np.cross(pj.pu, pj.pv)
             disc = m.E * m.G - m.F * m.F

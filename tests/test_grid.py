@@ -273,7 +273,7 @@ def test_order_one_patch_jets_and_first_form(surf):
     # and None where they stop
     u, v = cli.surface_grid(surf.domain, 4, np.random.default_rng(2))
     for args in ((u, v), (float(u[0]), float(v[0]))):
-        pj1, pj = surf.jets(*args, 1), surf.jets(*args)
+        pj1, pj = surf.jets(*args, 1), surf.jets(*args, 2)
         assert [x.tobytes() for x in pj1[:3]] == [x.tobytes() for x in pj[:3]]
         assert pj1[3:] == (None, None, None)
         m1, m = surf.first_form(*args, order=1), surf.first_form(*args)
@@ -445,9 +445,9 @@ def test_non_conformal_grid_names_first_offending_point():
     pair = conformal.ConformalPair(plane(STEREO_BOX), bent, conformality_tol=1e-3)
     us, vs = np.array([0.0, 0.0, 0.5, 0.7]), np.array([0.1, -0.2, 0.3, 0.4])
     with pytest.raises(conformal.NonConformalError) as grid:
-        conformal.dilation_field(pair, us, vs, pair.forms(us, vs))
+        conformal.dilation_field(pair, us, vs, *pair.forms(us, vs))
     with pytest.raises(conformal.NonConformalError) as scalar:
-        conformal.dilation_field(pair, 0.5, 0.3, pair.forms(0.5, 0.3))
+        conformal.dilation_field(pair, 0.5, 0.3, *pair.forms(0.5, 0.3))
     assert str(grid.value) == str(scalar.value)
     # the residuals are spelled as Python floats, as at a point
     assert str(grid.value) == ("pair is not conformal at (0.5, 0.3): metric ratio residuals "
@@ -456,7 +456,7 @@ def test_non_conformal_grid_names_first_offending_point():
 
 def test_domain_box_names_first_outside_point():
     with pytest.raises(geometry.GeometryError, match=r"point \(5\.0, 0\.0\) outside"):
-        catenoid().jets(np.array([0.5, 5.0, 6.0]), np.array([0.5, 0.0, 0.0]))
+        catenoid().jets(np.array([0.5, 5.0, 6.0]), np.array([0.5, 0.0, 0.0]), 2)
 
 
 def test_cli_non_conformal_names_first_grid_point(tmp_path, capsys):
@@ -508,7 +508,7 @@ def _run_suite(entry, pool, tol):
 
 
 def _forms_row(surf, u, v):
-    pj = surf.jets(u, v)
+    pj = surf.jets(u, v, 2)
     m = geometry.first_fundamental(pj, u, v)
     res = geometry.metric_derivative_identities(surf, u, v, pj)
     cr = np.cross(pj.pu, pj.pv)
@@ -518,12 +518,12 @@ def _forms_row(surf, u, v):
 
 
 def _shift_row(pair, u, v):
-    zeta = conformal.dilation_field(pair, u, v, pair.forms(u, v))
+    zeta = conformal.dilation_field(pair, u, v, *pair.forms(u, v))
     return [u, v, zeta, *conformal.christoffel_shift_residual(pair, u, v)]
 
 
 def _push_row(pair, u, v):
-    zeta = conformal.dilation_field(pair, u, v, pair.forms(u, v))
+    zeta = conformal.dilation_field(pair, u, v, *pair.forms(u, v))
     return [u, v, zeta, *conformal.pushforward_residual(pair, u, v)]
 
 
@@ -570,10 +570,10 @@ ORACLE_SURFACES = {"plane": plane, "sphere": sphere, "catenoid": catenoid,
 def test_metric_derivative_identities_grid_is_points_bit_for_bit(make):
     surf = make()
     us, vs = cli.surface_grid(surf.domain, 12, np.random.default_rng(7))
-    grid = geometry.metric_derivative_identities(surf, us, vs, surf.jets(us, vs))
+    grid = geometry.metric_derivative_identities(surf, us, vs, surf.jets(us, vs, 2))
     assert grid.shape == (144, 6)
     for row, u, v in zip(grid.tolist(), us.tolist(), vs.tolist()):
-        point = geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v))
+        point = geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v, 2))
         assert point.shape == (6,)
         assert point.tolist() == row
 
@@ -581,28 +581,28 @@ def test_metric_derivative_identities_grid_is_points_bit_for_bit(make):
 def test_metric_derivative_identities_mixed_point_and_grid_gives_one_row_per_point():
     # a float u with an array v is a grid of len(v), as the forms take it
     surf, vs = catenoid(), np.array([0.3, 0.4])
-    mixed = geometry.metric_derivative_identities(surf, 0.5, vs, surf.jets(0.5, vs))
+    mixed = geometry.metric_derivative_identities(surf, 0.5, vs, surf.jets(0.5, vs, 2))
     assert mixed.shape == (2, 6)
     for row, v in zip(mixed.tolist(), vs.tolist()):
         assert row == geometry.metric_derivative_identities(surf, 0.5, v,
-                                                            surf.jets(0.5, v)).tolist()
+                                                            surf.jets(0.5, v, 2)).tolist()
 
 
 def test_metric_derivative_identities_2d_grid_gives_each_point_its_own_row():
     surf = catenoid()
     us, vs = np.meshgrid([0.3, 0.7], [0.3, 0.5, 0.8], indexing="ij")
-    grid = geometry.metric_derivative_identities(surf, us, vs, surf.jets(us, vs))
+    grid = geometry.metric_derivative_identities(surf, us, vs, surf.jets(us, vs, 2))
     assert grid.shape == (2, 3, 6)
     for i, j in np.ndindex(us.shape):
         u, v = float(us[i, j]), float(vs[i, j])
-        point = geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v))
+        point = geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v, 2))
         assert np.array_equal(grid[i, j].view(np.uint64), point.view(np.uint64))
 
 
 def test_metric_derivative_identities_right_sides_ignore_the_jets_passed_in():
     surf = catenoid()
     us, vs = cli.surface_grid(surf.domain, 12, np.random.default_rng(7))
-    pj = surf.jets(us, vs)
+    pj = surf.jets(us, vs, 2)
     planted = pj._replace(puu=pj.puu + 1e-6 * np.array([1.0, 0.0, 0.0])[:, None])
     clean = geometry.metric_derivative_identities(surf, us, vs, pj)
     moved = geometry.metric_derivative_identities(surf, us, vs, planted)
@@ -618,7 +618,7 @@ def test_metric_derivative_identities_right_sides_ignore_the_jets_passed_in():
 def _per_shift_oracle(surf, u, v):
     """The residuals of ``metric_derivative_identities`` with one walk per
     shifted grid: the reference the one walk of all four is held to."""
-    pj, h, dot = surf.jets(u, v), 1e-5, geometry.dot
+    pj, h, dot = surf.jets(u, v, 2), 1e-5, geometry.dot
     shifted = [surf.jets(uu, vv, 1) for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h))]
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.array([[dot(q.pu, q.pu), dot(q.pu, q.pv), dot(q.pv, q.pv)] for q in shifted])
@@ -649,10 +649,10 @@ def _same_residuals(surf, u, v):
         want = _per_shift_oracle(surf, u, v)
     except geometry.GeometryError as err:
         with pytest.raises(geometry.GeometryError) as got:
-            geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v))
+            geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v, 2))
         assert str(got.value) == str(err)
         return
-    got = geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v)).reshape(want.shape)
+    got = geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v, 2)).reshape(want.shape)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -694,7 +694,7 @@ def test_overflow_at_a_shifted_stencil_point_names_the_point():
         for u, v in ((U_HOT, 0.5), (us, vs)):
             with pytest.raises(geometry.GeometryError,
                                match=rf"residual is not finite at \({U_HOT}, 0\.5\)"):
-                geometry.metric_derivative_identities(hot, u, v, hot.jets(u, v))
+                geometry.metric_derivative_identities(hot, u, v, hot.jets(u, v, 2))
 
 
 def test_overflow_at_a_shifted_stencil_point_names_the_point_of_a_2d_grid():
@@ -702,7 +702,7 @@ def test_overflow_at_a_shifted_stencil_point_names_the_point_of_a_2d_grid():
     us, vs = np.array([[1.0, 1.0], [U_HOT, 2.0]]), np.array([[0.5, 0.6], [0.7, 0.8]])
     with pytest.raises(geometry.GeometryError,
                        match=rf"residual is not finite at \({U_HOT}, 0\.7\)"):
-        geometry.metric_derivative_identities(hot, us, vs, hot.jets(us, vs))
+        geometry.metric_derivative_identities(hot, us, vs, hot.jets(us, vs, 2))
 
 
 def test_cli_forms_overflow_at_a_shifted_stencil_point_exits_with_math_error(tmp_path, capsys):

@@ -212,7 +212,7 @@ def test_normal_component_equator_nu_only():
     built = synth_position(sph, equator_curve(), e1("-1"), ZERO, 0.9)
     from confgeo.geometry import second_fundamental
     cj = equator_curve().jets(0.9)
-    direct = float(built @ second_fundamental(sph.jets(cj.u, cj.v), cj.u, cj.v).n_vec)
+    direct = float(built @ second_fundamental(sph.jets(cj.u, cj.v, 2), cj.u, cj.v).n_vec)
     assert direct == pytest.approx(-1.0, abs=1e-12)
     assert abs(direct) == pytest.approx(1.0, abs=1e-12)
 
@@ -432,7 +432,7 @@ def _every_identity(pair, curve, s, seed) -> dict:
     rel["r_v"] = _rel(tan["r_v"], bv, tan["g2"], ek * cj.u1 * wt * knt,
                       ek * cj.u1 * z * z * m.W * kn)
     rel["r_T"] = _rel(tan["r_T"], bt, tan["lhs_T"], cj.u1 * tan["g1"], cj.v1 * tan["g2"])
-    _, zj = dilation_jet(pair, cj.u, cj.v, pair.forms(cj.u, cj.v))
+    _, zj = dilation_jet(pair, cj.u, cj.v, *pair.forms(cj.u, cj.v))
     along = (nk * z * zj.du * cj.u1, nk * z * zj.dv * cj.v1)
     rel["invariance"] = _rel(abs(tan["lhs_T"] - along[0] - along[1]), bt, tan["lhs_T"], *along)
     return rel

@@ -38,8 +38,8 @@ class Fault(NamedTuple):
 def _scaled_dzeta(monkeypatch):
     real = conformal.dilation_jet
 
-    def planted(pair, u, v, forms):
-        zeta, zj = real(pair, u, v, forms)
+    def planted(pair, u, v, m, mt):
+        zeta, zj = real(pair, u, v, m, mt)
         if zj.du is None:  # a jet of order 0, from forms without partials
             return zeta, zj
         return zeta, zj._replace(du=zj.du * SCALE, dv=zj.dv * SCALE)

@@ -1,6 +1,7 @@
 """The names the benchmark's tracer wraps exist in the package, each
-conformal function is bound in ``conformal`` alone, and the package ships
-no public name that only the tests read.
+conformal function is bound in ``conformal`` alone, the package ships no
+public name that only the tests read, and no function the run's store
+keeps takes a defaulted parameter.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute path)`` of its
 ``TARGETS`` by name, so a rename or deletion in ``confgeo`` would break a
@@ -86,3 +87,17 @@ def test_every_public_name_is_read_by_the_package_or_the_tracer():
                     and not stmt.name.startswith("_") and stmt.name not in read
                     and (module, stmt.name) not in traced and (module, stmt.name) != script.groups())
     assert not unread, f"public names only the tests read: {unread}"
+
+
+def test_no_derived_function_has_a_defaulted_parameter():
+    # the store keys a call by the arguments it is given, so a defaulted
+    # parameter would key one value two ways: each caller passes every argument
+    derived = [(f"{path.stem}.{fn.name}", fn)
+               for path in sorted((ROOT / "src" / "confgeo").glob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               and any(ast.unparse(d) in ("derived", "exprkit.derived")
+                       for d in fn.decorator_list)]
+    assert len(derived) >= 9, [name for name, _ in derived]  # the search finds them
+    defaulted = [name for name, fn in derived if fn.args.defaults or any(fn.args.kw_defaults)]
+    assert not defaulted, f"derived functions with a defaulted parameter: {defaulted}"
