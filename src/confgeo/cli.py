@@ -13,7 +13,6 @@ scenario element and the point).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import sys
@@ -746,7 +745,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str, only: list[str],
             shared = "curve" in SUITES[entry["suite"]].needs
             t0 = time.perf_counter()
             try:
-                with walk_store(store) if shared else contextlib.nullcontext():
+                with walk_store(store if shared else None):
                     res = run_suite(sc, entry, grids, tolerances, rng)
             except MATH_ERRORS as err:
                 print(f"math error in suite '{entry['suite']}' ({_suite_context(entry)}): "

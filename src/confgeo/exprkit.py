@@ -39,11 +39,11 @@ A caller that reads the same derived values again enters a store
 (:func:`walk_store`), held in a context variable, so that another thread
 or task does not see it.  The store keeps the :func:`derived` values of the
 other modules (patch and curve jets, forms, Christoffel symbols and the
-dilation terms), each keyed by its function and its arguments: a writeable
-array by its bits, and any other argument by identity.  A walk is not kept,
-since each walk a later call repeats sits behind a derived value that is;
-inside a store its arrays are read-only, as a kept value's are.  No cache
-outlives a run but the static jet tables and ``pcg64``'s jump table.
+dilation terms), each keyed by its function and its arguments: an array
+by its bits, and any other argument by identity.  A walk is not kept, since
+each walk a later call repeats sits behind a derived value that is, and it
+is the same walk in a store as outside one.  No cache outlives a run but the
+static jet tables and ``pcg64``'s jump table.
 """
 
 from __future__ import annotations
@@ -736,7 +736,7 @@ def walk_store(store: dict | None):
 
     The store keeps derived values only: a walk of ``eval_jet2``,
     ``eval_jet3``, ``eval_grad3`` or ``evaluate`` is made on every call,
-    and inside a store its arrays are read-only.  A failed call is never
+    and gives what it gives outside a store.  A failed call is never
     kept: its error is raised again on the next call.  The caller owns
     ``store``, may enter it again, and empties it when its values are no
     longer needed.
@@ -749,20 +749,19 @@ def walk_store(store: dict | None):
 
 
 def _key_part(x):
-    # how a kept value's key reads one argument: a writeable array by its
-    # dtype, shape and bits, and anything else (a read-only array, a kept
-    # record, a member, an int) by identity
-    if type(x) is np.ndarray and x.flags.writeable:
+    # how a kept value's key reads one argument: an array by its dtype,
+    # shape and bits, and anything else (a kept record, a member, an int)
+    # by identity
+    if type(x) is np.ndarray:
         return (x.dtype, x.shape, x.tobytes())
     return id(x)
 
 
 def _kept_value(x, given: set):
-    # a derived result as the store keeps it, or a walk's coefficients as a
-    # store returns them, every array read-only: an array the call made is
-    # frozen in place, and one it was given (``given`` holds the identities
-    # of its inputs, such as the grid a bare variable's value is, or a
-    # broadcast view of it) is copied first, so that neither the caller's
+    # a derived result as the store keeps it, every array read-only: an
+    # array the call made is frozen in place, and one it was given (``given``
+    # holds the identities of its arguments, such as the grid a bare
+    # variable's value is) is copied first, so that neither the caller's
     # array is frozen nor a later write to it reaches the value; a list,
     # tuple or record is rebuilt only around such a copy
     if type(x) is np.ndarray:
@@ -782,12 +781,11 @@ def derived(fn):
     entered one (see :func:`walk_store`); without one, ``fn`` itself.
 
     A result is keyed by ``fn`` and its positional arguments, each as it
-    is given: a writeable array by its dtype, shape and bits, and anything
-    else by identity (a read-only array, as every kept value and every
-    coefficient walked inside a store is, a kept record, a member, an int).
-    So ``fn`` takes no defaulted parameter, and a caller passes each value
-    as its own argument.  The entry holds the arguments, so that no identity
-    is reused, and the result with every array read-only.  The store keeps
+    is given: an array by its dtype, shape and bits, read-only or not, and
+    anything else by identity (a kept record, a member, an int).  So ``fn``
+    takes no defaulted parameter, and a caller passes each value as its own
+    argument.  The entry holds the arguments, so that no identity is
+    reused, and the result with every array read-only.  The store keeps
     such results only, never a walk.  A call that raises is never kept, so
     the next call raises again.
     """
@@ -808,9 +806,10 @@ def derived(fn):
 
 def _jets(name: str, e, values, order: int, top: int, kind):
     # ``kind`` of the coefficients of ``e`` to ``order`` over the grid of
-    # ``values``, or a tuple of them for a tuple walked at once.  The walk is
-    # never kept; while a store is entered its arrays are read-only, so that
-    # ``derived`` keys one by identity wherever a caller keeps or passes it
+    # ``values``, or a tuple of them for a tuple walked at once.  A grid that
+    # is broadcast is copied, so that a coefficient is the caller's array or
+    # one of the walk's own, never a view of the caller's that ``derived``
+    # would not know to copy
     if order not in range(top + 1):
         raise ExprError(f"{name} takes an order from 0 to {top}, got {order!r}")
     exprs = (e,) if isinstance(e, Expr) else tuple(e)
@@ -819,11 +818,8 @@ def _jets(name: str, e, values, order: int, top: int, kind):
                         f"variable(s), got {[x.variables for x in exprs]}")
     grid = [np.asarray(x, dtype=np.float64) for x in values]
     if len({a.shape for a in grid}) > 1:  # numpy would return equal shapes as they are
-        grid = np.broadcast_arrays(*grid)
-    jets = _evaluate(grid, _walk(exprs, order))
-    if _STORE.get() is not None:
-        jets = _kept_value(jets, set(map(id, grid)))
-    jets = [kind(*c) for c in jets]
+        grid = [np.array(a) for a in np.broadcast_arrays(*grid)]
+    jets = [kind(*c) for c in _evaluate(grid, _walk(exprs, order))]
     return jets[0] if isinstance(e, Expr) else tuple(jets)
 
 

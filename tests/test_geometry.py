@@ -191,6 +191,19 @@ def test_christoffel_conformally_flat_metric():
         assert getattr(g, slot) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_a_kept_first_form_holds_no_view_of_a_broadcast_grid():
+    # E = v walked at a (4,) u and a 0-d v: v is broadcast to the shape of
+    # u, and the form the store keeps must not see a later write to v
+    metric = AbstractMetric(e2("v"), e2("0"), e2("1"), PLANE_BOX)
+    u, v = np.linspace(-0.5, 0.5, 4), np.array(0.5)
+    with walk_store({}) as store:
+        first = metric.first_form(u, v)
+        v[()] = 0.7
+        again = metric.first_form(u, np.array(0.5))  # the bits v had: a hit
+        assert again is first and len(store) == 1
+    assert again.E.tobytes() == np.full(4, 0.5).tobytes()
+
+
 def test_christoffel_same_code_path_for_patch_and_metric():
     sph = sphere()
     u, v = 0.8, 1.1

@@ -1,7 +1,7 @@
 """The names the benchmark's tracer wraps exist in the package, each
 conformal function is bound in ``conformal`` alone, the package ships no
-public name that only the tests read, and no function the run's store
-keeps takes a defaulted parameter.
+public name that only the tests read, no function the run's store
+keeps takes a defaulted parameter, and only ``derived`` reads the store.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute path)`` of its
 ``TARGETS`` by name, so a rename or deletion in ``confgeo`` would break a
@@ -101,3 +101,15 @@ def test_no_derived_function_has_a_defaulted_parameter():
     assert len(derived) >= 9, [name for name, _ in derived]  # the search finds them
     defaulted = [name for name, fn in derived if fn.args.defaults or any(fn.args.kw_defaults)]
     assert not defaulted, f"derived functions with a defaulted parameter: {defaulted}"
+
+
+def test_only_derived_reads_the_store():
+    # a walk is the same in a store as outside one: the one read of the
+    # entered store, ``_STORE.get()``, is in ``exprkit.derived``
+    readers = sorted(f"{path.stem}.{stmt.name}"
+                     for path in sorted((ROOT / "src" / "confgeo").glob("*.py"))
+                     for stmt in ast.parse(path.read_text()).body
+                     for node in ast.walk(stmt)
+                     if isinstance(node, ast.Attribute) and node.attr == "get"
+                     and ast.unparse(node.value) in ("_STORE", "exprkit._STORE"))
+    assert readers == ["exprkit.derived"], readers
