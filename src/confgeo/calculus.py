@@ -135,7 +135,7 @@ class UnitSpeedCurve:
 
     def invert(self, s):
         """Solve cumulative-length(t) = s by Newton, on all points at once."""
-        ss = np.atleast_1d(np.asarray(s, dtype=np.float64))
+        ss = np.ravel(np.asarray(s, dtype=np.float64))
         inside = (-1e-9 <= ss) & (ss <= self.length * (1.0 + 1e-9) + 1e-9)
         bad = violation(inside, ss)
         if bad is not None:

@@ -15,13 +15,14 @@ table they read, and return the namedtuples ``Jet2``, ``Jet3``, ``Grad3``
 and the value.  A coefficient gets the same bits at every order that
 computes it, so a walk stops at the order its reader needs: ``eval_jet2``
 and ``eval_jet3`` take that order, and the coefficients past it are None.
-All four take float64 arrays (a grid of points, evaluated in one walk, as
-in vector forward mode), and a tuple of expressions, walked at once into a
-tuple of results: a patch's x, y, z, a metric's E, F, G or an ambient map
-is one walk, in which a node the roots share is evaluated once.  There is
-one numeric path, numpy's: a point is a grid of one (floats enter as 0-d
-arrays), and constants are ``np.float64`` scalars that broadcast, so
-numpy's floating-point checks see every operation.
+All four take a grid, float64 arrays of one shape, of any shape, walked at
+once as in vector forward mode, and refuse mixed shapes, a float beside an
+array among them.  A tuple of expressions is walked at once into a tuple
+of results: a patch's x, y, z, a metric's E, F, G or an ambient map is one
+walk, in which a node the roots share is evaluated once.  There is one
+numeric path, numpy's: a point is a grid of one (floats enter as 0-d
+arrays), and constants are ``np.float64`` scalars, so numpy's checks see
+every operation.
 
 Jets are sparse.  A partial of a constant or of a seeded variable is the
 Python float 0.0 or 1.0, and a coefficient that is zero or one by structure
@@ -696,8 +697,7 @@ def _evaluate(grid, walk) -> list:
     # one becomes a 0-d array, whose ``**`` rounds as the array power does
     # (a numpy scalar's may not)
     shape = grid[0].shape
-    return [[x if type(x) is np.ndarray and x.shape == shape else np.full(shape, x) for x in j]
-            for j in out]
+    return [[x if type(x) is np.ndarray else np.full(shape, x) for x in j] for j in out]
 
 
 def _locate(err: EvalDomainError, grid: list, walk) -> EvalDomainError:
@@ -806,10 +806,7 @@ def derived(fn):
 
 def _jets(name: str, e, values, order: int, top: int, kind):
     # ``kind`` of the coefficients of ``e`` to ``order`` over the grid of
-    # ``values``, or a tuple of them for a tuple walked at once.  A grid that
-    # is broadcast is copied, so that a coefficient is the caller's array or
-    # one of the walk's own, never a view of the caller's that ``derived``
-    # would not know to copy
+    # ``values``, or a tuple of them for a tuple walked at once
     if order not in range(top + 1):
         raise ExprError(f"{name} takes an order from 0 to {top}, got {order!r}")
     exprs = (e,) if isinstance(e, Expr) else tuple(e)
@@ -817,8 +814,8 @@ def _jets(name: str, e, values, order: int, top: int, kind):
         raise ExprError(f"{name} needs expressions over one tuple of {len(values)} "
                         f"variable(s), got {[x.variables for x in exprs]}")
     grid = [np.asarray(x, dtype=np.float64) for x in values]
-    if len({a.shape for a in grid}) > 1:  # numpy would return equal shapes as they are
-        grid = [np.array(a) for a in np.broadcast_arrays(*grid)]
+    if len({a.shape for a in grid}) > 1:
+        raise ExprError(f"{name} needs grid arrays of one shape, got {[a.shape for a in grid]}")
     jets = [kind(*c) for c in _evaluate(grid, _walk(exprs, order))]
     return jets[0] if isinstance(e, Expr) else tuple(jets)
 

@@ -57,7 +57,7 @@ def violation(ok, *values) -> tuple[float, ...] | None:
     if np.count_nonzero(ok) == np.size(ok):
         return None
     i = int(np.argmin(ok))
-    return tuple(float(x[i]) if np.ndim(x) else float(x) for x in values)
+    return tuple(float(np.ravel(x)[i]) if np.ndim(x) else float(x) for x in values)
 
 
 def require_unit_speed(speed, s) -> None:
@@ -377,9 +377,8 @@ def frenet(p: SurfacePatch, c, s, with_torsion: bool = True) -> FrameData:
 
 
 def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets):
-    """Residuals of the six dot-product/metric-derivative identities, one
-    row of six per point: the result has the shape of ``u, v`` broadcast,
-    plus a last axis of 6, for a point, a 1-D grid or a grid of any shape.
+    """Residuals of the six dot-product/metric-derivative identities: one
+    row of six per point, in the one shape of ``u, v`` plus an axis of 6.
 
     Left sides are the second partials of the patch jets ``pj`` at ``u, v``
     dotted into their first partials; right sides rebuild the same
@@ -396,7 +395,9 @@ def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets):
     walks.  A point is a grid of one, so it gets the bits it gets in a grid.
     """
     h = 1e-5
-    su, sv = (np.ravel(x) for x in np.broadcast_arrays(u, v))
+    if np.shape(u) != np.shape(v):
+        raise GeometryError(f"identities need u, v of one shape, got {np.shape(u)}, {np.shape(v)}")
+    su, sv = np.ravel(u), np.ravel(v)
     q = p.jets(np.concatenate([su + h, su - h, su, su]),
                np.concatenate([sv, sv, sv + h, sv - h]), 1)
     # products of large finite jets may overflow: checked below, not warned
@@ -409,4 +410,4 @@ def metric_derivative_identities(p: SurfacePatch, u, v, pj: PatchJets):
         rhs = [E_u / 2.0, F_u - E_v / 2.0, E_v / 2.0, G_u / 2.0, F_v - G_u / 2.0, G_v / 2.0]
         res = abs(np.column_stack(lhs) - np.column_stack(rhs))
     _require_finite("metric-derivative residual", su, sv, *res.T)
-    return res.reshape(np.broadcast(u, v).shape + (6,))
+    return res.reshape(np.shape(u) + (6,))

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import operator
+import re
 import threading
 import warnings
 
@@ -367,18 +368,6 @@ def test_a_walk_in_a_store_is_the_walk_outside_one(walks):
             assert y is not z and x.tobytes() == y.tobytes() == z.tobytes()
 
 
-@pytest.mark.parametrize("store", [None, {}], ids=["plain", "store"])
-def test_a_walk_copies_a_broadcast_grid(store):
-    # the 0-d v is broadcast to the shape of u: a bare variable's value is
-    # the grid, which a later write to the caller's v must not reach
-    u, v = np.linspace(0.0, 1.0, 4), np.array(0.5)
-    with walk_store(store):
-        got = eval_jet2(parse_scalar_field("v", UV), u, v).value
-    assert not store
-    v[()] = 9.0
-    assert got.tobytes() == np.full(4, 0.5).tobytes()
-
-
 def test_store_keys_a_writeable_array_by_its_bits():
     calls = []
 
@@ -705,14 +694,15 @@ ENTRY_POINTS = [(eval_jet2, "u*exp(v) + v^2", UV), (evaluate, "u*exp(v) + v^2", 
 
 @pytest.mark.parametrize("entry, text, variables", ENTRY_POINTS,
                          ids=[f[0].__name__ for f in ENTRY_POINTS])
-def test_a_float_and_an_array_walk_as_arrays(entry, text, variables):
+def test_grid_arrays_of_mixed_shapes_are_refused(entry, text, variables):
+    # a grid is arrays of one shape: a float beside an array is a mixed grid,
+    # as are two arrays that numpy would broadcast
     e = parse_scalar_field(text, variables)
     grid = np.array([0.25, -0.5, 1.5])
     for i in range(len(variables)):
-        # one variable given as a grid, the others as floats
-        mixed = [grid if j == i else 0.5 for j in range(len(variables))]
-        want = entry(e, *[grid if j == i else np.full_like(grid, 0.5)
-                          for j in range(len(variables))])
-        got = entry(e, *mixed)
-        assert np.shape(got) == np.shape(want) and np.shape(got)[-1] == 3
-        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+        for other in (0.5, np.full((1, 3), 0.5)):
+            mixed = [grid if j == i else other for j in range(len(variables))]
+            shapes = [np.shape(x) for x in mixed]
+            with pytest.raises(ExprError, match=re.escape(
+                    f"{entry.__name__} needs grid arrays of one shape, got {shapes}")):
+                entry(e, *mixed)

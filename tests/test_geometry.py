@@ -6,7 +6,7 @@ import pytest
 
 from confgeo import geometry
 from confgeo.calculus import reparameterize_arclength
-from confgeo.exprkit import Expr, parse_scalar_field, substitute, walk_store
+from confgeo.exprkit import Expr, ExprError, parse_scalar_field, substitute, walk_store
 from confgeo.geometry import (
     AbstractMetric,
     GeometryError,
@@ -93,6 +93,16 @@ def test_metric_first_form_checks_name_the_first_failing_point(efg, first_bad):
 def test_point_outside_domain_rejected():
     with pytest.raises(GeometryError, match="outside domain"):
         plane().first_form(99.0, 0.0)
+
+
+@pytest.mark.parametrize("v", [np.full((2, 2), 0.5), 0.5], ids=["grid", "float"])
+def test_a_2d_grid_names_its_point_outside_the_domain(v):
+    # the box check runs before the walk, so a float v beside the 2-D u
+    # reaches it too
+    u = np.array([[0.2, 0.3], [0.4, 5.0]])
+    with pytest.raises(GeometryError, match=re.escape(
+            "point (5.0, 0.5) outside domain box ((0.1, 1.2), (0.2, 1.0))")):
+        catenoid().jets(u, v, 2)
 
 
 # -- second fundamental form ---------------------------------------------------
@@ -191,17 +201,17 @@ def test_christoffel_conformally_flat_metric():
         assert getattr(g, slot) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_a_kept_first_form_holds_no_view_of_a_broadcast_grid():
-    # E = v walked at a (4,) u and a 0-d v: v is broadcast to the shape of
-    # u, and the form the store keeps must not see a later write to v
+def test_a_first_form_of_mixed_shapes_is_refused_and_not_kept():
+    # a (4,) u beside a 0-d v is no grid: the walk refuses it, in a store
+    # on every call, and the store keeps nothing
     metric = AbstractMetric(e2("v"), e2("0"), e2("1"), PLANE_BOX)
     u, v = np.linspace(-0.5, 0.5, 4), np.array(0.5)
     with walk_store({}) as store:
-        first = metric.first_form(u, v)
-        v[()] = 0.7
-        again = metric.first_form(u, np.array(0.5))  # the bits v had: a hit
-        assert again is first and len(store) == 1
-    assert again.E.tobytes() == np.full(4, 0.5).tobytes()
+        for _ in range(2):
+            with pytest.raises(ExprError, match=re.escape(
+                    "eval_jet2 needs grid arrays of one shape, got [(4,), ()]")):
+                metric.first_form(u, v)
+        assert not store
 
 
 def test_christoffel_same_code_path_for_patch_and_metric():

@@ -15,6 +15,7 @@ sub-expression).
 import copy
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -578,14 +579,17 @@ def test_metric_derivative_identities_grid_is_points_bit_for_bit(make):
         assert point.tolist() == row
 
 
-def test_metric_derivative_identities_mixed_point_and_grid_gives_one_row_per_point():
-    # a float u with an array v is a grid of len(v), as the forms take it
+def test_metric_derivative_identities_refuse_mixed_shapes():
+    # a float u beside an array v is no grid: its jets are refused, and the
+    # identities refuse it with the jets of a grid, or arrays of one size
     surf, vs = catenoid(), np.array([0.3, 0.4])
-    mixed = geometry.metric_derivative_identities(surf, 0.5, vs, surf.jets(0.5, vs, 2))
-    assert mixed.shape == (2, 6)
-    for row, v in zip(mixed.tolist(), vs.tolist()):
-        assert row == geometry.metric_derivative_identities(surf, 0.5, v,
-                                                            surf.jets(0.5, v, 2)).tolist()
+    with pytest.raises(exprkit.ExprError, match="one shape"):
+        surf.jets(0.5, vs, 2)
+    pj = surf.jets(np.full(2, 0.5), vs, 2)
+    for u, v in ((0.5, vs), (np.full((2, 1), 0.5), vs)):
+        with pytest.raises(geometry.GeometryError, match=re.escape(
+                f"identities need u, v of one shape, got {np.shape(u)}, {np.shape(v)}")):
+            geometry.metric_derivative_identities(surf, u, v, pj)
 
 
 def test_metric_derivative_identities_2d_grid_gives_each_point_its_own_row():
@@ -597,6 +601,44 @@ def test_metric_derivative_identities_2d_grid_gives_each_point_its_own_row():
         u, v = float(us[i, j]), float(vs[i, j])
         point = geometry.metric_derivative_identities(surf, u, v, surf.jets(u, v, 2))
         assert np.array_equal(grid[i, j].view(np.uint64), point.view(np.uint64))
+
+
+def _reshaped_bits(grid, flat, shape):
+    # every array of ``grid`` is its array of ``flat`` with the last axis
+    # made ``shape``, bit for bit, in records and tuples alike
+    if isinstance(flat, tuple):
+        assert type(grid) is type(flat) and len(grid) == len(flat)
+        for g, f in zip(grid, flat):
+            _reshaped_bits(g, f, shape)
+    elif flat is None:
+        assert grid is None
+    else:
+        assert grid.shape == flat.shape[:-1] + shape
+        assert grid.tobytes() == flat.reshape(grid.shape).tobytes()
+
+
+def test_a_2d_grid_gives_the_values_of_its_flat_grid_at_every_layer():
+    # a grid of one shape may be of any shape: each layer gives the (2, 3)
+    # grid the bits of its flat grid of 6 points, reshaped
+    shape = (2, 3)
+    us, vs = np.meshgrid([0.3, 0.7], [0.3, 0.5, 0.8], indexing="ij")
+    surf, pair = catenoid(), stereographic_pair()
+    metric, waist = flat_exp_pair().target, _cat_waist()
+    ss = np.linspace(0.1, 0.9, 6).reshape(shape)
+
+    def layers(u, v, s):
+        pj = surf.jets(u, v, 2)
+        m, mt = pair.source.first_form(u, v), pair.target.first_form(u, v)
+        return {"SurfacePatch.jets": pj, "AbstractMetric.first_form": metric.first_form(u, v),
+                "first_fundamental": geometry.first_fundamental(pj, u, v),
+                "second_fundamental": geometry.second_fundamental(pj, u, v),
+                "ParamCurve.jets": latitude_curve().jets(s),
+                "UnitSpeedCurve.jets": waist.jets(s * waist.length),
+                "dilation_jet": conformal.dilation_jet(pair, u, v, m, mt)}
+
+    flat = layers(us.ravel(), vs.ravel(), ss.ravel())
+    for name, value in layers(us, vs, ss).items():
+        _reshaped_bits(value, flat[name], shape)
 
 
 def test_metric_derivative_identities_right_sides_ignore_the_jets_passed_in():
