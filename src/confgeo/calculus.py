@@ -32,15 +32,8 @@ GAUSS_W = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104
 
 
 class CalculusError(Exception):
-    pass
-
-
-class ZeroSpeedError(CalculusError):
-    """The speed |dbeta/dt| dropped below the quadrature floor."""
-
-
-class NonMonotoneLengthError(CalculusError):
-    """Cumulative arc length failed to increase (numerical failure)."""
+    """Quadrature or arc-length failure: a zero speed, a length that does
+    not increase, an ``s`` outside the curve, a bad range or sample count."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +89,7 @@ def _curve_speed(patch: SurfacePatch, u_raw: Expr, v_raw: Expr, t):
     w = speed_from_form(patch.first_form(ju.value, jv.value, 1), ju.d1, jv.d1)
     bad = violation(w >= ZERO_SPEED_FLOOR, t)
     if bad is not None:
-        raise ZeroSpeedError(f"zero-speed point at t={bad[0]}")
+        raise CalculusError(f"zero-speed point at t={bad[0]}")
     return w
 
 
@@ -199,9 +192,9 @@ def reparameterize_arclength(patch: SurfacePatch, curve: tuple[Expr, Expr],
     than that tolerance is split in two, until none does.
     """
     if not t1 > t0:
-        raise ValueError("need t1 > t0")
+        raise CalculusError("need t1 > t0")
     if n < 16:
-        raise ValueError("need n >= 16 samples")
+        raise CalculusError("need n >= 16 samples")
     u_raw, v_raw = curve
     t_samples = np.linspace(t0, t1, n + 1)
     for _ in range(REFINE_ROUNDS):
@@ -218,6 +211,6 @@ def reparameterize_arclength(patch: SurfacePatch, curve: tuple[Expr, Expr],
                             f"panel splits (is the speed nearly zero there?)")
     s_samples = np.concatenate([[0.0], np.cumsum(increments)])
     if np.any(np.diff(s_samples) <= 0.0):
-        raise NonMonotoneLengthError("cumulative arc length is not strictly increasing")
+        raise CalculusError("cumulative arc length is not strictly increasing")
     return UnitSpeedCurve(patch, u_raw, v_raw, t0, t1, float(s_samples[-1]), s_samples,
                           t_samples)

@@ -154,7 +154,7 @@ def _parse_field(text, variables, where: str, nodes: dict):
         raise ScenarioError(f"{where}: expected an expression string, got {text!r}")
     try:
         return parse_scalar_field(text, variables, nodes)
-    except ExprError as err:
+    except MATH_ERRORS as err:
         raise ScenarioError(f"{where}: {err}") from None
 
 
@@ -233,7 +233,7 @@ def load_scenario(path: Path) -> Scenario:
             try:
                 curve = calculus.reparameterize_arclength(
                     patch, (u_raw, v_raw), t0, t1, samples)
-            except (calculus.CalculusError, ValueError) as err:
+            except MATH_ERRORS as err:
                 raise ScenarioError(f"{where}: {err}") from None
             sc.curves[name] = curve
             sc.curve_ranges[name] = (0.0, curve.length)
@@ -266,7 +266,7 @@ def load_scenario(path: Path) -> Scenario:
             sc.pairs[name] = conformal.ConformalPair(
                 members[0], members[1], dilation=dilation, ambient_map=ambient,
                 conformality_tol=sc.tolerances["conformality"])
-        except (ValueError, conformal.ConformalError, geometry.GeometryError, ExprError) as err:
+        except MATH_ERRORS as err:
             raise ScenarioError(f"{where}: {err}") from None
 
     for entry, where, name in entries("profiles", sc.profiles):
@@ -387,12 +387,10 @@ def _fmt(x) -> str:
 
 
 def _columns(names: list[str], *cells) -> dict[str, np.ndarray]:
-    """Report columns by name from per-point arrays (or (n, k) blocks, one
-    column per k).  A None column, or None in an object array, holds
-    undefined cells."""
-    flat = [x for c in cells for x in (c.T if np.ndim(c) == 2 else [c])]
+    """Report columns by name from per-point arrays.  A None column, or
+    None in an object array, holds undefined cells."""
     return {name: np.full(len(cells[0]), None) if c is None else c
-            for name, c in zip(names, flat, strict=True)}
+            for name, c in zip(names, cells, strict=True)}
 
 
 def _worst(columns: dict, names: list[str]) -> tuple[float, tuple[str, int] | None]:
@@ -424,7 +422,7 @@ def _forms(surf, us, vs, params, tol):
     disc = m.E * m.G - m.F * m.F
     lagrange = abs(geometry.dot(cr, cr) - disc) / np.maximum(1.0, abs(disc))
     fd = geometry.metric_derivative_identities(surf, us, vs, pj)
-    return _columns(names, us, vs, m.E, m.F, m.G, m.W, fd, lagrange), names[6:]
+    return _columns(names, us, vs, m.E, m.F, m.G, m.W, *fd.T, lagrange), names[6:]
 
 
 def _frenet(surf, curve, ss, params, tol):

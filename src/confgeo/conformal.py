@@ -48,19 +48,9 @@ PAIRINGS = tuple(f"{wt}/{ws}" for wt in WEIGHTS for ws in WEIGHTS)
 
 
 class ConformalError(Exception):
-    pass
-
-
-class NonConformalError(ConformalError):
-    """Not conformal, or a declared dilation disagrees; the message says where and by how much."""
-
-
-class EmbeddingRequiredError(ConformalError):
-    """The operation needs an embedded patch, not a bare metric."""
-
-
-class AmbientMapError(ConformalError):
-    pass
+    """A pair that is not conformal, or whose declared dilation or ambient
+    map disagrees, or that lacks the embedding or the map a check needs;
+    the message says where and by how much."""
 
 
 class ConformalPair:
@@ -76,7 +66,7 @@ class ConformalPair:
         self.source, self.target, self.dilation = source, target, dilation
         self.ambient_map, self.conformality_tol = ambient_map, conformality_tol
         if self.source.domain != self.target.domain:
-            raise ValueError(
+            raise ConformalError(
                 f"pair members must share a domain box: "
                 f"{self.source.domain} != {self.target.domain}")
         # the 3x3 interior sample points, in u-major order
@@ -87,17 +77,17 @@ class ConformalPair:
             z = evaluate(self.dilation, us, vs)
             bad = violation(z > 0.0, z, us, vs)
             if bad is not None:
-                raise ValueError(f"declared dilation must be positive, got {bad[0]} "
-                                 f"at ({bad[1]}, {bad[2]})")
+                raise ConformalError(f"declared dilation must be positive, got {bad[0]} "
+                                     f"at ({bad[1]}, {bad[2]})")
         if self.ambient_map is not None:
             if not self.embedded:
-                raise AmbientMapError("ambient map requires embedded patches on both sides")
+                raise ConformalError("ambient map requires embedded patches on both sides")
             p = np.array(evaluate(self.source[:3], us, vs))  # x, y, z in one walk
             image = np.array(evaluate(self.ambient_map, *p))
             gap = norm(image - np.array(evaluate(self.target[:3], us, vs)))
             bad = violation(gap <= 1e-9, gap, us, vs)
             if bad is not None:
-                raise AmbientMapError(
+                raise ConformalError(
                     f"ambient map disagrees with target by {bad[0]} at ({bad[1]}, {bad[2]})")
 
     @property
@@ -114,7 +104,7 @@ class ConformalPair:
 
 def dilation_field(pair: ConformalPair, u, v, m: FirstForm, mt: FirstForm):
     """Estimate zeta = sqrt(E~/E) from ``m`` and ``mt``, the source's and
-    the target's first forms at ``u, v``.  Raises :class:`NonConformalError`
+    the target's first forms at ``u, v``.  Raises :class:`ConformalError`
     where a conformality residual |zeta^2 E - E~|, |zeta^2 F - F~| or
     |zeta^2 G - G~| exceeds the pair's ``conformality_tol`` times the size
     of its own target coefficient, max(1, |E~|), max(1, sqrt|E~ G~|) and
@@ -127,7 +117,7 @@ def dilation_field(pair: ConformalPair, u, v, m: FirstForm, mt: FirstForm):
     z2 = mt.E / m.E
     bad = violation(z2 > 0.0, u, v, z2)
     if bad is not None:
-        raise NonConformalError(
+        raise ConformalError(
             f"metric ratio E~/E = {bad[2]} not positive at ({bad[0]}, {bad[1]})")
     residuals = (abs(z2 * m.E - mt.E), abs(z2 * m.F - mt.F), abs(z2 * m.G - mt.G))
     ok = ((residuals[0] <= tol * np.maximum(1.0, abs(mt.E)))
@@ -135,7 +125,7 @@ def dilation_field(pair: ConformalPair, u, v, m: FirstForm, mt: FirstForm):
           & (residuals[2] <= tol * np.maximum(1.0, abs(mt.G))))
     bad = violation(ok, u, v, *residuals)
     if bad is not None:
-        raise NonConformalError(
+        raise ConformalError(
             f"pair is not conformal at ({bad[0]}, {bad[1]}): metric ratio residuals "
             f"(E, F, G) = {bad[2:]}")
     return np.sqrt(z2)
@@ -148,7 +138,7 @@ def dilation_jet(pair: ConformalPair, u, v, m: FirstForm, mt: FirstForm) -> tupl
     or none from forms without them).  A declared dilation supplies an
     exact jet, and is checked here for every pair report: where it is not
     positive or not within ``conformality_tol`` of the estimate,
-    :class:`NonConformalError` names the first such point.  Otherwise the
+    :class:`ConformalError` names the first such point.  Otherwise the
     partials come from differentiating zeta^2 E = E~."""
     zeta = dilation_field(pair, u, v, m, mt)
     if pair.dilation is not None:
@@ -156,8 +146,8 @@ def dilation_jet(pair: ConformalPair, u, v, m: FirstForm, mt: FirstForm) -> tupl
         tol = pair.conformality_tol * np.maximum(1.0, abs(zeta))
         bad = violation((zj.value > 0.0) & (abs(zj.value - zeta) <= tol), u, v, zj.value, zeta)
         if bad is not None:
-            raise NonConformalError(f"declared dilation {bad[2]} disagrees with estimate "
-                                    f"{bad[3]} at ({bad[0]}, {bad[1]})")
+            raise ConformalError(f"declared dilation {bad[2]} disagrees with estimate "
+                                 f"{bad[3]} at ({bad[0]}, {bad[1]})")
         return zeta, zj
     if m.E_u is None:
         return zeta, Jet2(zeta)
@@ -310,7 +300,7 @@ def image_geodesic_curvature(pair: ConformalPair, c, s):
     Beltrami route and of any weight convention.
     """
     if not isinstance(pair.target, SurfacePatch):
-        raise EmbeddingRequiredError("direct image curvature needs an embedded target")
+        raise ConformalError("direct image curvature needs an embedded target")
     cj = c.jets(s)
     pj, beta1, beta2 = beta_jets(pair.target, cj)
     n_vec = second_fundamental(pj, cj.u, cj.v).n_vec
@@ -338,7 +328,7 @@ def pushforward_report(pair: ConformalPair, u, v) -> tuple:
     its jets give the first forms, and so zeta, and the residual.
     """
     if pair.ambient_map is None:
-        raise AmbientMapError("pair has no ambient map")
+        raise ConformalError("pair has no ambient map")
     pj, pjt = pair.source.jets(u, v, 1), pair.target.jets(u, v, 1)
     # the residual reads no partial of zeta, but a declared zeta must hold
     zeta, _ = dilation_jet(pair, u, v, first_fundamental(pj, u, v),

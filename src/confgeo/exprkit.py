@@ -62,19 +62,8 @@ import numpy as np
 
 
 class ExprError(Exception):
-    """Base class for expression parsing/evaluation failures."""
-
-
-class ExprSyntaxError(ExprError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at offset {position}")
-        self.position = position
-
-
-class ExprNameError(ExprError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at offset {position}")
-        self.position = position
+    """Expression parsing/evaluation failure: a parse error ends in "at
+    offset N"."""
 
 
 class EvalDomainError(ExprError):
@@ -173,9 +162,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             try:
                 value = float(lit)
             except ValueError:
-                raise ExprSyntaxError(f"bad number literal '{lit}'", i) from None
+                raise ExprError(f"bad number literal '{lit}' at offset {i}") from None
             if not np.isfinite(value):
-                raise ExprSyntaxError(f"number literal '{lit}' overflows", i)
+                raise ExprError(f"number literal '{lit}' overflows at offset {i}")
             tokens.append(("num", lit, i))
             i = j
             continue
@@ -186,7 +175,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("name", text[i:j], i))
             i = j
             continue
-        raise ExprSyntaxError(f"unexpected character '{c}'", i)
+        raise ExprError(f"unexpected character '{c}' at offset {i}")
     tokens.append(("eof", "", n))
     return tokens
 
@@ -219,14 +208,14 @@ class _Parser:
     def expect_op(self, op: str) -> None:
         kind, text, pos = self.peek()
         if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected '{op}'", pos)
+            raise ExprError(f"expected '{op}' at offset {pos}")
         self.advance()
 
     def parse(self) -> Node:
         node = self.chain(1)
         kind, text, pos = self.peek()
         if kind != "eof":
-            raise ExprSyntaxError(f"unexpected '{text}'", pos)
+            raise ExprError(f"unexpected '{text}' at offset {pos}")
         return node
 
     def chain(self, depth: int, ops: str = "+-") -> Node:
@@ -243,7 +232,7 @@ class _Parser:
     def unary(self, depth: int) -> Node:
         kind, text, pos = self.peek()
         if depth > MAX_DEPTH:  # every operand passes here, so the stack never runs out
-            raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", pos)
+            raise ExprError(f"expression deeper than {MAX_DEPTH} levels at offset {pos}")
         if kind == "op" and text == "-":
             self.advance()
             return self.node(Unary, "neg", self.unary(depth + 1))
@@ -256,7 +245,7 @@ class _Parser:
             self.advance()
             exponent = self.unary(depth + 1)  # right-associative
             if variables_of(exponent):
-                raise ExprSyntaxError("exponent of '^' must be a constant expression", pos)
+                raise ExprError(f"exponent of '^' must be a constant expression at offset {pos}")
             return self.node(Binary, "^", base, exponent)
         return base
 
@@ -268,21 +257,21 @@ class _Parser:
             nk, nt, _ = self.peek()
             if nk == "op" and nt == "(":
                 if text not in FUNCTIONS:
-                    raise ExprNameError(f"unknown function '{text}'", pos)
+                    raise ExprError(f"unknown function '{text}' at offset {pos}")
                 self.advance()
                 arg = self.chain(depth + 1)
                 self.expect_op(")")
                 return self.node(Unary, text, arg)
             if text not in self.variables:
-                raise ExprNameError(f"unknown identifier '{text}'", pos)
+                raise ExprError(f"unknown identifier '{text}' at offset {pos}")
             return self.node(Var, text)
         if kind == "op" and text == "(":
             node = self.chain(depth + 1)
             self.expect_op(")")
             return node
         if kind == "eof":
-            raise ExprSyntaxError("unexpected end of input", pos)
-        raise ExprSyntaxError(f"unexpected '{text}'", pos)
+            raise ExprError(f"unexpected end of input at offset {pos}")
+        raise ExprError(f"unexpected '{text}' at offset {pos}")
 
 
 def parse_scalar_field(text: str, variables, nodes: dict | None = None) -> Expr:
@@ -302,7 +291,7 @@ def parse_scalar_field(text: str, variables, nodes: dict | None = None) -> Expr:
         if name in FUNCTIONS:
             raise ValueError(f"variable name '{name}' shadows a function")
     if not text or not text.strip():
-        raise ExprSyntaxError("empty expression", 0)
+        raise ExprError("empty expression at offset 0")
     nodes = {} if nodes is None else nodes
     if (text, varnames) not in nodes:
         parser = _Parser(_tokenize(text), varnames, nodes)
@@ -314,7 +303,7 @@ def parse_scalar_field(text: str, variables, nodes: dict | None = None) -> Expr:
             depth += 1
             level = [c for n in level for c in n if isinstance(c, _NODES)]
         if depth > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", 0)
+            raise ExprError(f"expression deeper than {MAX_DEPTH} levels at offset 0")
         nodes[text, varnames] = Expr(root, varnames, frozenset(variables_of(root)))
     return nodes[text, varnames]
 
@@ -804,6 +793,15 @@ def derived(fn):
     return keeping
 
 
+def grid_arrays(name: str, values) -> list[np.ndarray]:
+    """``values`` as the float64 arrays of one shape that ``name`` walks
+    (a float is a grid of one); arrays of mixed shapes are refused."""
+    grid = [np.asarray(x, dtype=np.float64) for x in values]
+    if len({a.shape for a in grid}) > 1:
+        raise ExprError(f"{name} needs grid arrays of one shape, got {[a.shape for a in grid]}")
+    return grid
+
+
 def _jets(name: str, e, values, order: int, top: int, kind):
     # ``kind`` of the coefficients of ``e`` to ``order`` over the grid of
     # ``values``, or a tuple of them for a tuple walked at once
@@ -813,10 +811,7 @@ def _jets(name: str, e, values, order: int, top: int, kind):
     if len({x.variables for x in exprs}) != 1 or len(exprs[0].variables) != len(values):
         raise ExprError(f"{name} needs expressions over one tuple of {len(values)} "
                         f"variable(s), got {[x.variables for x in exprs]}")
-    grid = [np.asarray(x, dtype=np.float64) for x in values]
-    if len({a.shape for a in grid}) > 1:
-        raise ExprError(f"{name} needs grid arrays of one shape, got {[a.shape for a in grid]}")
-    jets = [kind(*c) for c in _evaluate(grid, _walk(exprs, order))]
+    jets = [kind(*c) for c in _evaluate(grid_arrays(name, values), _walk(exprs, order))]
     return jets[0] if isinstance(e, Expr) else tuple(jets)
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exprkit import Expr, derived, eval_jet2, eval_jet3, substitute
+from .exprkit import Expr, derived, eval_jet2, eval_jet3, grid_arrays, substitute
 
 REGULARITY_FLOOR = 1e-10
 UNIT_SPEED_TOL = 1e-6
@@ -33,21 +33,8 @@ Box = tuple[tuple[float, float], tuple[float, float]]
 
 
 class GeometryError(Exception):
-    """Base class for geometric precondition failures."""
-
-
-class RegularityError(GeometryError):
-    """W = sqrt(EG - F^2) fell below the regularity floor."""
-
-
-class NotUnitSpeedError(GeometryError):
-    def __init__(self, speed: float, s: float):
-        super().__init__(f"curve is not unit speed at s={s}: |beta'| = {speed}")
-        self.speed = speed
-
-
-class VanishingCurvatureError(GeometryError):
-    """kappa ~ 0: principal normal, binormal and torsion are undefined."""
+    """Geometric precondition failure: a degenerate form or patch, a curve
+    not of unit speed, a vanishing curvature, a point outside the box."""
 
 
 def violation(ok, *values) -> tuple[float, ...] | None:
@@ -57,18 +44,19 @@ def violation(ok, *values) -> tuple[float, ...] | None:
     if np.count_nonzero(ok) == np.size(ok):
         return None
     i = int(np.argmin(ok))
-    return tuple(float(np.ravel(x)[i]) if np.ndim(x) else float(x) for x in values)
+    return tuple(float(np.ravel(x)[i]) for x in values)
 
 
 def require_unit_speed(speed, s) -> None:
-    """Raise :class:`NotUnitSpeedError` at the first ``s`` where |beta'| is
+    """Raise :class:`GeometryError` at the first ``s`` where |beta'| is
     not 1 within :data:`UNIT_SPEED_TOL`."""
     bad = violation(abs(speed - 1.0) <= UNIT_SPEED_TOL, speed, s)
     if bad is not None:
-        raise NotUnitSpeedError(*bad)
+        raise GeometryError(f"curve is not unit speed at s={bad[1]}: |beta'| = {bad[0]}")
 
 
 def _require_in_box(domain: Box, u, v) -> None:
+    u, v = grid_arrays("eval_jet2", (u, v))
     (u0, u1), (v0, v1) = domain
     eu = 1e-9 * max(1.0, abs(u0), abs(u1))
     ev = 1e-9 * max(1.0, abs(v0), abs(v1))
@@ -255,8 +243,8 @@ def _first_form(u, v, E, F, G, **partials) -> FirstForm:
     _require_finite("first fundamental form", u, v, E, F, G, disc, *partials.values())
     bad = violation((E > 0.0) & (disc > REGULARITY_FLOOR ** 2), u, v, E, disc)
     if bad is not None:
-        raise RegularityError(f"degenerate first form at ({bad[0]}, {bad[1]}): "
-                              f"E = {bad[2]}, EG - F^2 = {bad[3]}")
+        raise GeometryError(f"degenerate first form at ({bad[0]}, {bad[1]}): "
+                            f"E = {bad[2]}, EG - F^2 = {bad[3]}")
     return FirstForm(E, F, G, np.sqrt(disc), **partials)
 
 
@@ -287,7 +275,7 @@ def second_fundamental(pj: PatchJets, u, v) -> SecondForm:
     w = norm(normal)
     bad = violation(w > REGULARITY_FLOOR, u, v, w)
     if bad is not None:
-        raise RegularityError(
+        raise GeometryError(
             f"degenerate patch at ({bad[0]}, {bad[1]}): |Psi_u x Psi_v| = {bad[2]}")
     n_vec = normal / w
     return SecondForm(dot(pj.puu, n_vec), dot(pj.puv, n_vec), dot(pj.pvv, n_vec), n_vec)

@@ -14,14 +14,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import conformal
-from .conformal import ConformalPair, EmbeddingRequiredError
+from .conformal import ConformalError, ConformalPair
 from .exprkit import Expr, evaluate
 from .geometry import (
     CURVATURE_FLOOR,
     CurveJets,
+    GeometryError,
     PatchJets,
     SurfacePatch,
-    VanishingCurvatureError,
     beta_jets,
     cross,
     dot,
@@ -68,7 +68,7 @@ class CurveClass(NamedTuple):
 def _require_curved(kappa, s) -> None:
     bad = violation(kappa > CURVATURE_FLOOR, kappa, s)
     if bad is not None:
-        raise VanishingCurvatureError(f"kappa = {bad[0]} at s={bad[1]}: Frenet frame undefined")
+        raise GeometryError(f"kappa = {bad[0]} at s={bad[1]}: Frenet frame undefined")
 
 
 def frame_decompose(p: SurfacePatch, c, s) -> FrameDecomposition:
@@ -149,7 +149,7 @@ def _profile_state(pair: ConformalPair, c, nu: Expr, eta: Expr, s) -> dict:
     """Everything the deviation reports read at s, from one evaluation of
     the curve and of each patch."""
     if not pair.embedded:
-        raise EmbeddingRequiredError(
+        raise ConformalError(
             "normal/tangential deviation checks need embedded patches on both sides")
     cj, pj, kappa = _curved_jets(pair.source, c, s)
     pjt = pair.target.jets(cj.u, cj.v, 2)

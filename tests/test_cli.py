@@ -202,6 +202,19 @@ def test_conformality_residuals_scale_with_their_own_coefficient(tmp_path):
     (lambda d: d["pairs"].append(dict(d["pairs"][0])), "pairs[1].name: duplicate name 'id'"),
     (lambda d: d["profiles"].append(dict(d["profiles"][0])),
      "profiles[1].name: duplicate name 'p'"),
+    # a raw curve that fails while its arc length is measured: it leaves its
+    # expression's domain, overflows, leaves the patch's box or meets a
+    # degenerate patch
+    (lambda d: d["curves"].append(dict(_reparam_curve([-1.0, 1.0]), u="log(t)")),
+     "scenario error: curves[1]: log of a non-positive value in sub-expression 'log(t)' at ("),
+    (lambda d: d["curves"].append(dict(_reparam_curve([0.0, 1.0]), u="2 + t")),
+     "scenario error: curves[1]: point (2.001055163840576, 0.0) outside domain box"),
+    (lambda d: d["curves"].append(dict(_reparam_curve([0.0, 1.0]), u="exp(1000*t)")),
+     "scenario error: curves[1]: overflow in sub-expression 'exp((1000.0*t))' at ("),
+    (lambda d: (d["surfaces"].append({"name": "line", "x": "u", "y": "u", "z": "u",
+                                      "domain": [[-1.5, 1.5], [-1.5, 1.5]]}),
+                d["curves"].append(dict(_reparam_curve([0.0, 1.0]), surface="line"))),
+     "scenario error: curves[1]: degenerate first form at ("),
 ])
 def test_validation_errors_name_offending_key(tmp_path, capsys, mutate, fragment):
     doc = copy.deepcopy(BASE_SCENARIO)

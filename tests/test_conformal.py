@@ -6,10 +6,8 @@ import pytest
 from confgeo import conformal
 from confgeo.exprkit import Jet2, evaluate, walk_store
 from confgeo.conformal import (
-    AmbientMapError,
+    ConformalError,
     ConformalPair,
-    EmbeddingRequiredError,
-    NonConformalError,
     ambient_jacobian,
     beltrami_bracket_shift,
     christoffel_shift_residual,
@@ -70,18 +68,18 @@ def _grid(box, n=5, margin=0.08):
 
 
 def test_pair_requires_shared_domain():
-    with pytest.raises(ValueError, match="domain box"):
+    with pytest.raises(ConformalError, match="domain box"):
         ConformalPair(plane(((-1.0, 1.0), (-1.0, 1.0))),
                       plane(((-2.0, 2.0), (-1.0, 1.0))))
 
 
 def test_pair_rejects_nonpositive_dilation():
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ConformalError, match="positive"):
         ConformalPair(plane(STEREO_BOX), plane(STEREO_BOX), dilation=e2("u-5"))
 
 
 def test_pair_checks_ambient_map_at_load():
-    with pytest.raises(AmbientMapError, match="disagrees"):
+    with pytest.raises(ConformalError, match="disagrees"):
         ConformalPair(plane(STEREO_BOX), plane(STEREO_BOX),
                       ambient_map=(e3("x+1"), e3("y"), e3("z")))
 
@@ -91,18 +89,18 @@ SAMPLE_BOX = ((0.0, 4.0), (0.0, 4.0))  # sample points at 1, 2, 3 on each axis
 
 def test_pair_names_first_nonpositive_dilation_sample():
     # negative at (1, 3) and (3, 1): the u-major sweep meets (1, 3) first
-    with pytest.raises(ValueError, match=r"positive, got -0\.5 at \(1\.0, 3\.0\)$"):
+    with pytest.raises(ConformalError, match=r"positive, got -0\.5 at \(1\.0, 3\.0\)$"):
         ConformalPair(plane(SAMPLE_BOX), plane(SAMPLE_BOX), dilation=e2("(u-2)*(v-2)+0.5"))
 
 
 def test_pair_names_first_ambient_mismatch_sample():
-    with pytest.raises(AmbientMapError, match=r"by 1\.0 at \(2\.0, 1\.0\)$"):
+    with pytest.raises(ConformalError, match=r"by 1\.0 at \(2\.0, 1\.0\)$"):
         ConformalPair(plane(SAMPLE_BOX), plane(SAMPLE_BOX),
                       ambient_map=(e3("x"), e3("y"), e3("z+(x-1)*(y-2)")))
 
 
 def test_pair_ambient_map_needs_embedded_members():
-    with pytest.raises(AmbientMapError, match="requires embedded patches"):
+    with pytest.raises(ConformalError, match="requires embedded patches"):
         ConformalPair(flat_metric(), plane(STEREO_BOX),
                       ambient_map=(e3("x"), e3("y"), e3("z")))
 
@@ -156,9 +154,9 @@ def test_non_conformal_pair_raises_with_residuals():
     stretched = SurfacePatch(e2("u"), e2("2*v"), e2("0"), STEREO_BOX)
     pair = ConformalPair(plane(STEREO_BOX), stretched)
     # the message spells the three residuals: the G one is |1*1 - 4|
-    with pytest.raises(NonConformalError, match=r"^pair is not conformal at \(0\.1, 0\.1\): "
-                                                r"metric ratio residuals \(E, F, G\) = "
-                                                r"\(0\.0, 0\.0, 3\.0\)$"):
+    with pytest.raises(ConformalError, match=r"^pair is not conformal at \(0\.1, 0\.1\): "
+                                             r"metric ratio residuals \(E, F, G\) = "
+                                             r"\(0\.0, 0\.0, 3\.0\)$"):
         dilation_field(pair, 0.1, 0.1, *pair.forms(0.1, 0.1))
 
 
@@ -167,14 +165,14 @@ def test_declared_dilation_mismatch_detected():
     target = SurfacePatch(e2("3*u"), e2("3*v"), e2("0"), STEREO_BOX)
     pair = ConformalPair(plane(STEREO_BOX), target, dilation=e2("2"))
     want = r"declared dilation 2\.0 disagrees with estimate 3\.0 at \(0\.2, 0\.2\)"
-    with pytest.raises(NonConformalError, match=want):
+    with pytest.raises(ConformalError, match=want):
         dilation_jet(pair, 0.2, 0.2, *pair.forms(0.2, 0.2))
-    with pytest.raises(NonConformalError, match=want):
+    with pytest.raises(ConformalError, match=want):
         christoffel_shift_residual(pair, 0.2, 0.2)
     # a pair that is not conformal says so first
     bent = ConformalPair(plane(STEREO_BOX), SurfacePatch(e2("u"), e2("2*v"), e2("0"), STEREO_BOX),
                          dilation=e2("2"))
-    with pytest.raises(NonConformalError, match="not conformal"):
+    with pytest.raises(ConformalError, match="not conformal"):
         dilation_jet(bent, 0.2, 0.2, *bent.forms(0.2, 0.2))
 
 
@@ -185,9 +183,9 @@ def test_declared_dilation_must_be_positive_where_its_jet_is_taken(u, value):
     box = ((-1.5, 1.5), (-1.5, 1.5))
     pair = ConformalPair(plane(box), plane(box), dilation=e2("1-u"), conformality_tol=3.0)
     want = rf"declared dilation {value} disagrees with estimate 1\.0 at \({u}, 0\.0\)"
-    with pytest.raises(NonConformalError, match=want):
+    with pytest.raises(ConformalError, match=want):
         dilation_jet(pair, u, 0.0, *pair.forms(u, 0.0))
-    with pytest.raises(NonConformalError, match=want):
+    with pytest.raises(ConformalError, match=want):
         christoffel_shift_residual(pair, np.array([0.5, u]), np.array([0.0, 0.0]))
 
 
@@ -211,8 +209,8 @@ def test_each_surface_residual_checks_a_declared_dilation(residual):
     # the pushforward reads no declared dilation, but the value must hold
     pair = ConformalPair(plane(STEREO_BOX), stereographic_target(), dilation=e2("3"),
                          ambient_map=stereographic_ambient())
-    with pytest.raises(NonConformalError, match=r"^declared dilation 3\.0 disagrees with "
-                                                r"estimate 1\.7699115044247786 at \(0\.2, 0\.3\)$"):
+    with pytest.raises(ConformalError, match=r"^declared dilation 3\.0 disagrees with "
+                                             r"estimate 1\.7699115044247786 at \(0\.2, 0\.3\)$"):
         residual(pair, 0.2, 0.3)
 
 
@@ -365,9 +363,9 @@ def test_bracket_shift_exponential_line_cases():
 
 
 def test_bracket_shift_requires_unit_speed():
-    from confgeo.geometry import NotUnitSpeedError, ParamCurve
+    from confgeo.geometry import GeometryError, ParamCurve
     from conftest import e1
-    with pytest.raises(NotUnitSpeedError):
+    with pytest.raises(GeometryError, match=r"^curve is not unit speed at s=0\.1: "):
         beltrami_bracket_shift(stereographic_pair(), ParamCurve(e1("2*s"), e1("0")), 0.1)
 
 
@@ -451,7 +449,7 @@ def test_image_curvature_matches_beltrami_on_source():
 
 
 def test_image_curvature_needs_embedding():
-    with pytest.raises(EmbeddingRequiredError):
+    with pytest.raises(ConformalError, match="needs an embedded target"):
         image_geodesic_curvature(flat_exp_pair(), line_curve(), 0.1)
 
 
@@ -494,7 +492,7 @@ def test_pushforward_inversion_sphere_grid():
 
 
 def test_pushforward_requires_ambient_map():
-    with pytest.raises(AmbientMapError):
+    with pytest.raises(ConformalError, match="pair has no ambient map"):
         pushforward_residual(sphere_homothety_pair(), 1.0, 1.0)
 
 

@@ -15,8 +15,6 @@ from confgeo.exprkit import (
     Binary,
     EvalDomainError,
     ExprError,
-    ExprNameError,
-    ExprSyntaxError,
     Unary,
     Var,
     eval_grad3,
@@ -47,20 +45,19 @@ def test_parse_polynomial_and_evaluate():
 
 
 def test_unbalanced_paren_position():
-    with pytest.raises(ExprSyntaxError) as exc:
+    with pytest.raises(ExprError, match=r"^expected '\)' at offset 5$"):
         parse_scalar_field("sin(u", ("u",))
-    assert exc.value.position == 5
 
 
 def test_unknown_identifier_and_function():
-    with pytest.raises(ExprNameError, match="unknown identifier 'w'"):
+    with pytest.raises(ExprError, match="unknown identifier 'w'"):
         parse_scalar_field("u + w", UV)
-    with pytest.raises(ExprNameError, match="unknown function 'foo'"):
+    with pytest.raises(ExprError, match="unknown function 'foo'"):
         parse_scalar_field("foo(u)", UV)
 
 
 def test_exponent_must_be_constant():
-    with pytest.raises(ExprSyntaxError, match="constant"):
+    with pytest.raises(ExprError, match="constant"):
         parse_scalar_field("u^v", UV)
     # constant sub-expressions are fine
     e = parse_scalar_field("u^(1+1)", UV)
@@ -76,11 +73,11 @@ def test_precedence_and_associativity():
 
 
 def test_empty_and_garbage_input():
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ExprError, match="^empty expression at offset 0$"):
         parse_scalar_field("", UV)
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ExprError, match="^empty expression at offset 0$"):
         parse_scalar_field("  ", UV)
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ExprError, match="^unexpected character '!' at offset 2$"):
         parse_scalar_field("u !", UV)
     with pytest.raises(ValueError, match="shadows"):
         parse_scalar_field("sin(1)", ("sin",))
@@ -88,7 +85,7 @@ def test_empty_and_garbage_input():
 
 def test_overflowing_literal_is_a_syntax_error():
     # every constant is finite, so an inf could only come from an operation
-    with pytest.raises(ExprSyntaxError, match=r"number literal '1e400' overflows at offset 2"):
+    with pytest.raises(ExprError, match=r"number literal '1e400' overflows at offset 2"):
         parse_scalar_field("u*1e400", UV)
 
 
@@ -99,10 +96,9 @@ def test_overflowing_literal_is_a_syntax_error():
     ("u+*u", "unexpected '*'", 2),
 ])
 def test_syntax_errors_name_their_offset(text, message, position):
-    with pytest.raises(ExprSyntaxError) as err:
+    with pytest.raises(ExprError) as err:
         parse_scalar_field(text, UV)
     assert str(err.value) == f"{message} at offset {position}"
-    assert err.value.position == position
 
 
 @pytest.mark.parametrize("variables", [("u", "u"), ("s", "t", "s")])
@@ -125,7 +121,7 @@ def _deep(n: int) -> dict[str, str]:
 @pytest.mark.parametrize("shape", list(_deep(1)))
 def test_depth_bound_is_a_syntax_error_one_level_past_it(shape):
     parse_scalar_field(_deep(exprkit.MAX_DEPTH)[shape], UV)
-    with pytest.raises(ExprSyntaxError, match=f"deeper than {exprkit.MAX_DEPTH} levels"):
+    with pytest.raises(ExprError, match=f"deeper than {exprkit.MAX_DEPTH} levels"):
         parse_scalar_field(_deep(exprkit.MAX_DEPTH + 1)[shape], UV)
 
 

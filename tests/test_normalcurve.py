@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from confgeo.conformal import (
     PAIRINGS,
-    EmbeddingRequiredError,
+    ConformalError,
     beltrami_bracket_shift,
     dilation_jet,
     geodesic_deviation_report,
     image_geodesic_curvature,
 )
 from confgeo.exprkit import evaluate, parse_scalar_field
-from confgeo.geometry import ParamCurve, VanishingCurvatureError, beta_jets, dot, frenet
+from confgeo.geometry import GeometryError, ParamCurve, beta_jets, dot, frenet
 from confgeo.normalcurve import (
     classify_curve,
     frame_decompose,
@@ -74,7 +74,7 @@ def test_decompose_offset_circle_closed_form():
 
 
 def test_decompose_line_rejected():
-    with pytest.raises(VanishingCurvatureError):
+    with pytest.raises(GeometryError, match=r"^kappa = 0\.0 at s=0\.5: Frenet frame undefined$"):
         frame_decompose(plane(), line_curve(), 0.5)
 
 
@@ -197,7 +197,7 @@ def test_synth_matches_frenet_route_everywhere():
 
 
 def test_synth_vanishing_curvature():
-    with pytest.raises(VanishingCurvatureError):
+    with pytest.raises(GeometryError, match=r"^kappa = 0\.0 at s=0\.3: Frenet frame undefined$"):
         synth_position(plane(), line_curve(), NU_GENERIC, ETA_GENERIC, 0.3)
 
 
@@ -310,7 +310,7 @@ def test_theorem3_stereographic_latitude_image():
 
 
 def test_theorem3_requires_embedded_pair():
-    with pytest.raises(EmbeddingRequiredError):
+    with pytest.raises(ConformalError, match="deviation checks need embedded patches"):
         theorem3_report(flat_exp_pair(), line_curve(), NU_GENERIC, ZERO, 0.2)
 
 
@@ -364,7 +364,7 @@ def test_tangential_ofcenter_circle_on_stereographic_pair():
 
 
 def test_tangential_requires_embedded_pair():
-    with pytest.raises(EmbeddingRequiredError):
+    with pytest.raises(ConformalError, match="deviation checks need embedded patches"):
         tangential_report(flat_exp_pair(), line_curve(), NU_GENERIC, ZERO, 0.2)
 
 

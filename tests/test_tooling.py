@@ -1,7 +1,9 @@
 """The names the benchmark's tracer wraps exist in the package, each
 conformal function is bound in ``conformal`` alone, the package ships no
 public name that only the tests read, no function the run's store
-keeps takes a defaulted parameter, and only ``derived`` reads the store.
+keeps takes a defaulted parameter, only ``derived`` reads the store, and
+each layer raises one error class, which ``cli`` catches through
+``MATH_ERRORS`` alone.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute path)`` of its
 ``TARGETS`` by name, so a rename or deletion in ``confgeo`` would break a
@@ -10,6 +12,7 @@ importing or editing the harness.
 """
 
 import ast
+import builtins
 import importlib
 import inspect
 import pkgutil
@@ -113,3 +116,46 @@ def test_only_derived_reads_the_store():
                      if isinstance(node, ast.Attribute) and node.attr == "get"
                      and ast.unparse(node.value) in ("_STORE", "exprkit._STORE"))
     assert readers == ["exprkit.derived"], readers
+
+
+# One error class per layer, which cli maps to an exit code, and the two
+# that exprkit catches by type
+ERROR_CLASSES = {"exprkit.ExprError", "geometry.GeometryError", "calculus.CalculusError",
+                 "conformal.ConformalError", "cli.ScenarioError",
+                 "exprkit.EvalDomainError", "exprkit._JetDomain"}
+
+
+def _is_builtin_exception(name: str) -> bool:
+    obj = getattr(builtins, name, None)
+    return isinstance(obj, type) and issubclass(obj, BaseException)
+
+
+def test_each_layer_has_one_error_class():
+    # a subclass that no caller tells apart is a second name for its
+    # layer's error: cli reads only the layer, to pick the exit code
+    trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "confgeo").glob("*.py")}
+    bases = {f"{module}.{node.name}": {ast.unparse(b).rpartition(".")[2] for b in node.bases}
+             for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    errors: set = set()
+    while True:  # the classes whose bases are exceptions, to a fixed point
+        names = {cls.rpartition(".")[2] for cls in errors}
+        grown = {cls for cls, bs in bases.items()
+                 if any(b in names or _is_builtin_exception(b) for b in bs)}
+        if grown == errors:
+            break
+        errors = grown
+    assert errors == ERROR_CLASSES, sorted(errors ^ ERROR_CLASSES)
+    # cli catches a math error through MATH_ERRORS, never by its own class,
+    # so that no load or run step maps a narrower set than another
+    math_errors = {cls.rpartition(".")[2] for cls in ERROR_CLASSES} - {"ScenarioError"}
+    catching = []
+    for stmt in trees["cli"].body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {ast.unparse(n).rpartition(".")[2] for n in
+                          (node.type.elts if isinstance(node.type, ast.Tuple) else [node.type])}
+                assert not caught & math_errors, (getattr(stmt, "name", None), sorted(caught))
+                if "MATH_ERRORS" in caught:
+                    catching.append(stmt.name)
+    assert catching == ["_parse_field", "load_scenario", "load_scenario", "run_scenario"], catching
